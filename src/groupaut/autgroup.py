@@ -337,13 +337,43 @@ _RAT_PROBES = tuple(Fraction(1, p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 
     + tuple(Fraction(k) for k in (2, 3, 4, 5, 6))
 
 
+def _witness_prime_budget(g: GroupDescriptor, image: Vector) -> int:
+    """How many primes past the probes the search for 1/p may try.
+
+    When image is in G but Q*image is not, the primes p with image/p in G
+    are the prime factors of a nonzero integer: the gcd of the coordinates
+    of image, modulo the divisible part of G, over a Z-basis of the rest of
+    G.  A Cramer and Hadamard estimate over the k rational coordinates of
+    the image and of G's generators, of height at most h, bounds its bit
+    length by k * k * bits(h) + k * bits(k); past that many primes the
+    search has found an inconsistency, not a hard case.
+    """
+    scalars = list(image) + [x for _, vec in invariance_generators(g)
+                             for x in vec]
+    k = sum(len(x.coords) for x in scalars)
+    h = max(x.height for x in scalars)
+    return k * k * h.bit_length() + k * k.bit_length()
+
+
 def _rat_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
     # Q*vec maps outside G; pin down a concrete multiple that leaves it.
     for q in _RAT_PROBES:
         w = tuple(q * c for c in vec)
         if not _member(g, vec_mat_mul(w, mat)).member:
             return w
-    return vec
+    # every probe stayed inside G: go on with 1/p over further primes
+    p = max(q.denominator for q in _RAT_PROBES)
+    for _ in range(_witness_prime_budget(g, vec_mat_mul(vec, mat))):
+        p += 2
+        while _prime_factors(p) != [p]:
+            p += 2
+        w = tuple(Fraction(1, p) * c for c in vec)
+        if not _member(g, vec_mat_mul(w, mat)).member:
+            return w
+    from .dsl import group_to_text
+    raise ConsistencyError(
+        f"the rational line through {vec!r} leaves {group_to_text(g)} "
+        f"under {mat!r}, but no multiple 1/p with p <= {p} does")
 
 
 _REAL_PROBES = (1, Fraction(1, 2), 2, 3, 5)
@@ -359,7 +389,10 @@ def _real_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
                 return w
         except ContextError:
             continue
-    return vec
+    from .dsl import group_to_text
+    raise ConsistencyError(
+        f"the real line through {vec!r} leaves {group_to_text(g)} "
+        f"under {mat!r}, but none of the probed multiples does")
 
 
 def _ring_core(g: GroupDescriptor) -> tuple[Optional[GroupDescriptor], ExactScalar]:

@@ -146,6 +146,8 @@ class _Parser:
         if self.peek().kind == "/":
             self.take()
             den = self.expect("num", "a denominator")
+            if int(den.text) == 0:
+                raise ParseError("zero denominator", den.pos)
             val = Fraction(val, int(den.text))
         return val
 

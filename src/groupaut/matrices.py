@@ -1,10 +1,16 @@
 """Exact square-matrix arithmetic over the scalar tower.
 
 Row-vector convention throughout: vectors act on the left, ``v . A``, and
-the (i, j) entry is row i, column j.  Inverses go through the adjugate so
-every entry stays inside the ring generated by the inputs and 1/det; this
-is what lets Laurent-entry matrices invert exactly when their determinant
-is a monomial.
+the (i, j) entry is row i, column j.
+
+Determinants and inverses stay inside the ring generated by the entries
+and 1/det, which is what lets Laurent-entry matrices invert exactly when
+their determinant is a monomial.  Up to 2 x 2 they use the closed forms
+(ad - bc and the adjugate).  From 3 x 3 on one Bareiss fraction-free
+elimination (Bareiss 1968, Math. Comp. 22) serves both: every intermediate
+entry is a minor of the input, and each division by the previous pivot is
+exact in the ring (``exact_div`` for Laurent polynomials), so the work is
+cubic in n instead of exponential.
 """
 
 from __future__ import annotations
@@ -12,15 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, SingularMatrixError
+from .errors import ConsistencyError, DomainError, SingularMatrixError
 from .scalars import (
     ExactScalar,
     FieldContext,
     RAT_CONTEXT,
     Rationalish,
     as_scalar,
+    exact_div,
     join_context,
     one,
     ratio,
@@ -31,30 +38,11 @@ from .scalars import (
 
 Vector = tuple[ExactScalar, ...]
 
+_ONE = one()
+
 
 def vector(items: Iterable) -> Vector:
     return tuple(as_scalar(x) for x in items)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
-def vec_scale(s, u: Vector) -> Vector:
-    s = as_scalar(s)
-    return tuple(s * a for a in u)
-
-
-def zero_vector(n: int) -> Vector:
-    return tuple(zero() for _ in range(n))
-
-
-def is_zero_vector(u: Vector) -> bool:
-    return all(a.is_zero() for a in u)
 
 
 @dataclass(frozen=True)
@@ -95,18 +83,25 @@ class ExactMatrix:
         return mat_mul(self, other)
 
     def inverse(self) -> "ExactMatrix":
+        n = self.n
+        if n > 2:
+            m = [list(row) + [one() if i == j else zero() for j in range(n)]
+                 for i, row in enumerate(self.rows)]
+            _, pivot = _bareiss(m, jordan=True)
+            if pivot.is_zero():
+                raise SingularMatrixError("matrix has determinant 0")
+            # the left block of m is now pivot * I, so the right block is
+            # pivot * A^-1; the pivot is +-det
+            pinv = pivot.invert()   # DomainError for non-monomial Laurent determinants
+            return ExactMatrix(tuple(tuple(x * pinv for x in row[n:]) for row in m))
         d = self.det()
         if d.is_zero():
             raise SingularMatrixError("matrix has determinant 0")
         dinv = d.invert()   # DomainError for non-monomial Laurent determinants
-        n = self.n
-        adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sign = -1 if (i + j) % 2 else 1
-                adj[j][i] = sign * _minor(self, i, j)
-        return ExactMatrix(tuple(tuple(dinv * adj[i][j] for j in range(n))
-                                 for i in range(n)))
+        if n == 1:
+            return ExactMatrix(((dinv,),))
+        (a, b), (c, e) = self.rows
+        return ExactMatrix(((e * dinv, -b * dinv), (-c * dinv, a * dinv)))
 
     def is_rational(self) -> bool:
         return all(x.is_rational() for row in self.rows for x in row)
@@ -148,44 +143,81 @@ def shear(n: int, i: int, j: int, lam) -> ExactMatrix:
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.n != b.n:
         raise DomainError(f"dimension mismatch {a.n} vs {b.n}")
-    n = a.n
-    return ExactMatrix(tuple(
-        tuple(sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), zero())
-              for j in range(n))
-        for i in range(n)))
+    return ExactMatrix(tuple(vec_mat_mul(row, b) for row in a.rows))
 
 
 def vec_mat_mul(v: Vector, a: ExactMatrix) -> Vector:
     if len(v) != a.n:
         raise DomainError(f"vector length {len(v)} vs matrix size {a.n}")
-    n = a.n
-    return tuple(sum((as_scalar(v[i]) * a.rows[i][j] for i in range(n)), zero())
-                 for j in range(n))
-
-
-def _minor(a: ExactMatrix, i: int, j: int) -> ExactScalar:
-    sub = [[a.rows[r][c] for c in range(a.n) if c != j]
-           for r in range(a.n) if r != i]
-    if not sub:
-        return one()
-    return _det(ExactMatrix(tuple(tuple(r) for r in sub)))
+    # a zero coordinate contributes nothing and a coordinate 1 its row as it
+    # stands, so only the other coordinates are multiplied
+    rows = []
+    for x, row in zip(map(as_scalar, v), a.rows):
+        if not x.is_zero():
+            rows.append(row if x == _ONE else tuple(x * y for y in row))
+    if not rows:
+        return (zero(),) * a.n
+    out = rows[0]
+    for row in rows[1:]:
+        out = tuple(p + q for p, q in zip(out, row))
+    return out
 
 
 @lru_cache(maxsize=4096)
 def _det(a: ExactMatrix) -> ExactScalar:
-    n = a.n
-    if n == 1:
-        return a.rows[0][0]
-    if n == 2:
-        return a.rows[0][0] * a.rows[1][1] - a.rows[0][1] * a.rows[1][0]
-    total = zero()
-    for j in range(n):
-        x = a.rows[0][j]
-        if x.is_zero():
-            continue
-        sign = -1 if j % 2 else 1
-        total = total + sign * x * _minor(a, 0, j)
-    return total
+    rows = a.rows
+    if a.n == 1:
+        return rows[0][0]
+    if a.n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    sign, pivot = _bareiss([list(row) for row in rows], jordan=False)
+    return pivot if sign > 0 else -pivot
+
+
+def _divide(x: ExactScalar, d: ExactScalar) -> ExactScalar:
+    """x / d for a pivot d that divides x in the ring of the entries."""
+    q = exact_div(x, d)
+    if q is None:
+        raise ConsistencyError(f"Bareiss step: {d} does not divide {x}")
+    return q
+
+
+def _bareiss(m: list[list[ExactScalar]], jordan: bool
+             ) -> tuple[int, ExactScalar]:
+    """Fraction-free elimination of the square block at the left of ``m``,
+    in place.  Returns (sign, p) for the last pivot p: the block's
+    determinant is sign * p, and p is zero when the block is singular.
+
+    Step k takes the first row with a nonzero entry in column k as the pivot
+    row (a swap flips the sign) and replaces every row i below it, and above
+    it too when ``jordan``, by (p * row_i - row_i[k] * pivot_row) / p',
+    where p is this pivot and p' the previous one.  Each entry is then a
+    (k+1)-minor of the input, so the division is exact.  With ``jordan`` the
+    block ends as p * I for the last pivot p, and the columns to its right
+    end multiplied by p times the inverse of the block.
+    """
+    n = len(m)
+    width = len(m[0])
+    sign = 1
+    prev = one()
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if piv is None:
+            return sign, zero()
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = _divide(p * row[j] - f * top[j], prev)
+        prev = p
+    return sign, prev
 
 
 # ---------------------------------------------------------------------------

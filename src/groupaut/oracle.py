@@ -41,7 +41,6 @@ from .descriptors import (
 from .errors import DomainError, UnsupportedError
 from .matrices import ExactMatrix, Vector, matrix, vec_mat_mul
 from .scalars import (
-    ContextKind,
     ExactScalar,
     one,
     rational,
@@ -66,17 +65,8 @@ def _fractions(h: int) -> list[Fraction]:
                    for q in range(1, h + 1)})
 
 
-def scalar_height(s: ExactScalar) -> int:
-    """Max absolute numerator/denominator across coordinates; Laurent
-    exponents count too."""
-    h = 0
-    if s.context.kind is ContextKind.FORMAL:
-        for k, c in s.coords:
-            h = max(h, abs(k), abs(c.numerator), c.denominator)
-        return h
-    for c in s.coords:
-        h = max(h, abs(c.numerator), c.denominator if c != 0 else 1)
-    return h
+# max |numerator|, denominator and |exponent| over the coordinates
+scalar_height = ExactScalar.height.fget
 
 
 def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:

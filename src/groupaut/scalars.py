@@ -18,6 +18,15 @@ construction: a biquadratic value whose surd coordinates vanish comes out as
 a plain rational, so equality and hashing are plain structural equality.
 No decision anywhere relies on floating point or on ordering real numbers;
 :meth:`ExactScalar.approx` exists for display only.
+
+Arithmetic takes the cheapest route that gives the same value.  Each field
+has one context object (``quad_context`` and ``biquad_context`` intern
+them), so operands in the same context are recognised by identity and
+combined coordinatewise, with no join and no embedding; a rational operand
+scales or shifts the coordinates of the other one.  Only operands from two
+different fields go through :func:`join_context` and ``_embedded``.
+Quadratic and biquadratic inverses use the conjugate, not a linear solve.
+Scalars are immutable, so each caches its hash on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import ContextError, DomainError
 
@@ -75,6 +84,12 @@ class ContextKind(Enum):
     FORMAL = "formal"
 
 
+# module-level names for the hot paths: an Enum attribute lookup costs more
+# than the comparison it feeds
+_RAT, _QUAD, _BIQUAD, _FORMAL = (ContextKind.RAT, ContextKind.QUAD,
+                                 ContextKind.BIQUAD, ContextKind.FORMAL)
+
+
 @dataclass(frozen=True)
 class FieldContext:
     kind: ContextKind
@@ -94,14 +109,23 @@ class FieldContext:
 RAT_CONTEXT = FieldContext(ContextKind.RAT)
 FORMAL_CONTEXT = FieldContext(ContextKind.FORMAL)
 
+# one context object per field, so that equal contexts are usually the same
+# object; these are identity tables, not result caches, and are never cleared
+_QUAD_CONTEXTS: dict[int, FieldContext] = {}
+_BIQUAD_CONTEXTS: dict[tuple[int, int], FieldContext] = {}
+
 
 def quad_context(d: int) -> FieldContext:
+    ctx = _QUAD_CONTEXTS.get(d)
+    if ctx is not None:
+        return ctx
     if d <= 1:
         raise ContextError(f"quadratic radicand must be square-free and > 1, got {d}")
     s, core = squarefree_decomposition(d)
     if s != 1 or core == 1:
         raise ContextError(f"quadratic radicand must be square-free and > 1, got {d}")
-    return FieldContext(ContextKind.QUAD, d)
+    ctx = _QUAD_CONTEXTS[d] = FieldContext(ContextKind.QUAD, d)
+    return ctx
 
 
 def biquad_context(d: int, e: int) -> FieldContext:
@@ -111,6 +135,9 @@ def biquad_context(d: int, e: int) -> FieldContext:
     canonical label uses the two smallest, which makes contexts that present
     the same field compare equal.
     """
+    ctx = _BIQUAD_CONTEXTS.get((d, e))
+    if ctx is not None:
+        return ctx
     for r in (d, e):
         quad_context(r)
     if d == e:
@@ -119,7 +146,12 @@ def biquad_context(d: int, e: int) -> FieldContext:
     if f == 1:
         raise ContextError(f"product of radicands {d},{e} is a perfect square")
     trio = sorted({d, e, f})
-    return FieldContext(ContextKind.BIQUAD, trio[0], trio[1])
+    label = (trio[0], trio[1])
+    ctx = _BIQUAD_CONTEXTS.get(label)
+    if ctx is None:
+        ctx = _BIQUAD_CONTEXTS[label] = FieldContext(ContextKind.BIQUAD, *label)
+    _BIQUAD_CONTEXTS[(d, e)] = ctx
+    return ctx
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +168,7 @@ def context_radicands(ctx: FieldContext) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _mul_table(ctx: FieldContext) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+def _mul_table(ctx: FieldContext) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Basis multiplication: entry [i][j] = (k, c) with b_i*b_j == c*b_k."""
     rad = context_radicands(ctx)
     table = []
@@ -144,14 +176,14 @@ def _mul_table(ctx: FieldContext) -> tuple[tuple[tuple[int, Fraction], ...], ...
         row = []
         for rj in rad:
             s, core = squarefree_decomposition(ri * rj)
-            row.append((rad.index(core), Fraction(s)))
+            row.append((rad.index(core), s))
         table.append(tuple(row))
     return tuple(table)
 
 
 def join_context(a: FieldContext, b: FieldContext) -> FieldContext:
     """Smallest supported context containing both, or raise ContextError."""
-    if a == b:
+    if a is b or a == b:
         return a
     if a.kind is ContextKind.RAT:
         return b
@@ -172,33 +204,119 @@ def join_context(a: FieldContext, b: FieldContext) -> FieldContext:
     raise ContextError(f"joining {a!r} and {b!r} needs a field of degree > 4")
 
 
-@dataclass(frozen=True)
+def _add_coords(ctx: FieldContext, a: tuple, b: tuple) -> "ExactScalar":
+    """Sum of two coordinate tuples over one context."""
+    kind = ctx.kind
+    if kind is _FORMAL:
+        acc = dict(a)
+        for k, c in b:
+            acc[k] = acc[k] + c if k in acc else c
+        return ExactScalar._make(ctx, acc.items())
+    if kind is _QUAD:
+        surd = a[1] + b[1]
+        if surd:
+            return ExactScalar(ctx, (a[0] + b[0], surd))
+        return ExactScalar(RAT_CONTEXT, (a[0] + b[0],))
+    return ExactScalar._make(ctx, tuple(x + y for x, y in zip(a, b)))
+
+
+def _mul_coords(ctx: FieldContext, a: tuple, b: tuple) -> "ExactScalar":
+    """Product of two coordinate tuples over one non-rational context."""
+    kind = ctx.kind
+    if kind is _QUAD:
+        # (a0 + a1 r)(b0 + b1 r) with r = sqrt(d); a1, b1 != 0 in QUAD
+        a0, a1 = a
+        b0, b1 = b
+        r0 = a1 * b1 * ctx.d
+        if a0 and b0:
+            r0 += a0 * b0
+            r1 = a0 * b1 + a1 * b0
+        elif a0:
+            r1 = a0 * b1
+        elif b0:
+            r1 = a1 * b0
+        else:
+            return ExactScalar(RAT_CONTEXT, (r0,))
+        if r1:
+            return ExactScalar(ctx, (r0, r1))
+        return ExactScalar(RAT_CONTEXT, (r0,))
+    if kind is _FORMAL:
+        acc: dict[int, Fraction] = {}
+        for k1, c1 in a:
+            for k2, c2 in b:
+                k = k1 + k2
+                acc[k] = acc[k] + c1 * c2 if k in acc else c1 * c2
+        return ExactScalar._make(ctx, acc.items())
+    table = _mul_table(ctx)
+    out = [Fraction(0)] * len(a)
+    for i, ci in enumerate(a):
+        if not ci:
+            continue
+        row = table[i]
+        for j, cj in enumerate(b):
+            if not cj:
+                continue
+            k, scale = row[j]
+            out[k] += ci * cj * scale
+    return ExactScalar._make(ctx, out)
+
+
 class ExactScalar:
     """An exact real number (or formal Laurent element) in one context.
 
     ``coords`` is a tuple of Fractions over the context basis, except in the
     FORMAL context where it is a tuple of (exponent, coefficient) pairs in
     ascending exponent order with no zero coefficients.
+
+    Values are immutable: assigning to an attribute raises AttributeError.
+    Equality is structural, and the hash is computed once and kept.
     """
 
-    context: FieldContext
-    coords: tuple
+    __slots__ = ("context", "coords", "_hash")
+
+    def __init__(self, context: FieldContext, coords: tuple):
+        _set_context(self, context)
+        _set_coords(self, coords)
+        _set_hash(self, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExactScalar is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExactScalar is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ExactScalar:
+            return NotImplemented
+        return self is other or (self.coords == other.coords
+                                 and self.context == other.context)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.context, self.coords))
+            _set_hash(self, h)
+        return h
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def _make(ctx: FieldContext, coords) -> "ExactScalar":
-        if ctx.kind is ContextKind.FORMAL:
-            terms = tuple(sorted((int(k), Fraction(c)) for k, c in coords if c != 0))
+        if ctx.kind is _FORMAL:
+            terms = tuple(sorted(
+                (int(k), c if type(c) is Fraction else Fraction(c))
+                for k, c in coords if c != 0))
             if all(k == 0 for k, _ in terms):
                 coeff = terms[0][1] if terms else Fraction(0)
                 return ExactScalar(RAT_CONTEXT, (coeff,))
             return ExactScalar(FORMAL_CONTEXT, terms)
-        vals = tuple(Fraction(c) for c in coords)
+        vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        if len(vals) < 2:
+            return ExactScalar(RAT_CONTEXT, vals or (Fraction(0),))
         rad = context_radicands(ctx)
-        live = [rad[i] for i in range(len(vals)) if i > 0 and vals[i] != 0]
+        live = [rad[i] for i in range(1, len(vals)) if vals[i] != 0]
         if not live:
-            return ExactScalar(RAT_CONTEXT, (vals[0] if vals else Fraction(0),))
+            return ExactScalar(RAT_CONTEXT, (vals[0],))
         if len(live) == 1:
             sub = quad_context(live[0])
             i = rad.index(live[0])
@@ -208,12 +326,12 @@ class ExactScalar:
     # -- predicates and views ---------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.context.kind is ContextKind.FORMAL:
-            return not self.coords
-        return all(c == 0 for c in self.coords)
+        # only a rational can vanish: a zero surd or Laurent part minimizes
+        # away on construction
+        return self.context.kind is _RAT and not self.coords[0]
 
     def is_rational(self) -> bool:
-        return self.context.kind is ContextKind.RAT
+        return self.context.kind is _RAT
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -245,7 +363,7 @@ class ExactScalar:
     # -- arithmetic --------------------------------------------------------
 
     def _embedded(self, ctx: FieldContext) -> tuple:
-        if self.context == ctx:
+        if self.context is ctx or self.context == ctx:
             return self.coords
         if self.context.kind is ContextKind.RAT:
             if ctx.kind is ContextKind.FORMAL:
@@ -264,25 +382,41 @@ class ExactScalar:
             out[dst.index(r)] = self.coords[i]
         return tuple(out)
 
+    def _scaled(self, q: Fraction) -> "ExactScalar":
+        """self * q for a rational q; a nonzero q keeps the shape."""
+        if not q:
+            return ExactScalar(RAT_CONTEXT, (q,))
+        ctx = self.context
+        if ctx.kind is _FORMAL:
+            return ExactScalar(ctx, tuple((k, c * q) for k, c in self.coords))
+        return ExactScalar(ctx, tuple(c * q if c else c for c in self.coords))
+
     def __add__(self, other) -> "ExactScalar":
-        other = as_scalar(other)
-        ctx = join_context(self.context, other.context)
-        if ctx.kind is ContextKind.FORMAL:
-            acc = dict(self._embedded(ctx))
-            for k, c in other._embedded(ctx):
-                acc[k] = acc.get(k, Fraction(0)) + c
-            return ExactScalar._make(ctx, acc.items())
-        a = self._embedded(ctx)
-        b = other._embedded(ctx)
-        return ExactScalar._make(ctx, tuple(x + y for x, y in zip(a, b)))
+        if type(other) is not ExactScalar:
+            other = as_scalar(other)
+        sc, oc = self.context, other.context
+        if sc is oc or sc == oc:
+            if sc.kind is _RAT:
+                return ExactScalar(RAT_CONTEXT, (self.coords[0] + other.coords[0],))
+            return _add_coords(sc, self.coords, other.coords)
+        # a rational shifts the first coordinate and leaves the surds alone
+        if sc.kind is _RAT and oc.kind is not _FORMAL:
+            c = other.coords
+            return ExactScalar(oc, (c[0] + self.coords[0],) + c[1:])
+        if oc.kind is _RAT and sc.kind is not _FORMAL:
+            c = self.coords
+            return ExactScalar(sc, (c[0] + other.coords[0],) + c[1:])
+        ctx = join_context(sc, oc)
+        return _add_coords(ctx, self._embedded(ctx), other._embedded(ctx))
 
     def __radd__(self, other) -> "ExactScalar":
         return self.__add__(other)
 
     def __neg__(self) -> "ExactScalar":
-        if self.context.kind is ContextKind.FORMAL:
-            return ExactScalar._make(self.context, tuple((k, -c) for k, c in self.coords))
-        return ExactScalar._make(self.context, tuple(-c for c in self.coords))
+        ctx = self.context
+        if ctx.kind is _FORMAL:
+            return ExactScalar(ctx, tuple((k, -c) for k, c in self.coords))
+        return ExactScalar(ctx, tuple(-c for c in self.coords))
 
     def __sub__(self, other) -> "ExactScalar":
         return self.__add__(as_scalar(other).__neg__())
@@ -291,28 +425,19 @@ class ExactScalar:
         return as_scalar(other).__sub__(self)
 
     def __mul__(self, other) -> "ExactScalar":
-        other = as_scalar(other)
-        ctx = join_context(self.context, other.context)
-        if ctx.kind is ContextKind.FORMAL:
-            acc: dict[int, Fraction] = {}
-            for k1, c1 in self._embedded(ctx):
-                for k2, c2 in other._embedded(ctx):
-                    k = k1 + k2
-                    acc[k] = acc.get(k, Fraction(0)) + c1 * c2
-            return ExactScalar._make(ctx, acc.items())
-        a = self._embedded(ctx)
-        b = other._embedded(ctx)
-        table = _mul_table(ctx)
-        out = [Fraction(0)] * len(a)
-        for i, ci in enumerate(a):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b):
-                if cj == 0:
-                    continue
-                k, scale = table[i][j]
-                out[k] += ci * cj * scale
-        return ExactScalar._make(ctx, tuple(out))
+        if type(other) is not ExactScalar:
+            other = as_scalar(other)
+        sc, oc = self.context, other.context
+        if sc.kind is _RAT:
+            if oc.kind is _RAT:
+                return ExactScalar(RAT_CONTEXT, (self.coords[0] * other.coords[0],))
+            return other._scaled(self.coords[0])
+        if oc.kind is _RAT:
+            return self._scaled(other.coords[0])
+        if sc is oc or sc == oc:
+            return _mul_coords(sc, self.coords, other.coords)
+        ctx = join_context(sc, oc)
+        return _mul_coords(ctx, self._embedded(ctx), other._embedded(ctx))
 
     def __rmul__(self, other) -> "ExactScalar":
         return self.__mul__(other)
@@ -323,30 +448,30 @@ class ExactScalar:
         In the FORMAL context only monomials q*t^k are units of the
         representation; anything else raises DomainError.
         """
-        if self.is_zero():
-            raise DomainError("zero has no inverse")
-        if self.context.kind is ContextKind.FORMAL:
-            if len(self.coords) != 1:
+        ctx, c = self.context, self.coords
+        kind = ctx.kind
+        if kind is _RAT:
+            if not c[0]:
+                raise DomainError("zero has no inverse")
+            return ExactScalar(RAT_CONTEXT, (1 / c[0],))
+        if kind is _FORMAL:
+            if len(c) != 1:
                 raise DomainError(
                     "only monomials are invertible in Q[t,1/t]; "
-                    f"got {len(self.coords)} terms")
-            k, c = self.coords[0]
-            return ExactScalar._make(FORMAL_CONTEXT, ((-k, 1 / c),))
-        if self.is_rational():
-            return ExactScalar._make(RAT_CONTEXT, (1 / self.coords[0],))
-        # solve x*y == 1 coordinatewise; multiplication by x is Q-linear
-        from . import linalg
-        ctx = self.context
-        k = len(context_radicands(ctx))
-        basis = [ExactScalar._make(ctx, tuple(
-            Fraction(1) if i == j else Fraction(0) for i in range(k)))
-            for j in range(k)]
-        cols = [list((self * bj)._embedded(ctx)) for bj in basis]
-        one = [Fraction(1)] + [Fraction(0)] * (k - 1)
-        sol = linalg.solve_combination(cols, one)
-        if sol is None:  # impossible in a field, kept as a guard
-            raise DomainError(f"{self} is not invertible")
-        return ExactScalar._make(ctx, tuple(sol))
+                    f"got {len(c)} terms")
+            k, v = c[0]
+            return ExactScalar(FORMAL_CONTEXT, ((-k, 1 / v),))
+        if kind is _QUAD:
+            # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - d b^2)
+            a, b = c
+            if not a:
+                return ExactScalar(ctx, (a, 1 / (b * ctx.d)))
+            norm = a * a - b * b * ctx.d
+            return ExactScalar(ctx, (a / norm, -b / norm))
+        # x = u + v sqrt(e) with u, v in Q(sqrt d); the conjugate u - v sqrt(e)
+        # flips sqrt(e) and sqrt(f), and x times it lies in Q(sqrt d)
+        conj = ExactScalar(ctx, (c[0], c[1], -c[2], -c[3]))
+        return conj * (self * conj).invert()
 
     def __pow__(self, n: int) -> "ExactScalar":
         if not isinstance(n, int):
@@ -376,12 +501,22 @@ class ExactScalar:
         return f"ExactScalar({scalar_to_text(self)})"
 
 
+# slot writers that bypass the immutability guard, for construction and the
+# hash cache only
+_set_context = ExactScalar.context.__set__
+_set_coords = ExactScalar.coords.__set__
+_set_hash = ExactScalar._hash.__set__
+
+_ZERO = ExactScalar(RAT_CONTEXT, (Fraction(0),))
+_ONE = ExactScalar(RAT_CONTEXT, (Fraction(1),))
+
+
 def as_scalar(x) -> ExactScalar:
     """Coerce int / Fraction / ExactScalar to an ExactScalar."""
-    if isinstance(x, ExactScalar):
+    if type(x) is ExactScalar:
         return x
     if isinstance(x, (int, Fraction)):
-        return ExactScalar._make(RAT_CONTEXT, (Fraction(x),))
+        return ExactScalar(RAT_CONTEXT, (Fraction(x),))
     raise DomainError(f"cannot interpret {x!r} as an exact scalar")
 
 
@@ -390,11 +525,11 @@ def rational(x: Rationalish) -> ExactScalar:
 
 
 def zero() -> ExactScalar:
-    return rational(0)
+    return _ZERO
 
 
 def one() -> ExactScalar:
-    return rational(1)
+    return _ONE
 
 
 def sqrt_rational(q: Rationalish) -> ExactScalar:
@@ -411,17 +546,6 @@ def sqrt_rational(q: Rationalish) -> ExactScalar:
 def t_monomial(exp: int, coeff: Rationalish = 1) -> ExactScalar:
     """The Laurent monomial coeff * t^exp."""
     return ExactScalar._make(FORMAL_CONTEXT, ((exp, Fraction(coeff)),))
-
-
-def arith(a: ExactScalar, b: ExactScalar, op: str) -> ExactScalar:
-    """Named arithmetic entry point: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise DomainError(f"unknown operation {op!r}")
 
 
 def invert(a: ExactScalar) -> ExactScalar:
@@ -489,12 +613,3 @@ def exact_div(a: ExactScalar, b: ExactScalar) -> Optional[ExactScalar]:
                 np_[key] = val
     shift = nmin - dmin
     return ExactScalar._make(ctx, tuple((k + shift, c) for k, c in quot.items()))
-
-
-def scalar_vector(items: Iterable) -> tuple[ExactScalar, ...]:
-    """Coerce an iterable to a tuple of scalars, checking joinability."""
-    vec = tuple(as_scalar(x) for x in items)
-    ctx = RAT_CONTEXT
-    for s in vec:
-        ctx = join_context(ctx, s.context)
-    return vec

@@ -255,6 +255,32 @@ def test_certificate_failure_invariant():
         assert not member(g, vec_mat_mul(cert.failing_generator, mat)).member
 
 
+def test_rat_witness_leaves_g_when_every_probe_stays_inside():
+    # the image sqrt(2) * a = 6469693230 is the product of the primes up to
+    # 29, so every probe multiple of it stays in Z; the witness needs 1/31
+    g = P("Z*1 + Q*sqrt(2)")
+    a = S("3234846615*sqrt(2)")
+    cert = acts_invariantly(g, a)
+    assert not cert.verdict and cert.direction == "forward"
+    w = cert.failing_generator
+    assert w == (R2 * Fraction(1, 31),)
+    assert member(g, w).member
+    assert not member(g, tuple(x * a for x in w)).member
+
+
+def test_witness_search_is_bounded(monkeypatch):
+    # with a membership test that never says no, no witness can replay: the
+    # searches stop with ConsistencyError instead of returning one
+    from groupaut import autgroup
+    from groupaut.descriptors import MembershipVerdict
+    monkeypatch.setattr(autgroup, "_member", lambda g, v: MembershipVerdict(True))
+    a = scalar_matrix(S("3234846615*sqrt(2)"), 1)
+    with pytest.raises(ConsistencyError):
+        autgroup._rat_witness(P("Z*1 + Q*sqrt(2)"), (R2,), a)
+    with pytest.raises(ConsistencyError):
+        autgroup._real_witness(P("R x Q"), (one(), rational(0)), M("[1,1;0,1]"))
+
+
 def test_certificate_success_is_symmetric():
     # G*A = G forces G*A^-1 = G; spot-check on the confirmed cases
     for gt, at, want in CERT_MATRIX_CASES:

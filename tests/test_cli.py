@@ -5,9 +5,14 @@ invocations, since downstream scripts diff the output.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupaut
 from groupaut.cli import main
 
 
@@ -65,6 +70,24 @@ def test_parse_error_goes_to_stderr_with_position(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "position" in err
+
+
+def test_zero_denominator_is_an_input_error(capsys):
+    code, out, err = run(capsys, "member", "Q", "1/0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
+
+
+def test_zero_denominator_process_has_no_traceback():
+    src = Path(groupaut.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "groupaut", "member", "Q", "1/0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_unparseable_vector_is_an_input_error(capsys):

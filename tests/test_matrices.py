@@ -227,3 +227,127 @@ def test_circle_sum_witness_errors():
         circle_sum_witness(1, (1, 1))
     with pytest.raises(DomainError):
         circle_sum_witness(0, (0, 0))
+
+
+# ---------------------------------------------------------------------------
+# det and inverse against cofactor expansion and the adjugate
+# ---------------------------------------------------------------------------
+
+def _det_by_cofactors(rows):
+    # reference determinant: Laplace expansion along the first row
+    if len(rows) == 1:
+        return rows[0][0]
+    total = zero()
+    for j, x in enumerate(rows[0]):
+        term = x * _det_by_cofactors([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _inverse_by_adjugate(a: ExactMatrix) -> ExactMatrix:
+    rows = [list(r) for r in a.rows]
+    n = len(rows)
+    d = _det_by_cofactors(rows)
+    if d.is_zero():
+        raise SingularMatrixError("matrix has determinant 0")
+    dinv = d.invert()
+
+    def cofactor(i, j):
+        minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+        c = _det_by_cofactors(minor) if minor else one()
+        return c if (i + j) % 2 == 0 else -c
+
+    return matrix([[dinv * cofactor(j, i) for j in range(n)] for i in range(n)])
+
+
+def _integer_matrix(rng, n):
+    return matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+
+
+def _quad_matrix(rng, n):
+    r2 = sqrt_rational(2)
+    return matrix([[rng.randint(-2, 2) + rng.randint(-2, 2) * r2 for _ in range(n)]
+                   for _ in range(n)])
+
+
+def _laurent_unitriangular(rng, n, lower):
+    t = t_monomial(1)
+    pool = [zero(), zero(), one(), rational(-1), t, t_monomial(-1), 1 + t,
+            2 * t_monomial(-1) - 1]
+    return matrix([[one() if i == j else
+                    (rng.choice(pool) if (i > j) == lower else zero())
+                    for j in range(n)] for i in range(n)])
+
+
+def _laurent_matrix(rng, n, diagonal=None):
+    """L * D * U with rows permuted: entries are Laurent polynomials and the
+    determinant is +-det(D), a monomial unless ``diagonal`` says otherwise."""
+    if diagonal is None:
+        diagonal = [t_monomial(rng.randint(-2, 2), rng.choice((1, -2, 3)))
+                    for _ in range(n)]
+    d = matrix([[diagonal[i] if i == j else zero() for j in range(n)]
+                for i in range(n)])
+    a = _laurent_unitriangular(rng, n, True) * d * _laurent_unitriangular(rng, n, False)
+    rows = list(a.rows)
+    rng.shuffle(rows)
+    return ExactMatrix(tuple(rows))
+
+
+_MATRIX_KINDS = {"integer": _integer_matrix, "quad": _quad_matrix,
+                 "laurent": _laurent_matrix}
+
+
+@pytest.mark.parametrize("kind", sorted(_MATRIX_KINDS))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_and_inverse_match_cofactor_reference(kind, n):
+    rng = random.Random(f"{kind}-{n}")
+    inverted = 0
+    for _ in range(3 if n < 6 else 2):
+        a = _MATRIX_KINDS[kind](rng, n)
+        want = _det_by_cofactors([list(r) for r in a.rows])
+        assert a.det() == want
+        if want.is_zero():
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+            continue
+        inv = a.inverse()
+        assert inv == _inverse_by_adjugate(a)
+        assert a * inv == identity(n)
+        assert inv * a == identity(n)
+        inverted += 1
+    assert inverted >= 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_singular_matrices_raise_as_before(n):
+    rng = random.Random(f"singular-{n}")
+    t = t_monomial(1)
+    for make, factor in ((_integer_matrix, 3), (_quad_matrix, sqrt_rational(2)),
+                         (_laurent_matrix, t + 1)):
+        rows = [list(r) for r in make(rng, n).rows]
+        # a zero row when n == 1; a repeated row otherwise
+        rows[-1] = [zero()] * n if n == 1 else list(rows[0])
+        if n >= 3:   # and a multiple of another row in between
+            rows[1] = [x * factor for x in rows[-1]]
+        a = matrix(rows)
+        assert _det_by_cofactors(rows).is_zero()
+        assert a.det().is_zero()
+        with pytest.raises(SingularMatrixError):
+            a.inverse()
+        with pytest.raises(SingularMatrixError):
+            _inverse_by_adjugate(a)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_non_monomial_laurent_det_raises_as_before(n):
+    rng = random.Random(f"laurent-domain-{n}")
+    t = t_monomial(1)
+    diagonal = [1 + t] + [one()] * (n - 1)
+    a = _laurent_matrix(rng, n, diagonal)
+    want = _det_by_cofactors([list(r) for r in a.rows])
+    assert a.det() == want
+    assert len(want.coords) == 2
+    with pytest.raises(DomainError, match="only monomials"):
+        a.inverse()
+    with pytest.raises(DomainError, match="only monomials"):
+        _inverse_by_adjugate(a)

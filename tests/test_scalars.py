@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from groupaut import linalg
 from groupaut.errors import ContextError, DomainError
 from groupaut.scalars import (
+    FORMAL_CONTEXT,
     ContextKind,
     ExactScalar,
+    FieldContext,
     as_scalar,
     biquad_context,
     canonicalize_radical,
@@ -20,6 +23,7 @@ from groupaut.scalars import (
     sqrt_rational,
     squarefree_decomposition,
     t_monomial,
+    zero,
 )
 
 
@@ -208,3 +212,170 @@ def test_powers():
     assert x ** 3 == x * x * x
     assert x ** -2 == (x * x).invert()
     assert t_monomial(1) ** -4 == t_monomial(-4)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the fast paths against the general route
+# ---------------------------------------------------------------------------
+
+_QUADS = (2, 3, 5, 6, 7)
+_BIQUADS = ((2, 3), (2, 5), (3, 5), (2, 7))
+
+
+def _rand_q(rng, allow_zero=True):
+    while True:
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        if q or allow_zero:
+            return q
+
+
+def _random_scalar(rng, kind):
+    """A seeded operand of the given kind; zero coordinates are drawn often,
+    so some operands minimize to a smaller context."""
+    if kind == "rat":
+        return rational(_rand_q(rng))
+    if kind == "quad":
+        ctx = quad_context(rng.choice(_QUADS))
+        return ExactScalar._make(ctx, (_rand_q(rng), _rand_q(rng, False)))
+    if kind == "biquad":
+        ctx = biquad_context(*rng.choice(_BIQUADS))
+        return ExactScalar._make(ctx, [_rand_q(rng) for _ in range(4)])
+    terms = {rng.randint(-3, 3): _rand_q(rng) for _ in range(rng.randint(1, 3))}
+    return ExactScalar._make(FORMAL_CONTEXT, terms.items())
+
+
+_KINDS = ("rat", "quad", "biquad", "formal")
+
+
+def _reference(op, x, y):
+    """x op y by the general route: join the contexts, embed both operands,
+    combine the coordinates, minimize.  The basis products come from
+    squarefree_decomposition directly, not from the scalar module's table."""
+    ctx = join_context(x.context, y.context)
+    a, b = x._embedded(ctx), y._embedded(ctx)
+    if ctx.kind is ContextKind.FORMAL:
+        acc = {}
+        if op == "mul":
+            for k1, c1 in a:
+                for k2, c2 in b:
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+        else:
+            sign = 1 if op == "add" else -1
+            acc = dict(a)
+            for k, c in b:
+                acc[k] = acc.get(k, 0) + sign * c
+        return ExactScalar._make(ctx, acc.items())
+    if op == "add":
+        return ExactScalar._make(ctx, [p + q for p, q in zip(a, b)])
+    if op == "sub":
+        return ExactScalar._make(ctx, [p - q for p, q in zip(a, b)])
+    rad = context_radicands(ctx)
+    out = [Fraction(0)] * len(rad)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            s, core = squarefree_decomposition(rad[i] * rad[j])
+            out[rad.index(core)] += p * q * s
+    return ExactScalar._make(ctx, out)
+
+
+def _reference_inverse(x):
+    """1/x by solving x * y == 1 coordinatewise (multiplication by x is
+    Q-linear), or the monomial rule in the formal context."""
+    if x.context.kind is ContextKind.FORMAL:
+        if len(x.coords) != 1:
+            raise DomainError("not a monomial")
+        (k, c), = x.coords
+        return ExactScalar._make(FORMAL_CONTEXT, ((-k, 1 / c),))
+    ctx = x.context
+    k = len(context_radicands(ctx))
+    cols = []
+    for j in range(k):
+        unit = ExactScalar._make(ctx, [int(i == j) for i in range(k)])
+        cols.append(list(_reference("mul", x, unit)._embedded(ctx)))
+    sol = linalg.solve_combination(cols, [1] + [0] * (k - 1))
+    if sol is None:
+        raise DomainError("not invertible")
+    return ExactScalar._make(ctx, sol)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class of the error it raised."""
+    try:
+        return fn(*args)
+    except (ContextError, DomainError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("left", _KINDS)
+@pytest.mark.parametrize("right", _KINDS)
+def test_fast_paths_match_the_general_route(left, right):
+    rng = random.Random(f"{left}-{right}")
+    ops = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+           "mul": lambda x, y: x * y}
+    for _ in range(60):
+        x, y = _random_scalar(rng, left), _random_scalar(rng, right)
+        for name, op in ops.items():
+            got = _outcome(op, x, y)
+            want = _outcome(_reference, name, x, y)
+            assert got == want, (name, x, y)
+            if isinstance(got, ExactScalar):
+                assert got.context == want.context
+                assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_invert_matches_the_linear_solve(kind):
+    rng = random.Random(f"invert-{kind}")
+    for _ in range(60):
+        x = _random_scalar(rng, kind)
+        got = _outcome(lambda s: s.invert(), x)
+        if x.is_zero():
+            assert got is DomainError
+            continue
+        assert got == _outcome(_reference_inverse, x), x
+        if isinstance(got, ExactScalar):
+            assert x * got == rational(1)
+
+
+def test_equal_scalars_built_by_different_routes_hash_equal():
+    r2, r3 = sqrt_rational(2), sqrt_rational(3)
+    t = t_monomial(1)
+    pairs = [
+        (r2 * r2, rational(2)),
+        ((1 + r2) * (1 - r2), rational(-1)),
+        (r2 * r3, sqrt_rational(6)),
+        (r2 * r3 * sqrt_rational(6), as_scalar(6)),
+        ((r2 + r3) - r3, r2),
+        (t * t_monomial(-1), rational(1)),
+        ((t + 1) - t, rational(1)),
+        (r2 + (-r2), zero()),
+        (ExactScalar._make(biquad_context(2, 3), (1, 1, 1, 0)), 1 + r2 + r3),
+        # a context object built outside the interning table
+        (ExactScalar._make(FieldContext(ContextKind.BIQUAD, 2, 3), (0, 1, 1, 0)),
+         r2 + r3),
+        ((1 + r2 + r3).invert() * (1 + r2 + r3), rational(1)),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert hash(x) == hash(y)
+        assert hash(x) == hash(y)   # the cached value is the computed one
+        assert len({x, y}) == 1
+
+
+def test_scalars_are_immutable():
+    x = 1 + sqrt_rational(2)
+    h = hash(x)
+    with pytest.raises(AttributeError):
+        x.coords = (Fraction(0), Fraction(1))
+    with pytest.raises(AttributeError):
+        x.context = quad_context(3)
+    with pytest.raises(AttributeError):
+        del x.coords
+    assert hash(x) == h
+    assert x == 1 + sqrt_rational(2)
+
+
+def test_contexts_of_one_field_are_one_object():
+    assert quad_context(2) is quad_context(2)
+    assert biquad_context(2, 6) is biquad_context(3, 6) is biquad_context(2, 3)
+    assert (sqrt_rational(2) + sqrt_rational(3)).context is biquad_context(2, 3)
