@@ -35,7 +35,6 @@ from typing import Optional, Union
 from . import linalg
 from .descriptors import (
     Cyclic,
-    DivisibleHull,
     Domain,
     FractionRing,
     FullLine,
@@ -49,11 +48,9 @@ from .descriptors import (
     _coordinate_rows,
     _member,
     _module_rat_line,
-    _rat_line,
-    _real_line,
     dimension,
     fraction_ring,
-    hull_closure,
+    holds,
     invariance_generators,
     is_cyclic,
     kind_name,
@@ -80,6 +77,7 @@ from .scalars import (
     ContextKind,
     ExactScalar,
     as_scalar,
+    factorize,
     one,
     ratio,
     rational,
@@ -365,7 +363,7 @@ def _rat_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
     p = max(q.denominator for q in _RAT_PROBES)
     for _ in range(_witness_prime_budget(g, vec_mat_mul(vec, mat))):
         p += 2
-        while _prime_factors(p) != [p]:
+        while factorize(p) != [(p, 1)]:
             p += 2
         w = tuple(Fraction(1, p) * c for c in vec)
         if not _member(g, vec_mat_mul(w, mat)).member:
@@ -398,16 +396,10 @@ def _real_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
 def _ring_core(g: GroupDescriptor) -> tuple[Optional[GroupDescriptor], ExactScalar]:
     """(ring, factor) when G = factor * ring for a ring descriptor."""
     factor = one()
-    while True:
-        if isinstance(g, Scaled):
-            factor = factor * g.factor
-            g = g.inner
-        elif isinstance(g, DivisibleHull):
-            g = hull_closure(g.inner)
-        elif isinstance(g, (LaurentRing, FractionRing)):
-            return g, factor
-        else:
-            return None, factor
+    while isinstance(g, Scaled):
+        factor = factor * g.factor
+        g = g.inner
+    return (g if isinstance(g, (LaurentRing, FractionRing)) else None), factor
 
 
 def acts_invariantly(g: GroupDescriptor, a) -> Certificate:
@@ -443,16 +435,13 @@ def _acts(g: GroupDescriptor, mat: ExactMatrix) -> Certificate:
         # candidate refuted forward may not even be invertible in the tower
         m = mat if direction == "forward" else mat.inverse()
         for kind, vec in gens:
-            w = vec_mat_mul(vec, m)
-            if kind == "int":
-                if not _member(g, w).member:
-                    return Certificate(False, vec, direction)
-            elif kind == "rat":
-                if not _rat_line(g, w):
-                    return Certificate(False, _rat_witness(g, vec, m), direction)
-            else:
-                if not _real_line(g, w):
-                    return Certificate(False, _real_witness(g, vec, m), direction)
+            if holds(kind, g, vec_mat_mul(vec, m)):
+                continue
+            if kind == "rat":
+                vec = _rat_witness(g, vec, m)
+            elif kind == "real":
+                vec = _real_witness(g, vec, m)
+            return Certificate(False, vec, direction)
     return Certificate(True)
 
 
@@ -602,20 +591,6 @@ def _product_fallback(factors) -> Bounds:
     return Bounds((PlusMinusOne(),))
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def aut_group(g: GroupDescriptor) -> AutResult:
     """Closed form (or honest bounds) for the invariance group of g."""
     return _aut_rules(normalize(g))
@@ -636,7 +611,7 @@ def _aut_rules(g: GroupDescriptor) -> AutResult:
             return Exact(pm_powers(t_monomial(1)))
         return Exact(rat_times_pm_powers(t_monomial(1)))
     if isinstance(g, FractionRing):
-        primes = _prime_factors(g.m)
+        primes = [p for p, _ in factorize(g.m)]
         if len(primes) == 1 and g.m == primes[0]:
             return Exact(pm_powers(primes[0]))
         return Bounds(tuple(pm_powers(p) for p in primes))
@@ -732,7 +707,7 @@ def is_unit(ring: GroupDescriptor, r) -> bool:
     # Z[1/m]: units are the rationals supported on the primes of m
     f = abs(r.as_fraction())
     num, den = f.numerator, f.denominator
-    for p in _prime_factors(core.m):
+    for p, _ in factorize(core.m):
         while num % p == 0:
             num //= p
         while den % p == 0:
@@ -778,7 +753,7 @@ def realize_Ax(m: int) -> Realizability:
     if m < 2:
         raise DomainError(f"base must be an integer >= 2, got {m}")
     g = fraction_ring(m)
-    p = _prime_factors(m)[0]
+    p = factorize(m)[0][0]
     if p == m:
         result = aut_group(g)
         if result != Exact(pm_powers(m)):

@@ -3,8 +3,10 @@
 Every invocation answers a single query and prints one JSON document.
 Exit code 0 means a decided verdict (including decided "false"), 2 means
 the honest don't-know path (Bounds, exhausted search budget), 1 means the
-input could not be understood.  All numbers in the output are exact
-strings; two identical invocations print identical bytes.
+input could not be understood, and 3 means two decision routes disagreed
+(an internal error).  All numbers in the output are exact strings; two
+identical invocations print identical bytes.  An error prints nothing on
+stdout and its reason on stderr.
 """
 
 import argparse
@@ -33,7 +35,7 @@ from .dsl import (
     parse_scalar,
     scalar_to_text,
 )
-from .errors import BudgetExceededError, GroupAutError
+from .errors import BudgetExceededError, ConsistencyError, GroupAutError
 from .matrices import circle_sum_witness
 from .oracle import (
     brute_force_aut,
@@ -44,7 +46,7 @@ from .oracle import (
 )
 from .witnesses import sl_obstruction_witness
 
-DECIDED, INPUT_ERROR, UNKNOWN = 0, 1, 2
+DECIDED, INPUT_ERROR, UNKNOWN, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -245,6 +247,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.fn(args)
+    except ConsistencyError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return INTERNAL_ERROR
+    except BudgetExceededError as exc:
+        sys.stderr.write(f"budget exceeded: {exc}\n")
+        return UNKNOWN
     except GroupAutError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR

@@ -2,21 +2,28 @@
 
 A descriptor is a small immutable AST.  The one-dimensional building blocks
 are Cyclic, MixedModule (finitely many generators, each carrying a Z or Q
-coefficient domain), the two Laurent rings, FractionRing (Z[1/m]),
-DivisibleHull, Scaled and FullLine; higher dimensions come from Product,
-Image under an invertible matrix, and FullSpace.
+coefficient domain), the two Laurent rings, FractionRing (Z[1/m]), Scaled
+and FullLine; higher dimensions come from Product, Image under an
+invertible matrix, and FullSpace.  A divisible hull is not a node:
+``divisible_hull`` folds it into one of these forms when it is built.
 
-Everything here is decided exactly:
+Everything here is decided exactly.  Three questions are asked of a vector
+v, and ``holds(kind, g, v)`` picks one by its check kind:
 
-* ``member`` solves for coefficients over Q and checks integrality on the
-  Z-slots (with a Hermite-style integer solve, so generator families like
-  2Z + 3Z that are Q-dependent but not redundant still work);
-* ``rat_line_member`` decides Q*v <= G.  For a MixedModule this holds
-  exactly when v lies in the Q-span of the Q-slot generators: the image of
-  v in the quotient by that span lives in a finitely generated Z-module,
-  which has no nonzero divisible elements;
-* ``real_line_member`` decides R*v <= G; every proper one-dimensional
-  descriptor forces v = 0 there, FullLine absorbs anything.
+* "int", ``member``: is v in G?  On a module this solves for coefficients
+  over Q and checks integrality on the Z-slots (with a Hermite-style
+  integer solve, so generator families like 2Z + 3Z that are Q-dependent
+  but not redundant still work);
+* "rat", ``rat_line_member``: does Q*v lie in G?  For a MixedModule this
+  holds exactly when v lies in the Q-span of the Q-slot generators: the
+  image of v in the quotient by that span lives in a finitely generated
+  Z-module, which has no nonzero divisible elements;
+* "real", ``real_line_member``: does R*v lie in G?  Every proper
+  one-dimensional descriptor forces v = 0 there, FullLine absorbs anything.
+
+All three share one walk, ``_split``, which carries v through the Scaled,
+Image and Product nodes and yields the leaf groups with their coordinates;
+each question is then a loop over the leaves.
 
 Construction *rejects* redundant generator families instead of repairing
 them: a generator whose whole coefficient-domain line already lies in the
@@ -82,11 +89,6 @@ class FractionRing:
 
 
 @dataclass(frozen=True)
-class DivisibleHull:
-    inner: "GroupDescriptor"
-
-
-@dataclass(frozen=True)
 class Scaled:
     factor: ExactScalar
     inner: "GroupDescriptor"
@@ -114,8 +116,7 @@ class FullSpace:
 
 
 GroupDescriptor = Union[Cyclic, MixedModule, LaurentRing, FractionRing,
-                        DivisibleHull, Scaled, FullLine, Product, Image,
-                        FullSpace]
+                        Scaled, FullLine, Product, Image, FullSpace]
 
 
 @dataclass(frozen=True)
@@ -256,23 +257,13 @@ def fraction_ring(m: int) -> FractionRing:
     return FractionRing(m)
 
 
-def _contains_fraction_ring(g: GroupDescriptor) -> bool:
-    if isinstance(g, FractionRing):
-        return True
-    if isinstance(g, (Scaled, DivisibleHull)):
-        return _contains_fraction_ring(g.inner)
-    if isinstance(g, Image):
-        return _contains_fraction_ring(g.inner)
-    if isinstance(g, Product):
-        return any(_contains_fraction_ring(f) for f in g.factors)
-    return False
+def divisible_hull(inner: GroupDescriptor) -> GroupDescriptor:
+    """The divisible hull of inner, in closed form.
 
-
-def divisible_hull(inner: GroupDescriptor) -> DivisibleHull:
-    if _contains_fraction_ring(inner):
-        raise UnsupportedError(
-            "the divisible hull of Z[1/m] has no closed form here")
-    return DivisibleHull(inner)
+    The hull is taken of the normalized group, whose generator order
+    decides which Q-basis of a module survives.
+    """
+    return hull_closure(normalize(inner))
 
 
 def scaled(r, inner: GroupDescriptor) -> Scaled:
@@ -316,7 +307,7 @@ def image(inner: GroupDescriptor, a: ExactMatrix) -> Image:
 def dimension(g: GroupDescriptor) -> int:
     if isinstance(g, (Cyclic, MixedModule, LaurentRing, FractionRing, FullLine)):
         return 1
-    if isinstance(g, (DivisibleHull, Scaled)):
+    if isinstance(g, Scaled):
         return dimension(g.inner)
     if isinstance(g, Product):
         return len(g.factors)
@@ -347,8 +338,92 @@ def member(g: GroupDescriptor, v) -> MembershipVerdict:
     return _member(g, as_vector(g, v))
 
 
+def rat_line_member(g: GroupDescriptor, v) -> bool:
+    """Does the whole rational line Q*v lie inside G?"""
+    return _rat_line(g, as_vector(g, v))
+
+
+def real_line_member(g: GroupDescriptor, v) -> bool:
+    """Does the whole real line R*v lie inside G?
+
+    Every descriptor here except FullLine/FullSpace describes a countable
+    group, so in those factors only v = 0 qualifies.
+    """
+    return _real_line(g, as_vector(g, v))
+
+
+def holds(kind: str, g: GroupDescriptor, v: Vector) -> bool:
+    """One check of invariance_generators: "int" asks whether v is in G,
+    "rat" whether Q*v is, "real" whether R*v is."""
+    # the three names are read when called, not bound here, so that
+    # perfbench/spans.py can wrap them
+    if kind == "int":
+        return _member(g, v).member
+    if kind == "rat":
+        return _rat_line(g, v)
+    if kind == "real":
+        return _real_line(g, v)
+    raise DescriptorError(f"unknown check kind {kind!r}")
+
+
+def _split(g: GroupDescriptor, v: Vector):
+    """Carry v through the Scaled, Image and Product nodes of g.
+
+    Yields (leaf, coordinates) pairs in coordinate order; v, Q*v or R*v
+    lies in G exactly when each block of coordinates does in its leaf.
+    When a scale factor does not divide v, yields (None, v): then none of
+    the three does.  The walk is lazy, so a caller that stops at the first
+    failing leaf never touches the later coordinates.
+    """
+    if isinstance(g, Scaled):
+        quotient = []
+        for c in v:
+            q = exact_div(c, g.factor)
+            if q is None:
+                yield None, v
+                return
+            quotient.append(q)
+        yield from _split(g.inner, tuple(quotient))
+    elif isinstance(g, Image):
+        yield from _split(g.inner, vec_mat_mul(v, g.matrix.inverse()))
+    elif isinstance(g, Product):
+        for f, c in zip(g.factors, v):
+            yield from _split(f, (c,))
+    else:
+        yield g, v
+
+
+_OUTSIDE = MembershipVerdict(False)
+
+
 @lru_cache(maxsize=65536)
 def _member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
+    witness = []
+    for leaf, coords in _split(g, v):
+        verdict = _OUTSIDE if leaf is None else _leaf_member(leaf, coords)
+        if not verdict.member:
+            return _OUTSIDE
+        if verdict.witness is None:
+            witness = None
+        elif witness is not None:
+            witness += verdict.witness
+    return MembershipVerdict(True, None if witness is None else tuple(witness))
+
+
+@lru_cache(maxsize=65536)
+def _rat_line(g: GroupDescriptor, v: Vector) -> bool:
+    return all(leaf is not None and _leaf_rat_line(leaf, coords)
+               for leaf, coords in _split(g, v))
+
+
+def _real_line(g: GroupDescriptor, v: Vector) -> bool:
+    return all(leaf is not None and (isinstance(leaf, (FullLine, FullSpace))
+                                     or all(c.is_zero() for c in coords))
+               for leaf, coords in _split(g, v))
+
+
+@lru_cache(maxsize=65536)
+def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
     if isinstance(g, Cyclic):
         w = _module_solve(((Domain.INT, g.generator),), v[0])
         return MembershipVerdict(w is not None, w)
@@ -371,102 +446,24 @@ def _member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
             while q % d == 0:
                 q //= d
         return MembershipVerdict(q == 1)
-    if isinstance(g, DivisibleHull):
-        return _member(hull_closure(g.inner), v)
-    if isinstance(g, Scaled):
-        quotient = []
-        for c in v:
-            q = exact_div(c, g.factor)
-            if q is None:
-                return MembershipVerdict(False)
-            quotient.append(q)
-        inner = _member(g.inner, tuple(quotient))
-        return MembershipVerdict(inner.member, inner.witness)
-    if isinstance(g, FullLine):
-        return MembershipVerdict(True)
-    if isinstance(g, Product):
-        parts = []
-        for f, c in zip(g.factors, v):
-            verdict = _member(f, (c,))
-            if not verdict.member:
-                return MembershipVerdict(False)
-            parts.append(verdict.witness)
-        if any(p is None for p in parts):
-            return MembershipVerdict(True)
-        return MembershipVerdict(True, tuple(c for p in parts for c in p))
-    if isinstance(g, Image):
-        inner = _member(g.inner, vec_mat_mul(v, g.matrix.inverse()))
-        return MembershipVerdict(inner.member, inner.witness)
-    if isinstance(g, FullSpace):
+    if isinstance(g, (FullLine, FullSpace)):
         return MembershipVerdict(True)
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
 
-def rat_line_member(g: GroupDescriptor, v) -> bool:
-    """Does the whole rational line Q*v lie inside G?"""
-    return _rat_line(g, as_vector(g, v))
-
-
 @lru_cache(maxsize=65536)
-def _rat_line(g: GroupDescriptor, v: Vector) -> bool:
-    if isinstance(g, Cyclic):
+def _leaf_rat_line(g: GroupDescriptor, v: Vector) -> bool:
+    if isinstance(g, (Cyclic, FractionRing)):
         return v[0].is_zero()
     if isinstance(g, MixedModule):
         return _module_rat_line(g.terms, v[0])
     if isinstance(g, LaurentRing):
         if g.coeffs is Domain.INT:
             return v[0].is_zero()
-        return _member(g, v).member
-    if isinstance(g, FractionRing):
-        return v[0].is_zero()
-    if isinstance(g, DivisibleHull):
-        return _rat_line(hull_closure(g.inner), v)
-    if isinstance(g, Scaled):
-        quotient = []
-        for c in v:
-            q = exact_div(c, g.factor)
-            if q is None:
-                return False
-            quotient.append(q)
-        return _rat_line(g.inner, tuple(quotient))
-    if isinstance(g, FullLine):
-        return True
-    if isinstance(g, Product):
-        return all(_rat_line(f, (c,)) for f, c in zip(g.factors, v))
-    if isinstance(g, Image):
-        return _rat_line(g.inner, vec_mat_mul(v, g.matrix.inverse()))
-    if isinstance(g, FullSpace):
-        return True
-    raise DescriptorError(f"not a group descriptor: {g!r}")
-
-
-def real_line_member(g: GroupDescriptor, v) -> bool:
-    """Does the whole real line R*v lie inside G?
-
-    Every descriptor here except FullLine/FullSpace describes a countable
-    group, so in those factors only v = 0 qualifies.
-    """
-    return _real_line(g, as_vector(g, v))
-
-
-def _real_line(g: GroupDescriptor, v: Vector) -> bool:
+        return _leaf_member(g, v).member
     if isinstance(g, (FullLine, FullSpace)):
         return True
-    if isinstance(g, Product):
-        return all(_real_line(f, (c,)) for f, c in zip(g.factors, v))
-    if isinstance(g, Image):
-        return _real_line(g.inner, vec_mat_mul(v, g.matrix.inverse()))
-    if isinstance(g, Scaled):
-        quotient = []
-        for c in v:
-            q = exact_div(c, g.factor)
-            if q is None:
-                return False
-            quotient.append(q)
-        return _real_line(g.inner, tuple(quotient))
-    if isinstance(g, DivisibleHull):
-        return _real_line(hull_closure(g.inner), v)
-    return all(c.is_zero() for c in v)
+    raise DescriptorError(f"not a group descriptor: {g!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +473,7 @@ def _real_line(g: GroupDescriptor, v: Vector) -> bool:
 @lru_cache(maxsize=4096)
 def hull_closure(g: GroupDescriptor) -> GroupDescriptor:
     """The divisible hull of g in closed form (always exists here except
-    over Z[1/m], which the factory already rejects)."""
+    over Z[1/m])."""
     if isinstance(g, Cyclic):
         return MixedModule(((Domain.RAT, g.generator),))
     if isinstance(g, MixedModule):
@@ -490,18 +487,17 @@ def hull_closure(g: GroupDescriptor) -> GroupDescriptor:
         return MixedModule(tuple((Domain.RAT, k) for k in kept))
     if isinstance(g, LaurentRing):
         return LaurentRing(Domain.RAT)
-    if isinstance(g, DivisibleHull):
-        return hull_closure(g.inner)
+    if isinstance(g, FractionRing):
+        raise UnsupportedError(
+            "the divisible hull of Z[1/m] has no closed form here")
     if isinstance(g, Scaled):
         return Scaled(g.factor, hull_closure(g.inner))
-    if isinstance(g, FullLine):
+    if isinstance(g, (FullLine, FullSpace)):
         return g
     if isinstance(g, Product):
         return Product(tuple(hull_closure(f) for f in g.factors))
     if isinstance(g, Image):
         return Image(hull_closure(g.inner), g.matrix)
-    if isinstance(g, FullSpace):
-        return g
     raise UnsupportedError(f"no closed-form divisible hull for {g!r}")
 
 
@@ -523,16 +519,12 @@ def is_divisible(g: GroupDescriptor) -> bool:
         return g.coeffs is Domain.RAT
     if isinstance(g, FractionRing):
         return False
-    if isinstance(g, DivisibleHull):
-        return True
-    if isinstance(g, Scaled):
+    if isinstance(g, (Scaled, Image)):
         return is_divisible(g.inner)
     if isinstance(g, (FullLine, FullSpace)):
         return True
     if isinstance(g, Product):
         return all(is_divisible(f) for f in g.factors)
-    if isinstance(g, Image):
-        return is_divisible(g.inner)
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
 
@@ -583,12 +575,8 @@ def is_dense(g: GroupDescriptor) -> bool:
         return True
     if isinstance(g, Product):
         return all(is_dense(f) for f in g.factors)
-    if isinstance(g, Image):
+    if isinstance(g, (Image, Scaled)):
         return is_dense(g.inner)
-    if isinstance(g, Scaled):
-        return is_dense(g.inner)
-    if isinstance(g, DivisibleHull):
-        return True
     return not is_cyclic(g)
 
 
@@ -633,8 +621,6 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
         return MixedModule(tuple(terms))
     if isinstance(g, (LaurentRing, FractionRing, FullLine, FullSpace)):
         return g
-    if isinstance(g, DivisibleHull):
-        return _normalize(hull_closure(_normalize(g.inner)))
     if isinstance(g, Scaled):
         r = g.factor
         inner = _normalize(g.inner)
@@ -699,8 +685,6 @@ def invariance_generators(g: GroupDescriptor
     if isinstance(g, FullSpace):
         return [("real", tuple(one() if i == j else zero() for j in range(n)))
                 for i in range(n)]
-    if isinstance(g, DivisibleHull):
-        return invariance_generators(hull_closure(g.inner))
     if isinstance(g, Scaled):
         return [(kind, tuple(g.factor * c for c in vec))
                 for kind, vec in invariance_generators(g.inner)]
@@ -725,13 +709,7 @@ def subgroup_of(g: GroupDescriptor, h: GroupDescriptor) -> bool:
     finitely generated in the sense of invariance_generators)."""
     if dimension(g) != dimension(h):
         raise DomainError("dimension mismatch")
-    checks = {"int": _member, "rat": _rat_line, "real": _real_line}
-    for kind, vec in invariance_generators(g):
-        result = checks[kind](h, vec)
-        ok = result.member if isinstance(result, MembershipVerdict) else result
-        if not ok:
-            return False
-    return True
+    return all(holds(kind, h, vec) for kind, vec in invariance_generators(g))
 
 
 def basis_from_group(g: GroupDescriptor) -> list[Vector]:
@@ -755,8 +733,6 @@ def basis_from_group(g: GroupDescriptor) -> list[Vector]:
         return [tuple(one() if i == j else zero() for j in range(n)) for i in range(n)]
     if isinstance(g, (FullLine, LaurentRing, FractionRing)):
         return [(one(),)]
-    if isinstance(g, DivisibleHull):
-        return basis_from_group(hull_closure(g.inner))
     if isinstance(g, MixedModule):
         return [(g.terms[0][1],)]
     if isinstance(g, Cyclic):

@@ -32,7 +32,6 @@ from typing import Callable, Optional
 
 from .descriptors import (
     Cyclic,
-    DivisibleHull,
     Domain,
     FractionRing,
     FullLine,
@@ -450,8 +449,6 @@ def group_to_text(g: GroupDescriptor) -> str:
         return f"ring({g.coeffs.value}[t,1/t])"
     if isinstance(g, FractionRing):
         return f"Zinv({g.m})"
-    if isinstance(g, DivisibleHull):
-        return f"hull({group_to_text(g.inner)})"
     if isinstance(g, Scaled):
         txt = scalar_to_text(g.factor)
         if "+" in txt[1:] or "-" in txt[1:] or txt.startswith("-"):
@@ -500,8 +497,6 @@ def descriptor_to_json(g: GroupDescriptor) -> dict:
         return {"kind": "laurent", "coeffs": g.coeffs.value}
     if isinstance(g, FractionRing):
         return {"kind": "zinv", "m": g.m}
-    if isinstance(g, DivisibleHull):
-        return {"kind": "hull", "inner": descriptor_to_json(g.inner)}
     if isinstance(g, Scaled):
         return {"kind": "scaled", "factor": scalar_to_text(g.factor),
                 "inner": descriptor_to_json(g.inner)}

@@ -21,22 +21,7 @@ Vec = list[Fraction]
 
 def rank(vectors: list[Vec]) -> int:
     """Rank of the span of the given vectors."""
-    rows = [list(map(Fraction, v)) for v in vectors]
-    n = len(rows[0]) if rows else 0
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    return len(rref_basis(vectors))
 
 
 def solve_combination(gens: list[Vec], target: Vec) -> list[Fraction] | None:

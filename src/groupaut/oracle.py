@@ -20,7 +20,6 @@ from typing import Optional, Sequence, Union
 from .autgroup import Exact, acts_invariantly, aut_group, contains
 from .descriptors import (
     Cyclic,
-    DivisibleHull,
     Domain,
     FractionRing,
     FullLine,
@@ -31,11 +30,8 @@ from .descriptors import (
     MixedModule,
     Product,
     Scaled,
-    _member,
-    _rat_line,
-    _real_line,
     dimension,
-    hull_closure,
+    holds,
     invariance_generators,
 )
 from .errors import DomainError, UnsupportedError
@@ -107,8 +103,6 @@ def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
         rats = _fractions(h)
         return [rational(q) for q in rats] \
             + [sqrt_rational(2) * rational(q) for q in rats if q != 0]
-    if isinstance(g, DivisibleHull):
-        return _scalars_1d(hull_closure(g.inner), h)
     if isinstance(g, Scaled):
         return [g.factor * s for s in _scalars_1d(g.inner, h)]
     raise UnsupportedError(f"no enumeration for {type(g).__name__}")
@@ -212,16 +206,13 @@ def candidate_matrices(g: GroupDescriptor, height: int,
     # certificate later.
     gens = invariance_generators(g)
     rows: list[list[tuple[ExactScalar, ExactScalar]]] = [[], []]
-    checks = {"int": lambda w: _member(g, w).member,
-              "rat": lambda w: _rat_line(g, w),
-              "real": lambda w: _real_line(g, w)}
     for i in range(2):
         for c0, c1 in itertools.product(entries[2 * i], entries[2 * i + 1]):
             ok = True
             for kind, vec in gens:
                 if vec[i].is_zero():
                     continue
-                if not checks[kind]((vec[i] * c0, vec[i] * c1)):
+                if not holds(kind, g, (vec[i] * c0, vec[i] * c1)):
                     ok = False
                     break
             if ok:

@@ -37,9 +37,38 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import ContextError, DomainError
+from .errors import BudgetExceededError, ContextError, DomainError
 
 Rationalish = Union[int, Fraction]
+
+
+# trial division tries divisors up to this bound and no further
+FACTOR_BOUND = 1 << 20
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The primes of n >= 1 with their exponents, in ascending order.
+
+    Trial division stops at FACTOR_BOUND; a cofactor left above its square
+    may be composite, and raises BudgetExceededError instead.
+    """
+    out = []
+    p = 2
+    while p * p <= n:
+        if p > FACTOR_BOUND:
+            raise BudgetExceededError(
+                f"no prime factor of {n} up to {FACTOR_BOUND}, "
+                "and it is too large to be known prime")
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def squarefree_decomposition(n: int) -> tuple[int, int]:
@@ -47,19 +76,10 @@ def squarefree_decomposition(n: int) -> tuple[int, int]:
     if n <= 0:
         raise DomainError(f"square-free decomposition needs n > 0, got {n}")
     s, core = 1, 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                core *= p
-        p += 1 if p == 2 else 2
-    core *= m
+    for p, e in factorize(n):
+        s *= p ** (e // 2)
+        if e % 2:
+            core *= p
     return s, core
 
 

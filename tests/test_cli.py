@@ -177,3 +177,35 @@ def test_aut_member_scalar_round_trip(capsys):
     # ... but a scalar outside the field does not
     code, out, _ = run(capsys, "aut-member", "Q + Q*sqrt(2)", "sqrt(3)")
     assert (code, json.loads(out)) == (0, {"aut_member": False})
+
+
+# 10^30 + 57 has no prime factor below the trial-division bound
+LARGE = "1000000000000000000000000000057"
+
+
+@pytest.mark.parametrize("argv", [("realize-ax", LARGE),
+                                  ("aut", f"Zinv({LARGE})"),
+                                  ("aut", f"Q+Q*sqrt({LARGE})")],
+                         ids=["realize-ax", "zinv", "quadratic"])
+def test_large_integer_factoring_exits_two_promptly(argv):
+    src = Path(groupaut.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "groupaut", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_consistency_error_exits_three(capsys, monkeypatch):
+    from groupaut.errors import ConsistencyError
+
+    def disagree(g):
+        raise ConsistencyError("the routes disagree")
+
+    monkeypatch.setattr("groupaut.cli.aut_group", disagree)
+    code, out, err = run(capsys, "aut", "Q")
+    assert code == 3
+    assert out == ""
+    assert "the routes disagree" in err

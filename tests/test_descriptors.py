@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from groupaut import descriptors as _d
 from groupaut.descriptors import (
     Cyclic,
     Domain,
@@ -37,6 +39,7 @@ from groupaut.errors import (
     ContextError,
     DescriptorError,
     DomainError,
+    GroupAutError,
     UnsupportedError,
 )
 from groupaut.matrices import matrix
@@ -379,3 +382,205 @@ def test_example_biquad_system_trivial_kernel():
         x = sqrt_rational(d)._embedded(ctx)
         y = sqrt_rational(e)._embedded(ctx)
         assert linalg.rank([list(one_v), list(xy), list(x), list(y)]) == 4
+
+
+# -- one walk: differential test against the per-node recursions -------------
+#
+# The reference below is the decision code as it stood when each question had
+# its own recursion through the Scaled, Image and Product nodes.  The corpus
+# nests those nodes through the dataclass constructors, unnormalized, so the
+# walk meets shapes that normalize() would have folded away.
+
+
+def _ref_quotient(g, v):
+    quotient = []
+    for c in v:
+        q = _d.exact_div(c, g.factor)
+        if q is None:
+            return None
+        quotient.append(q)
+    return tuple(quotient)
+
+
+def _ref_member(g, v):
+    if isinstance(g, _d.Cyclic):
+        w = _d._module_solve(((Domain.INT, g.generator),), v[0])
+        return _d.MembershipVerdict(w is not None, w)
+    if isinstance(g, _d.MixedModule):
+        w = _d._module_solve(g.terms, v[0])
+        return _d.MembershipVerdict(w is not None, w)
+    if isinstance(g, _d.LaurentRing):
+        s = v[0]
+        ctx = _d.join_context(s.context, _d.FORMAL_CONTEXT)
+        coeffs = [c for _, c in s._embedded(ctx)]
+        if g.coeffs is Domain.INT:
+            return _d.MembershipVerdict(all(c.denominator == 1 for c in coeffs))
+        return _d.MembershipVerdict(True)
+    if isinstance(g, _d.FractionRing):
+        s = v[0]
+        if not s.is_rational():
+            return _d.MembershipVerdict(False)
+        q = s.as_fraction().denominator
+        while (k := math.gcd(q, g.m)) > 1:
+            while q % k == 0:
+                q //= k
+        return _d.MembershipVerdict(q == 1)
+    if isinstance(g, _d.Scaled):
+        quotient = _ref_quotient(g, v)
+        if quotient is None:
+            return _d.MembershipVerdict(False)
+        inner = _ref_member(g.inner, quotient)
+        return _d.MembershipVerdict(inner.member, inner.witness)
+    if isinstance(g, _d.FullLine):
+        return _d.MembershipVerdict(True)
+    if isinstance(g, _d.Product):
+        parts = []
+        for f, c in zip(g.factors, v):
+            verdict = _ref_member(f, (c,))
+            if not verdict.member:
+                return _d.MembershipVerdict(False)
+            parts.append(verdict.witness)
+        if any(p is None for p in parts):
+            return _d.MembershipVerdict(True)
+        return _d.MembershipVerdict(True, tuple(c for p in parts for c in p))
+    if isinstance(g, _d.Image):
+        inner = _ref_member(g.inner, _d.vec_mat_mul(v, g.matrix.inverse()))
+        return _d.MembershipVerdict(inner.member, inner.witness)
+    if isinstance(g, _d.FullSpace):
+        return _d.MembershipVerdict(True)
+    raise AssertionError(g)
+
+
+def _ref_rat_line(g, v):
+    if isinstance(g, _d.Cyclic):
+        return v[0].is_zero()
+    if isinstance(g, _d.MixedModule):
+        return _d._module_rat_line(g.terms, v[0])
+    if isinstance(g, _d.LaurentRing):
+        if g.coeffs is Domain.INT:
+            return v[0].is_zero()
+        return _ref_member(g, v).member
+    if isinstance(g, _d.FractionRing):
+        return v[0].is_zero()
+    if isinstance(g, _d.Scaled):
+        quotient = _ref_quotient(g, v)
+        return quotient is not None and _ref_rat_line(g.inner, quotient)
+    if isinstance(g, (_d.FullLine, _d.FullSpace)):
+        return True
+    if isinstance(g, _d.Product):
+        return all(_ref_rat_line(f, (c,)) for f, c in zip(g.factors, v))
+    if isinstance(g, _d.Image):
+        return _ref_rat_line(g.inner, _d.vec_mat_mul(v, g.matrix.inverse()))
+    raise AssertionError(g)
+
+
+def _ref_real_line(g, v):
+    if isinstance(g, (_d.FullLine, _d.FullSpace)):
+        return True
+    if isinstance(g, _d.Product):
+        return all(_ref_real_line(f, (c,)) for f, c in zip(g.factors, v))
+    if isinstance(g, _d.Image):
+        return _ref_real_line(g.inner, _d.vec_mat_mul(v, g.matrix.inverse()))
+    if isinstance(g, _d.Scaled):
+        quotient = _ref_quotient(g, v)
+        return quotient is not None and _ref_real_line(g.inner, quotient)
+    return all(c.is_zero() for c in v)
+
+
+_LEAVES = [
+    cyclic(1), cyclic(Fraction(2, 3)), cyclic(R2), Q, Z_PLUS_Q_R2,
+    mixed_module([(Domain.INT, 2), (Domain.INT, 3)]),
+    _rational_module(1, R2), laurent_ring(Domain.INT), laurent_ring(Domain.RAT),
+    fraction_ring(2), fraction_ring(6), full_line(),
+]
+_FACTORS = [rational(2), rational(Fraction(1, 3)), R2, 1 + R2, T, 1 + T]
+_MATRICES_1 = [matrix([[3]]), matrix([[R2]]), matrix([[T]])]
+_MATRICES_2 = [matrix([[1, 1], [0, 1]]), matrix([[2, 1], [1, 1]]),
+               matrix([[R2, 0], [1, 1]]), matrix([[T, 0], [0, 1]])]
+_COORDS = [rational(0), rational(1), rational(Fraction(1, 2)), rational(-3),
+           rational(6), R2, 2 * R2, 1 + R2, Fraction(3, 4) * R2, T, 2 * T,
+           t_monomial(-1), 1 + T, 3 * (1 + T)]
+
+
+def _random_group(rng, n, depth):
+    """An unnormalized descriptor of dimension n, built bottom-up."""
+    pick = rng.randrange(4) if depth else 0
+    if n == 1:
+        if pick == 0:
+            return rng.choice(_LEAVES)
+        if pick == 1:
+            return _d.Scaled(rng.choice(_FACTORS), _random_group(rng, 1, depth - 1))
+        if pick == 2:
+            return _d.Image(_random_group(rng, 1, depth - 1), rng.choice(_MATRICES_1))
+        return _d.Product((_random_group(rng, 1, depth - 1),))
+    if pick == 0:
+        return rng.choice([FullSpace(2), _d.Product((rng.choice(_LEAVES),
+                                                     rng.choice(_LEAVES)))])
+    if pick == 1:
+        return _d.Scaled(rng.choice(_FACTORS), _random_group(rng, 2, depth - 1))
+    if pick == 2:
+        return _d.Image(_random_group(rng, 2, depth - 1), rng.choice(_MATRICES_2))
+    return _d.Product((_random_group(rng, 1, depth - 1),
+                       _random_group(rng, 1, depth - 1)))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except GroupAutError as exc:
+        return ("raises", type(exc))
+
+
+def test_walk_matches_per_node_recursions():
+    rng = random.Random(20261018)
+    decided = 0
+    for _ in range(600):
+        n = rng.choice((1, 2))
+        g = _random_group(rng, n, 3)
+        v = tuple(rng.choice(_COORDS) for _ in range(n))
+        got = _outcome(member, g, v)
+        assert got == _outcome(_ref_member, g, v), (g, v)
+        assert _outcome(rat_line_member, g, v) == _outcome(_ref_rat_line, g, v), (g, v)
+        assert _outcome(real_line_member, g, v) == _outcome(_ref_real_line, g, v), (g, v)
+        decided += got[0] == "value"
+    assert decided > 300   # most draws are decided, not context clashes
+
+
+def test_walk_is_lazy_in_coordinate_order():
+    # the first coordinate already fails, so t never divides sqrt(2)
+    g = _d.Product((cyclic(1), _d.Scaled(T, laurent_ring(Domain.INT))))
+    v = (rational(Fraction(1, 2)), R2)
+    assert member(g, v) == _d.MembershipVerdict(False)
+    assert not rat_line_member(g, v)
+    assert not real_line_member(g, v)
+    with pytest.raises(ContextError):
+        member(g, (rational(1), R2))
+
+
+def test_holds_dispatches_the_three_questions():
+    p = product([Q, full_line()])
+    for v in ((rational(1), R2), (rational(0), R2), (R2, rational(0))):
+        assert _d.holds("int", p, v) == member(p, v).member
+        assert _d.holds("rat", p, v) == rat_line_member(p, v)
+        assert _d.holds("real", p, v) == real_line_member(p, v)
+    with pytest.raises(DescriptorError):
+        _d.holds("ring", p, (rational(1), R2))
+
+
+def test_divisible_hull_is_folded_when_built():
+    from groupaut.dsl import descriptor_from_json, group_to_text, parse_descriptor
+
+    assert not hasattr(_d, "DivisibleHull")
+    for inner in (cyclic(3), Z_PLUS_Q_R2, laurent_ring(Domain.INT),
+                  scaled(R2, cyclic(1)), product([cyclic(1), full_line()]),
+                  image(product([Q, cyclic(2)]), matrix([[1, 1], [0, 1]]))):
+        hull = divisible_hull(inner)
+        assert hull == hull_closure(normalize(inner))
+        assert is_divisible(hull)
+    assert divisible_hull(cyclic(3)) == MixedModule(((Domain.RAT, rational(3)),))
+    parsed = descriptor_from_json(
+        {"kind": "hull", "inner": {"kind": "cyclic", "generator": "3"}})
+    assert parsed == divisible_hull(cyclic(3))
+    assert group_to_text(parse_descriptor("hull(cyclic(3))")) == "Q"
+    with pytest.raises(UnsupportedError):
+        hull_closure(scaled(2, fraction_ring(3)))

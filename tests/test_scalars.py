@@ -379,3 +379,22 @@ def test_contexts_of_one_field_are_one_object():
     assert quad_context(2) is quad_context(2)
     assert biquad_context(2, 6) is biquad_context(3, 6) is biquad_context(2, 3)
     assert (sqrt_rational(2) + sqrt_rational(3)).context is biquad_context(2, 3)
+
+
+def test_factorize_is_bounded():
+    from groupaut.errors import BudgetExceededError
+    from groupaut.scalars import FACTOR_BOUND, factorize
+
+    assert factorize(1) == []
+    assert factorize(2 ** 5 * 3 * 1_000_003) == [(2, 5), (3, 1), (1_000_003, 1)]
+    # small primes to any power are found however large the number
+    assert factorize(2 ** 100 * 3 ** 50) == [(2, 100), (3, 50)]
+    # a cofactor below the bound's square is prime once trial division ends
+    p = 1_048_573   # the largest prime below 2^20
+    assert factorize(6 * p * p) == [(2, 1), (3, 1), (p, 2)]
+    # 2^61 - 1 is prime and above the bound's square: it cannot be certified
+    assert (2 ** 61 - 1) > FACTOR_BOUND ** 2
+    with pytest.raises(BudgetExceededError):
+        factorize(2 ** 61 - 1)
+    with pytest.raises(BudgetExceededError):
+        squarefree_decomposition(2 ** 61 - 1)
