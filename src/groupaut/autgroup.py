@@ -26,7 +26,7 @@ question is open); such inputs fall through to Bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -46,8 +46,10 @@ from .descriptors import (
     Product,
     Scaled,
     _coordinate_rows,
+    _frame_scalars,
     _member,
     _module_rat_line,
+    coprime_part,
     dimension,
     fraction_ring,
     holds,
@@ -78,6 +80,7 @@ from .scalars import (
     ExactScalar,
     as_scalar,
     factorize,
+    iter_factors,
     one,
     ratio,
     rational,
@@ -237,24 +240,14 @@ def descriptor_code(d: AutDescriptor) -> str:
 
 
 def descriptor_json(d: AutDescriptor) -> dict:
+    """The class name as "kind", then every field in declaration order,
+    scalars printed as text."""
     from .dsl import scalar_to_text
-    if isinstance(d, FieldUnits):
-        return {"kind": "FieldUnits", "d": d.d}
-    if isinstance(d, PMPowers):
-        return {"kind": "PMPowers", "base": scalar_to_text(d.base)}
-    if isinstance(d, RatTimesPMPowers):
-        return {"kind": "RatTimesPMPowers", "base": scalar_to_text(d.base)}
-    if isinstance(d, GLQ):
-        return {"kind": "GLQ", "n": d.n}
-    if isinstance(d, GLR):
-        return {"kind": "GLR", "n": d.n}
-    if isinstance(d, BlockTriangular):
-        return {"kind": "BlockTriangular", "p": d.p, "q": d.q}
-    if isinstance(d, PatternQuad):
-        return {"kind": "PatternQuad", "x": scalar_to_text(d.x)}
-    if isinstance(d, EZLowerBound):
-        return {"kind": "EZLowerBound", "n": d.n}
-    return {"kind": type(d).__name__}
+    out = {"kind": type(d).__name__}
+    for f in fields(d):
+        value = getattr(d, f.name)
+        out[f.name] = scalar_to_text(value) if isinstance(value, ExactScalar) else value
+    return out
 
 
 def _matrix_dim(d: AutDescriptor) -> Optional[int]:
@@ -449,36 +442,25 @@ def _acts(g: GroupDescriptor, mat: ExactMatrix) -> Certificate:
 # the rule table
 # ---------------------------------------------------------------------------
 
-def _rebuild_scalars(ctx, cols, rows) -> list[ExactScalar]:
-    if ctx.kind is ContextKind.FORMAL:
-        return [ExactScalar._make(ctx, tuple((cols[j], c) for j, c in
-                                             enumerate(row) if c != 0))
-                for row in rows]
-    return [ExactScalar._make(ctx, tuple(row)) for row in rows]
-
-
-def _span_scalars(gens: list[ExactScalar]) -> list[ExactScalar]:
-    """Reduced echelon basis of the Q-span of ``gens``, as scalars."""
-    rows, ctx = _coordinate_rows(gens)
-    cols = None
-    if ctx.kind is ContextKind.FORMAL:
-        cols = sorted({k for s in gens for k, _ in s._embedded(ctx)})
-    basis = linalg.rref_basis(rows)
-    return _rebuild_scalars(ctx, cols, [row for _, row in basis])
+def _span_scalars(gens: list[ExactScalar],
+                  base: ExactScalar) -> Optional[list[ExactScalar]]:
+    """Reduced echelon basis of the Q-span of the ratios g / base, as
+    scalars; None when base has no inverse in the tower."""
+    rescaled = [ratio(g, base) for g in gens]
+    if any(r is None for r in rescaled):
+        return None
+    rows, frame = _coordinate_rows(rescaled)
+    return _frame_scalars(frame, [row for _, row in linalg.rref_basis(rows)])
 
 
 def _reduce_mod_span(targets: list[ExactScalar],
                      span: list[ExactScalar]) -> list[ExactScalar]:
     """Each target minus its projection onto the Q-span (set-preserving for
     Z-generators of a module whose Q-part is the span)."""
-    rows, ctx = _coordinate_rows(list(targets) + list(span))
-    cols = None
-    if ctx.kind is ContextKind.FORMAL:
-        all_scalars = list(targets) + list(span)
-        cols = sorted({k for s in all_scalars for k, _ in s._embedded(ctx)})
+    rows, frame = _coordinate_rows(list(targets) + list(span))
     basis = linalg.rref_basis(rows[len(targets):])
     reduced = [linalg.reduce_by_span(basis, r) for r in rows[:len(targets)]]
-    return _rebuild_scalars(ctx, cols, reduced)
+    return _frame_scalars(frame, reduced)
 
 
 def _pure_root_radicand(x: ExactScalar) -> Optional[int]:
@@ -490,7 +472,7 @@ def _pure_root_radicand(x: ExactScalar) -> Optional[int]:
     return x.context.d
 
 
-def _module_rule(m: MixedModule) -> Optional[AutDescriptor]:
+def _module_rule(m: Union[Cyclic, MixedModule]) -> Optional[AutDescriptor]:
     int_gens = [g for d, g in m.terms if d is Domain.INT]
     rat_gens = [g for d, g in m.terms if d is Domain.RAT]
 
@@ -498,13 +480,9 @@ def _module_rule(m: MixedModule) -> Optional[AutDescriptor]:
         return PlusMinusOne() if is_cyclic(m) else None
 
     if not int_gens:
-        rescaled = []
-        for g in rat_gens:
-            r = ratio(g, rat_gens[0])
-            if r is None:
-                return None
-            rescaled.append(r)
-        basis = _span_scalars(rescaled)
+        basis = _span_scalars(rat_gens, rat_gens[0])
+        if basis is None:
+            return None
         if len(basis) == 1:
             return RatStar()        # a single rational line
         if len(basis) == 2 and basis[0] == one():
@@ -525,14 +503,8 @@ def _module_rule(m: MixedModule) -> Optional[AutDescriptor]:
     lattice = cyclic_generator_of(reduced)
     if lattice is None:
         return None
-    rescaled = []
-    for g in rat_gens:
-        r = ratio(g, lattice)
-        if r is None:
-            return None
-        rescaled.append(r)
-    basis = _span_scalars(rescaled)
-    if len(basis) == 1:
+    basis = _span_scalars(rat_gens, lattice)
+    if basis is not None and len(basis) == 1:
         x = basis[0]
         if not x.is_rational() and (x * x).is_rational():
             return PlusMinusOne()   # Z + Q*x with x a pure root is rigid
@@ -600,8 +572,6 @@ def aut_group(g: GroupDescriptor) -> AutResult:
 def _aut_rules(g: GroupDescriptor) -> AutResult:
     if isinstance(g, Scaled):
         return _aut_rules(normalize(g.inner))   # invariance ignores scaling
-    if isinstance(g, Cyclic):
-        return Exact(PlusMinusOne())
     if isinstance(g, FullLine):
         return Exact(GLR(1))
     if isinstance(g, FullSpace):
@@ -615,7 +585,7 @@ def _aut_rules(g: GroupDescriptor) -> AutResult:
         if len(primes) == 1 and g.m == primes[0]:
             return Exact(pm_powers(primes[0]))
         return Bounds(tuple(pm_powers(p) for p in primes))
-    if isinstance(g, MixedModule):
+    if isinstance(g, (Cyclic, MixedModule)):
         rule = _module_rule(g)
         if rule is not None:
             return Exact(rule)
@@ -706,23 +676,18 @@ def is_unit(ring: GroupDescriptor, r) -> bool:
         return abs(coeff) == 1 if core.coeffs is Domain.INT else True
     # Z[1/m]: units are the rationals supported on the primes of m
     f = abs(r.as_fraction())
-    num, den = f.numerator, f.denominator
-    for p, _ in factorize(core.m):
-        while num % p == 0:
-            num //= p
-        while den % p == 0:
-            den //= p
-    return num == 1 and den == 1
+    return coprime_part(f.numerator, core.m) == 1 \
+        and coprime_part(f.denominator, core.m) == 1
 
 
 def _field_unit(module: MixedModule, r: ExactScalar) -> bool:
     if any(d is Domain.INT for d, _ in module.terms):
         raise UnsupportedError("not a field-like module: integer slots")
+    # the Q-span of the generators is closed under products exactly when
+    # it holds 1 and every product of two generators
     gens = [g for _, g in module.terms]
-    basis = _span_scalars(gens)
-    terms = tuple((Domain.RAT, b) for b in basis)
-    closed = _module_rat_line(terms, one()) and all(
-        _module_rat_line(terms, x * y) for x in basis for y in basis)
+    closed = _module_rat_line(module.terms, one()) and all(
+        _module_rat_line(module.terms, x * y) for x in gens for y in gens)
     if not closed:
         raise UnsupportedError("not a field-like module: products escape")
     if not member(module, r).member:
@@ -753,7 +718,8 @@ def realize_Ax(m: int) -> Realizability:
     if m < 2:
         raise DomainError(f"base must be an integer >= 2, got {m}")
     g = fraction_ring(m)
-    p = factorize(m)[0][0]
+    # the least prime of m; a large cofactor is never factored
+    p, _ = next(iter_factors(m))
     if p == m:
         result = aut_group(g)
         if result != Exact(pm_powers(m)):

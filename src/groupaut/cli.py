@@ -242,9 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser is configuration: built by the first main call, then reused
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         payload, code = args.fn(args)
     except ConsistencyError as exc:

@@ -7,6 +7,10 @@ and FullLine; higher dimensions come from Product, Image under an
 invertible matrix, and FullSpace.  A divisible hull is not a node:
 ``divisible_hull`` folds it into one of these forms when it is built.
 
+Cyclic is the one-term Z-module: its ``terms`` are ``((Domain.INT, g),)``,
+and every decision reads it through the module code.  It stays a type of
+its own because ``cyclic(g)`` prints differently from ``Z*g``.
+
 Everything here is decided exactly.  Three questions are asked of a vector
 v, and ``holds(kind, g, v)`` picks one by its check kind:
 
@@ -72,6 +76,10 @@ class Domain(Enum):
 class Cyclic:
     generator: ExactScalar
 
+    @property
+    def terms(self) -> tuple[tuple[Domain, ExactScalar], ...]:
+        return ((Domain.INT, self.generator),)
+
 
 @dataclass(frozen=True)
 class MixedModule:
@@ -132,21 +140,36 @@ class MembershipVerdict:
 # coordinates: scalars as Q-vectors over a common basis
 # ---------------------------------------------------------------------------
 
+Frame = tuple[FieldContext, Optional[list[int]]]
+
+
 def _coordinate_rows(scalars: Sequence[ExactScalar]
-                     ) -> tuple[list[list[Fraction]], FieldContext]:
-    """Q-coordinate rows of the given scalars over a single joined basis."""
+                     ) -> tuple[list[list[Fraction]], Frame]:
+    """Q-coordinate rows of the given scalars over a single joined basis.
+
+    Also returns the frame of that basis: the joined context and, when it is
+    FORMAL, the sorted exponents of t that occur (None otherwise).
+    ``_frame_scalars`` reads rows over the frame back as scalars.
+    """
     ctx = RAT_CONTEXT
     for s in scalars:
         ctx = join_context(ctx, s.context)
-    if ctx.kind is ContextKind.FORMAL:
-        support = sorted({k for s in scalars for k, _ in s._embedded(ctx)})
-        rows = []
-        for s in scalars:
-            d = dict(s._embedded(ctx))
-            rows.append([d.get(k, Fraction(0)) for k in support])
-        return rows, ctx
-    rows = [list(s._embedded(ctx)) for s in scalars]
-    return rows, ctx
+    if ctx.kind is not ContextKind.FORMAL:
+        return [list(s._embedded(ctx)) for s in scalars], (ctx, None)
+    embedded = [dict(s._embedded(ctx)) for s in scalars]
+    support = sorted({k for d in embedded for k in d})
+    rows = [[d.get(k, Fraction(0)) for k in support] for d in embedded]
+    return rows, (ctx, support)
+
+
+def _frame_scalars(frame: Frame, rows: list[list[Fraction]]) -> list[ExactScalar]:
+    """The scalars whose coordinate rows over the frame are ``rows``."""
+    ctx, support = frame
+    if support is None:
+        return [ExactScalar._make(ctx, tuple(row)) for row in rows]
+    return [ExactScalar._make(ctx, tuple((k, c) for k, c in zip(support, row)
+                                         if c != 0))
+            for row in rows]
 
 
 def _module_solve(terms: Sequence[tuple[Domain, ExactScalar]],
@@ -155,24 +178,20 @@ def _module_solve(terms: Sequence[tuple[Domain, ExactScalar]],
     gens = [g for _, g in terms]
     rows, _ = _coordinate_rows(list(gens) + [v])
     gen_rows, target = rows[:-1], rows[-1]
-    rat_rows = [gen_rows[i] for i, (d, _) in enumerate(terms) if d is Domain.RAT]
     int_idx = [i for i, (d, _) in enumerate(terms) if d is Domain.INT]
+    rat_idx = [i for i, (d, _) in enumerate(terms) if d is Domain.RAT]
+    rat_rows = [gen_rows[i] for i in rat_idx]
 
-    # project onto the quotient by the Q-span of the Q-slot generators
+    # project onto the quotient by the Q-span of the Q-slot generators, where
+    # v must be an integer combination of the Z-slot generators (with no
+    # Z-slots, v must vanish there)
     basis = linalg.rref_basis(rat_rows)
     reduced_int = [linalg.reduce_by_span(basis, gen_rows[i]) for i in int_idx]
     reduced_v = linalg.reduce_by_span(basis, target)
-
-    if not int_idx:
-        if any(c != 0 for c in reduced_v):
-            return None
-        int_part = []
-    else:
-        intvecs, _ = linalg.clear_denominators(reduced_int + [reduced_v])
-        z = linalg.integer_combination(intvecs[:-1], intvecs[-1])
-        if z is None:
-            return None
-        int_part = z
+    intvecs, _ = linalg.clear_denominators(reduced_int + [reduced_v])
+    int_part = linalg.integer_combination(intvecs[:-1], intvecs[-1])
+    if int_part is None:
+        return None
 
     residual = list(target)
     for zi, i in zip(int_part, int_idx):
@@ -182,12 +201,8 @@ def _module_solve(terms: Sequence[tuple[Domain, ExactScalar]],
         return None
 
     witness = [Fraction(0)] * len(terms)
-    for zi, i in zip(int_part, int_idx):
-        witness[i] = Fraction(zi)
-    it = iter(rat_coeffs)
-    for i, (d, _) in enumerate(terms):
-        if d is Domain.RAT:
-            witness[i] = next(it)
+    for i, c in zip(int_idx + rat_idx, int_part + rat_coeffs):
+        witness[i] = Fraction(c)
     return tuple(witness)
 
 
@@ -196,6 +211,15 @@ def _module_rat_line(terms: Sequence[tuple[Domain, ExactScalar]],
     rat_gens = [g for d, g in terms if d is Domain.RAT]
     rows, _ = _coordinate_rows(list(rat_gens) + [v])
     return linalg.in_span(rows[:-1], rows[-1])
+
+
+def coprime_part(k: int, m: int) -> int:
+    """k with every prime factor of m divided out, by repeated gcd with m
+    (so the primes of m are never computed)."""
+    while (d := gcd(k, m)) > 1:
+        while k % d == 0:
+            k //= d
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +448,7 @@ def _real_line(g: GroupDescriptor, v: Vector) -> bool:
 
 @lru_cache(maxsize=65536)
 def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
-    if isinstance(g, Cyclic):
-        w = _module_solve(((Domain.INT, g.generator),), v[0])
-        return MembershipVerdict(w is not None, w)
-    if isinstance(g, MixedModule):
+    if isinstance(g, (Cyclic, MixedModule)):
         w = _module_solve(g.terms, v[0])
         return MembershipVerdict(w is not None, w)
     if isinstance(g, LaurentRing):
@@ -441,11 +462,7 @@ def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
         s = v[0]
         if not s.is_rational():
             return MembershipVerdict(False)
-        q = s.as_fraction().denominator
-        while (d := gcd(q, g.m)) > 1:
-            while q % d == 0:
-                q //= d
-        return MembershipVerdict(q == 1)
+        return MembershipVerdict(coprime_part(s.as_fraction().denominator, g.m) == 1)
     if isinstance(g, (FullLine, FullSpace)):
         return MembershipVerdict(True)
     raise DescriptorError(f"not a group descriptor: {g!r}")
@@ -453,9 +470,9 @@ def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
 
 @lru_cache(maxsize=65536)
 def _leaf_rat_line(g: GroupDescriptor, v: Vector) -> bool:
-    if isinstance(g, (Cyclic, FractionRing)):
+    if isinstance(g, FractionRing):
         return v[0].is_zero()
-    if isinstance(g, MixedModule):
+    if isinstance(g, (Cyclic, MixedModule)):
         return _module_rat_line(g.terms, v[0])
     if isinstance(g, LaurentRing):
         if g.coeffs is Domain.INT:
@@ -474,9 +491,7 @@ def _leaf_rat_line(g: GroupDescriptor, v: Vector) -> bool:
 def hull_closure(g: GroupDescriptor) -> GroupDescriptor:
     """The divisible hull of g in closed form (always exists here except
     over Z[1/m])."""
-    if isinstance(g, Cyclic):
-        return MixedModule(((Domain.RAT, g.generator),))
-    if isinstance(g, MixedModule):
+    if isinstance(g, (Cyclic, MixedModule)):
         # promote every slot to Q, keeping only generators that enlarge the
         # Q-span (promotion can make previously independent families
         # dependent, e.g. 2Z + 3Z)
@@ -506,15 +521,10 @@ def hull_closure(g: GroupDescriptor) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 
 def is_divisible(g: GroupDescriptor) -> bool:
-    if isinstance(g, Cyclic):
-        return False
-    if isinstance(g, MixedModule):
-        rat = [(Domain.RAT, gen) for d, gen in g.terms if d is Domain.RAT]
-        for d, gen in g.terms:
-            if d is Domain.INT:
-                if not rat or not _module_rat_line(rat, gen):
-                    return False
-        return True
+    if isinstance(g, (Cyclic, MixedModule)):
+        # divisible exactly when each Z-slot lies in the Q-span of the Q-slots
+        return all(_module_rat_line(g.terms, gen)
+                   for d, gen in g.terms if d is Domain.INT)
     if isinstance(g, LaurentRing):
         return g.coeffs is Domain.RAT
     if isinstance(g, FractionRing):
@@ -532,19 +542,13 @@ def cyclic_form(g: GroupDescriptor) -> Optional[Cyclic]:
     """A Cyclic descriptor with the same members, when one exists (1-D)."""
     if dimension(g) != 1:
         raise UnsupportedError("cyclicity is a one-dimensional notion here")
-    if isinstance(g, Cyclic):
-        return Cyclic(_sign_canonical(g.generator))
-    if isinstance(g, Scaled):
+    if isinstance(g, (Scaled, Image)):
         inner = cyclic_form(g.inner)
         if inner is None:
             return None
-        return Cyclic(_sign_canonical(g.factor * inner.generator))
-    if isinstance(g, Image):
-        inner = cyclic_form(g.inner)
-        if inner is None:
-            return None
-        return Cyclic(_sign_canonical(inner.generator * g.matrix.rows[0][0]))
-    if isinstance(g, MixedModule):
+        factor = g.factor if isinstance(g, Scaled) else g.matrix.rows[0][0]
+        return Cyclic(_sign_canonical(factor * inner.generator))
+    if isinstance(g, (Cyclic, MixedModule)):
         if any(d is Domain.RAT for d, _ in g.terms):
             return None
         gens = [gen for _, gen in g.terms]
@@ -676,15 +680,12 @@ def invariance_generators(g: GroupDescriptor
     "real" needs the real line.  Rings are not finitely generated this way
     and raise UnsupportedError (they go through the unit-group route)."""
     n = dimension(g)
-    if isinstance(g, Cyclic):
-        return [("int", (g.generator,))]
-    if isinstance(g, MixedModule):
+    if isinstance(g, (Cyclic, MixedModule)):
         return [("int" if d is Domain.INT else "rat", (gen,)) for d, gen in g.terms]
     if isinstance(g, FullLine):
         return [("real", (one(),))]
     if isinstance(g, FullSpace):
-        return [("real", tuple(one() if i == j else zero() for j in range(n)))
-                for i in range(n)]
+        return invariance_generators(Product((FullLine(),) * n))
     if isinstance(g, Scaled):
         return [(kind, tuple(g.factor * c for c in vec))
                 for kind, vec in invariance_generators(g.inner)]
@@ -733,10 +734,8 @@ def basis_from_group(g: GroupDescriptor) -> list[Vector]:
         return [tuple(one() if i == j else zero() for j in range(n)) for i in range(n)]
     if isinstance(g, (FullLine, LaurentRing, FractionRing)):
         return [(one(),)]
-    if isinstance(g, MixedModule):
+    if isinstance(g, (Cyclic, MixedModule)):
         return [(g.terms[0][1],)]
-    if isinstance(g, Cyclic):
-        return [(g.generator,)]
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
 

@@ -150,12 +150,6 @@ class _Parser:
             val = Fraction(val, int(den.text))
         return val
 
-    def _starts_scalar_factor(self) -> bool:
-        t = self.peek()
-        if t.kind in ("num", "("):
-            return True
-        return t.kind == "ident" and t.text in ("sqrt", "t")
-
     def scalar_factor(self) -> ExactScalar:
         t = self.peek()
         if t.kind == "num":
@@ -280,7 +274,7 @@ class _Parser:
         return dom, rational(1), False
 
     def prefixed(self) -> GroupDescriptor:
-        if self._starts_scalar_factor():
+        if self._starts_scalar_factor_at(0):
             save = self.i
             try:
                 s = self.scalar_term()
@@ -356,29 +350,26 @@ class _Parser:
         raise ParseError(f"expected a group, found {word!r}", t.pos)
 
 
-def parse_scalar(text: str) -> ExactScalar:
+def _parse_whole(text: str, rule: Callable[[_Parser], object]):
+    """Parse text by one grammar rule, which must consume all of it."""
     p = _Parser(text)
-    s = p.scalar_expr()
+    out = rule(p)
     if p.peek().kind != "end":
         raise ParseError(f"unexpected trailing input {p.peek().text!r}", p.peek().pos)
-    return s
+    return out
+
+
+def parse_scalar(text: str) -> ExactScalar:
+    return _parse_whole(text, _Parser.scalar_expr)
 
 
 def parse_matrix(text: str) -> ExactMatrix:
-    p = _Parser(text)
-    m = p.matrix_literal()
-    if p.peek().kind != "end":
-        raise ParseError(f"unexpected trailing input {p.peek().text!r}", p.peek().pos)
-    return m
+    return _parse_whole(text, _Parser.matrix_literal)
 
 
 def parse_descriptor(text: str) -> GroupDescriptor:
     """Parse and return the canonical (normalized) descriptor."""
-    p = _Parser(text)
-    g = p.group()
-    if p.peek().kind != "end":
-        raise ParseError(f"unexpected trailing input {p.peek().text!r}", p.peek().pos)
-    return normalize(g)
+    return normalize(_parse_whole(text, _Parser.group))
 
 
 # ---------------------------------------------------------------------------

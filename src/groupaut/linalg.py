@@ -1,13 +1,19 @@
 """Small exact linear-algebra helpers over Fraction coordinates.
 
 Everything here works on plain lists of ``fractions.Fraction`` (or int) and is
-deterministic: no pivoting heuristics beyond "first nonzero".  Two solvers are
-provided because group membership needs both:
+deterministic: the pivot is always the first nonzero entry.  There is one
+rational elimination, :func:`_gauss_jordan`, and two read-offs of the
+reduced row echelon form (RREF) it returns, which is unique:
 
-* :func:`solve_combination` -- rational solutions of ``sum c_i * g_i = v``;
-* :func:`integer_combination` -- integer solutions, via a Hermite-style
-  elimination with an integral transformation matrix carried along so a
-  witness vector can be reported.
+* :func:`rref_basis` -- the RREF of a family of vectors, a basis of its
+  rational span (``rank`` is its length);
+* :func:`solve_combination` -- rational solutions of ``sum c_i * g_i = v``,
+  read off the RREF of the augmented system (``in_span`` asks whether one
+  exists).
+
+Integer solutions come from :func:`integer_combination`, a Hermite-style
+elimination with an integral transformation matrix carried along so a
+witness vector can be reported.
 """
 
 from __future__ import annotations
@@ -19,6 +25,36 @@ from math import gcd
 Vec = list[Fraction]
 
 
+def _gauss_jordan(rows: list[Vec]) -> list[tuple[int, Vec]]:
+    """RREF of the rows, as (pivot_col, row) pairs in pivot order.
+
+    Columns are taken left to right; in each, the first remaining row with
+    a nonzero entry becomes the pivot row, is scaled to a leading 1 and is
+    subtracted from every other row.  Zero rows are dropped.
+    """
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivot_cols: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivot_cols)
+        piv = next((i for i in range(top, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = 1 / rows[top][col]
+        pivot = rows[top] = [x * inv for x in rows[top]]
+        for i, r in enumerate(rows):
+            f = r[col]
+            if i != top and f != 0:
+                rows[i] = [a - f * b for a, b in zip(r, pivot)]
+        pivot_cols.append(col)
+    return list(zip(pivot_cols, rows))
+
+
+def rref_basis(vectors: list[Vec]) -> list[tuple[int, Vec]]:
+    """Reduced-row-echelon basis of the span, as (pivot_col, row) pairs."""
+    return _gauss_jordan(vectors)
+
+
 def rank(vectors: list[Vec]) -> int:
     """Rank of the span of the given vectors."""
     return len(rref_basis(vectors))
@@ -27,37 +63,19 @@ def rank(vectors: list[Vec]) -> int:
 def solve_combination(gens: list[Vec], target: Vec) -> list[Fraction] | None:
     """One rational solution ``c`` of ``sum c_i * gens[i] == target``, or None.
 
-    Free variables are set to zero, so the answer is deterministic.  When the
+    Read off the RREF of the augmented system ``[gens as columns | target]``:
+    a pivot in the target column means there is no solution.  Free
+    variables are set to zero, so the answer is deterministic.  When the
     generators are linearly independent the solution is unique.
     """
     m = len(gens)
-    n = len(target)
-    if m == 0:
-        return [] if all(x == 0 for x in target) else None
     # columns are the generators: rows of the augmented system are coordinates
-    aug = [[Fraction(gens[i][r]) for i in range(m)] + [Fraction(target[r])]
-           for r in range(n)]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    row = 0
-    for col in range(m):
-        piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for i in range(row, n):
-        if aug[i][m] != 0:
-            return None
+    aug = [[g[r] for g in gens] + [x] for r, x in enumerate(target)]
     out = [Fraction(0)] * m
-    for r, c in pivots:
-        out[c] = aug[r][m]
+    for col, row in _gauss_jordan(aug):
+        if col == m:
+            return None
+        out[col] = row[m]
     return out
 
 
@@ -143,28 +161,6 @@ def reduce_by_span(basis: list[tuple[int, Vec]], vec: Vec) -> Vec:
         if f != 0:
             w = [a - f * b for a, b in zip(w, row)]
     return w
-
-
-def rref_basis(vectors: list[Vec]) -> list[tuple[int, Vec]]:
-    """Reduced-row-echelon basis of the span, as (pivot_col, row) pairs."""
-    basis: list[tuple[int, Vec]] = []
-    for v in vectors:
-        w = reduce_by_span(basis, v)
-        col = next((j for j, x in enumerate(w) if x != 0), None)
-        if col is None:
-            continue
-        inv = 1 / w[col]
-        w = [x * inv for x in w]
-        updated = []
-        for c, row in basis:
-            f = row[col]
-            if f != 0:
-                row = [a - f * b for a, b in zip(row, w)]
-            updated.append((c, row))
-        updated.append((col, w))
-        updated.sort(key=lambda t: t[0])
-        basis = updated
-    return basis
 
 
 def clear_denominators(vectors: list[Vec]) -> tuple[list[list[int]], int]:

@@ -13,7 +13,7 @@ and distinct permutations act distinctly.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -66,21 +66,13 @@ scalar_height = ExactScalar.height.fget
 
 
 def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
-    if isinstance(g, Cyclic):
-        return [g.generator * rational(k) for k in range(-h, h + 1)]
-    if isinstance(g, MixedModule):
+    if isinstance(g, (Cyclic, MixedModule)):
         choices = []
         for domain, gen in g.terms:
             coeffs = [Fraction(k) for k in range(-h, h + 1)] \
                 if domain is Domain.INT else _fractions(h)
             choices.append([gen * rational(c) for c in coeffs])
-        out = []
-        for combo in itertools.product(*choices):
-            total = zero()
-            for part in combo:
-                total = total + part
-            out.append(total)
-        return out
+        return [sum(combo, zero()) for combo in itertools.product(*choices)]
     if isinstance(g, LaurentRing):
         coeffs = [Fraction(k) for k in range(-h, h + 1) if k != 0] \
             if g.coeffs is Domain.INT else [q for q in _fractions(h) if q != 0]
@@ -112,14 +104,12 @@ def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
     """Deterministic, duplicate-free sample of members with coefficient
     height at most the bound."""
     h = _check_height(height)
+    if isinstance(g, FullSpace):
+        g = Product((FullLine(),) * g.n)
     if isinstance(g, Product):
         columns = [enumerate_members(f, h) for f in g.factors]
         vecs = [tuple(s for part in combo for s in part)
                 for combo in itertools.product(*columns)]
-    elif isinstance(g, FullSpace):
-        line = enumerate_members(FullLine(), h)
-        vecs = [tuple(s for part in combo for s in part)
-                for combo in itertools.product(*([line] * g.n))]
     elif isinstance(g, Image):
         vecs = [vec_mat_mul(v, g.matrix)
                 for v in enumerate_members(g.inner, h)]
@@ -136,23 +126,33 @@ def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
 # candidates
 # ---------------------------------------------------------------------------
 
+def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
+            h: int) -> dict:
+    """The ratios x / y of height at most h, keyed by sort_key, over x in
+    numerators and nonzero y in denominators."""
+    found = {}
+    for y in denominators:
+        if y.is_zero():
+            continue
+        try:
+            inv = y.invert()
+        except DomainError:
+            continue        # not a unit of the representation tower
+        for x in numerators:
+            r = x * inv
+            if scalar_height(r) > h:
+                continue
+            found.setdefault(r.sort_key(), r)
+    return found
+
+
 def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:
     """Nonzero ratios of small members — every invariant scaling is one."""
     h = _check_height(height)
     if dimension(g) != 1:
         raise DomainError("scalar candidates are a one-dimensional notion")
     members = [v[0] for v in enumerate_members(g, h) if not v[0].is_zero()]
-    found = {}
-    for y in members:
-        try:
-            inv = y.invert()
-        except DomainError:
-            continue        # not a unit of the representation tower
-        for x in members:
-            r = x * inv
-            if scalar_height(r) > h:
-                continue
-            found.setdefault(r.sort_key(), r)
+    found = _ratios(members, members, h)
     for s in (one(), rational(-1)):
         found.setdefault(s.sort_key(), s)
     return [found[k] for k in sorted(found)]
@@ -171,32 +171,18 @@ def candidate_matrices(g: GroupDescriptor, height: int,
             f"matrix enumeration above height {_MATRIX_HEIGHT_CAP} must be "
             f"requested explicitly")
     if isinstance(g, FullSpace):
-        factors: Sequence[GroupDescriptor] = (FullLine(),) * g.n
-    elif isinstance(g, Product):
-        factors = g.factors
-    else:
+        g = Product((FullLine(),) * g.n)
+    if not isinstance(g, Product):
         raise UnsupportedError(
             "matrix candidates need an explicit product of factors")
-    if len(factors) != 2:
+    if len(g.factors) != 2:
         raise UnsupportedError("matrix enumeration is capped at two factors")
 
-    columns = [[v[0] for v in enumerate_members(f, h)] for f in factors]
+    columns = [[v[0] for v in enumerate_members(f, h)] for f in g.factors]
     entries: list[list[ExactScalar]] = [[], [], [], []]
     for i in range(2):
         for j in range(2):
-            found = {}
-            for x in columns[i]:
-                if x.is_zero():
-                    continue
-                try:
-                    inv = x.invert()
-                except DomainError:
-                    continue
-                for y in columns[j]:
-                    r = y * inv
-                    if scalar_height(r) > h:
-                        continue
-                    found.setdefault(r.sort_key(), r)
+            found = _ratios(columns[j], columns[i], h)
             entries[2 * i + j] = [found[k] for k in sorted(found)]
 
     # Each generator of a two-factor product lives on a single coordinate,
@@ -278,34 +264,21 @@ def cross_check(g: GroupDescriptor, height: int = 3,
                 allow_large: bool = False) -> OracleReport:
     """Brute-force report with the agreement flag filled in.
 
-    Exact closed forms must match the certificate verdict on every
-    candidate; Bounds are checked one-sided (anything a lower bound claims
-    must be confirmed, anything confirmed must satisfy every upper bound).
+    Bounds are checked one-sided: anything a lower bound claims must be
+    confirmed, anything confirmed must satisfy every upper bound.  An exact
+    closed form is both its own lower and its own upper bound, so it must
+    match the certificate verdict on every candidate.
     """
     report = brute_force_aut(g, height, allow_large=allow_large)
     result = aut_group(g)
-    confirmed_keys = {_key(c) for c in report.confirmed}
-    agreement = True
     if isinstance(result, Exact):
-        for c in list(report.confirmed) + [r.candidate for r in report.refuted]:
-            if contains(result.descriptor, c) != (_key(c) in confirmed_keys):
-                agreement = False
-                break
+        lower = upper = (result.descriptor,)
     else:
-        for c in [r.candidate for r in report.refuted]:
-            if any(contains(d, c) for d in result.lower):
-                agreement = False
-                break
-        for c in report.confirmed:
-            if not all(contains(d, c) for d in result.upper):
-                agreement = False
-                break
-    return OracleReport(report.group, report.height, report.candidates,
-                        report.confirmed, report.refuted, agreement)
-
-
-def _key(c):
-    return c if isinstance(c, ExactMatrix) else c.sort_key()
+        lower, upper = result.lower, result.upper
+    agreement = not any(contains(d, r.candidate)
+                        for r in report.refuted for d in lower) \
+        and all(contains(d, c) for c in report.confirmed for d in upper)
+    return replace(report, agreement=agreement)
 
 
 def report_to_json(report: OracleReport) -> dict:

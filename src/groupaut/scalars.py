@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import BudgetExceededError, ContextError, DomainError
 
@@ -47,12 +47,19 @@ FACTOR_BOUND = 1 << 20
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """The primes of n >= 1 with their exponents, in ascending order.
+    """The primes of n >= 1 with their exponents, in ascending order."""
+    return list(iter_factors(n))
+
+
+def iter_factors(n: int) -> Iterator[tuple[int, int]]:
+    """Yield the primes of n >= 1 with their exponents, in ascending order,
+    each as soon as trial division finds it.
 
     Trial division stops at FACTOR_BOUND; a cofactor left above its square
-    may be composite, and raises BudgetExceededError instead.
+    may be composite, and raises BudgetExceededError instead.  A caller
+    that takes only the least prime stops there, so the cofactor left after
+    it is never searched.
     """
-    out = []
     p = 2
     while p * p <= n:
         if p > FACTOR_BOUND:
@@ -64,11 +71,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
             while n % p == 0:
                 n //= p
                 e += 1
-            out.append((p, e))
+            yield p, e
         p += 1 if p == 2 else 2
     if n > 1:
-        out.append((n, 1))
-    return out
+        yield n, 1
 
 
 def squarefree_decomposition(n: int) -> tuple[int, int]:

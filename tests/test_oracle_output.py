@@ -1,0 +1,221 @@
+"""The oracle and output layers against reference copies of the loops they
+replaced: one ratio-set helper for scalar and matrix candidates, the member
+enumeration of R^n as that of a product of lines, the agreement flag of
+``cross_check`` with exact closed forms read as their own bounds, and
+``descriptor_json`` built from the dataclass fields."""
+
+import itertools
+import json
+from dataclasses import replace
+
+import pytest
+
+from groupaut import oracle
+from groupaut.autgroup import (
+    GLQ,
+    GLR,
+    BlockTriangular,
+    Bounds,
+    EZLowerBound,
+    Exact,
+    FieldUnits,
+    PatternQuad,
+    PlusMinusOne,
+    RatStar,
+    aut_group,
+    contains,
+    descriptor_json,
+    pm_powers,
+    rat_times_pm_powers,
+)
+from groupaut.descriptors import FullLine, FullSpace, Product, holds, invariance_generators
+from groupaut.dsl import parse_descriptor, scalar_to_text
+from groupaut.errors import DomainError
+from groupaut.matrices import ExactMatrix, matrix
+from groupaut.oracle import (
+    brute_force_aut,
+    candidate_matrices,
+    candidate_scalars,
+    cross_check,
+    enumerate_members,
+    scalar_height,
+)
+from groupaut.scalars import one, rational, sqrt_rational, t_monomial
+
+P = parse_descriptor
+
+
+# --- reference copies of the former loops ----------------------------------
+
+def ref_candidate_scalars(g, h):
+    members = [v[0] for v in enumerate_members(g, h) if not v[0].is_zero()]
+    found = {}
+    for y in members:
+        try:
+            inv = y.invert()
+        except DomainError:
+            continue
+        for x in members:
+            r = x * inv
+            if scalar_height(r) > h:
+                continue
+            found.setdefault(r.sort_key(), r)
+    for s in (one(), rational(-1)):
+        found.setdefault(s.sort_key(), s)
+    return [found[k] for k in sorted(found)]
+
+
+def ref_candidate_matrices(g, h):
+    factors = (FullLine(),) * g.n if isinstance(g, FullSpace) else g.factors
+    columns = [[v[0] for v in enumerate_members(f, h)] for f in factors]
+    entries = [[], [], [], []]
+    for i in range(2):
+        for j in range(2):
+            found = {}
+            for x in columns[i]:
+                if x.is_zero():
+                    continue
+                try:
+                    inv = x.invert()
+                except DomainError:
+                    continue
+                for y in columns[j]:
+                    r = y * inv
+                    if scalar_height(r) > h:
+                        continue
+                    found.setdefault(r.sort_key(), r)
+            entries[2 * i + j] = [found[k] for k in sorted(found)]
+    gens = invariance_generators(g)
+    rows = [[], []]
+    for i in range(2):
+        for c0, c1 in itertools.product(entries[2 * i], entries[2 * i + 1]):
+            ok = True
+            for kind, vec in gens:
+                if vec[i].is_zero():
+                    continue
+                if not holds(kind, g, (vec[i] * c0, vec[i] * c1)):
+                    ok = False
+                    break
+            if ok:
+                rows[i].append((c0, c1))
+    out = []
+    for r0, r1 in itertools.product(rows[0], rows[1]):
+        m = matrix([r0, r1])
+        if not m.det().is_zero():
+            out.append(m)
+    return out
+
+
+def _key(c):
+    return c if isinstance(c, ExactMatrix) else c.sort_key()
+
+
+def ref_agreement(report, result):
+    confirmed_keys = {_key(c) for c in report.confirmed}
+    agreement = True
+    if isinstance(result, Exact):
+        for c in list(report.confirmed) + [r.candidate for r in report.refuted]:
+            if contains(result.descriptor, c) != (_key(c) in confirmed_keys):
+                agreement = False
+                break
+    else:
+        for c in [r.candidate for r in report.refuted]:
+            if any(contains(d, c) for d in result.lower):
+                agreement = False
+                break
+        for c in report.confirmed:
+            if not all(contains(d, c) for d in result.upper):
+                agreement = False
+                break
+    return agreement
+
+
+def ref_descriptor_json(d):
+    if isinstance(d, FieldUnits):
+        return {"kind": "FieldUnits", "d": d.d}
+    if type(d).__name__ == "PMPowers":
+        return {"kind": "PMPowers", "base": scalar_to_text(d.base)}
+    if type(d).__name__ == "RatTimesPMPowers":
+        return {"kind": "RatTimesPMPowers", "base": scalar_to_text(d.base)}
+    if isinstance(d, GLQ):
+        return {"kind": "GLQ", "n": d.n}
+    if isinstance(d, GLR):
+        return {"kind": "GLR", "n": d.n}
+    if isinstance(d, BlockTriangular):
+        return {"kind": "BlockTriangular", "p": d.p, "q": d.q}
+    if isinstance(d, PatternQuad):
+        return {"kind": "PatternQuad", "x": scalar_to_text(d.x)}
+    if isinstance(d, EZLowerBound):
+        return {"kind": "EZLowerBound", "n": d.n}
+    return {"kind": type(d).__name__}
+
+
+# --- comparisons ------------------------------------------------------------
+
+LINES = ["Z", "Q", "R", "Zinv(6)", "Q + Q*sqrt(2)", "Z*1 + Q*sqrt(2)",
+         "cyclic(1+sqrt(2))", "ring(Z[t,1/t])", "Q + Q*t", "sqrt(3)*Z"]
+PLANES = ["Q x Z", "Q x Q*sqrt(2)", "R x R", "Z x Z", "Q x R"]
+
+
+@pytest.mark.parametrize("text", LINES)
+def test_candidate_scalars_match_reference(text):
+    g = P(text)
+    for h in (1, 2):
+        assert candidate_scalars(g, h) == ref_candidate_scalars(g, h)
+
+
+@pytest.mark.parametrize("text", PLANES)
+def test_candidate_matrices_match_reference(text):
+    g = P(text)
+    for h in (1, 2):
+        assert candidate_matrices(g, h) == ref_candidate_matrices(g, h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_space_members_are_those_of_a_product_of_lines(n):
+    line = enumerate_members(FullLine(), 1)
+    expected = {tuple(s.sort_key() for part in combo for s in part):
+                tuple(s for part in combo for s in part)
+                for combo in itertools.product(*([line] * n))}
+    got = enumerate_members(FullSpace(n), 1)
+    assert got == [expected[k] for k in sorted(expected)]
+    assert got == enumerate_members(Product((FullLine(),) * n), 1)
+
+
+@pytest.mark.parametrize("text", LINES + PLANES)
+def test_cross_check_agreement_matches_reference(text):
+    g = P(text)
+    report = cross_check(g, 1)
+    assert report.agreement is True
+    assert report.agreement == ref_agreement(brute_force_aut(g, 1), aut_group(g))
+    assert replace(report, agreement=None) == brute_force_aut(g, 1)
+
+
+@pytest.mark.parametrize("wrong", [Exact(RatStar()), Exact(PlusMinusOne()),
+                                   Bounds((RatStar(),)),
+                                   Bounds((PlusMinusOne(),), (PlusMinusOne(),))])
+@pytest.mark.parametrize("text", ["Z", "Q", "Zinv(6)"])
+def test_cross_check_flags_a_wrong_closed_form_like_the_reference(
+        monkeypatch, text, wrong):
+    g = P(text)
+    report = brute_force_aut(g, 2)
+    expected = ref_agreement(report, wrong)
+    monkeypatch.setattr(oracle, "aut_group", lambda _: wrong)
+    assert cross_check(g, 2).agreement == expected
+
+
+AUT_DESCRIPTORS = [PlusMinusOne(), RatStar(), FieldUnits(2), pm_powers(3),
+                   pm_powers(t_monomial(1)), rat_times_pm_powers(2),
+                   rat_times_pm_powers(t_monomial(1)), GLQ(2), GLR(3),
+                   BlockTriangular(1, 2), PatternQuad(sqrt_rational(2)),
+                   PatternQuad(rational(2) * sqrt_rational(6)),
+                   EZLowerBound(2)]
+
+
+@pytest.mark.parametrize("d", AUT_DESCRIPTORS, ids=lambda d: type(d).__name__)
+def test_descriptor_json_matches_reference(d):
+    got = descriptor_json(d)
+    expected = ref_descriptor_json(d)
+    assert got == expected
+    assert json.dumps(got, separators=(",", ":")) \
+        == json.dumps(expected, separators=(",", ":"))
