@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 from . import linalg
@@ -60,6 +59,7 @@ from .descriptors import (
     normalize,
 )
 from .errors import (
+    BudgetExceededError,
     ConsistencyError,
     ContextError,
     DomainError,
@@ -79,6 +79,7 @@ from .scalars import (
     ContextKind,
     ExactScalar,
     as_scalar,
+    exact_div,
     factorize,
     iter_factors,
     one,
@@ -396,7 +397,9 @@ def _ring_core(g: GroupDescriptor) -> tuple[Optional[GroupDescriptor], ExactScal
 
 
 def acts_invariantly(g: GroupDescriptor, a) -> Certificate:
-    """Certificate for G*a = G via generator checks (both directions)."""
+    """Certificate for G*a = G via generator checks (both directions).
+
+    A refutation is replayed before it is returned (``_replayed``)."""
     n = dimension(g)
     if isinstance(a, ExactMatrix):
         mat = a
@@ -404,11 +407,7 @@ def acts_invariantly(g: GroupDescriptor, a) -> Certificate:
             raise DomainError(f"matrix size {mat.n} does not fit dimension {n}")
     else:
         mat = scalar_matrix(as_scalar(a), n)
-    return _acts(g, mat)
 
-
-@lru_cache(maxsize=16384)
-def _acts(g: GroupDescriptor, mat: ExactMatrix) -> Certificate:
     ring, factor = _ring_core(g)
     if ring is not None:
         r = mat.rows[0][0]
@@ -417,10 +416,17 @@ def _acts(g: GroupDescriptor, mat: ExactMatrix) -> Certificate:
         # factor is a member of G = factor * ring; its images under r and
         # 1/r witness the two failure modes
         if not _member(ring, (r,)).member:
-            return Certificate(False, (factor,), "forward")
-        if is_unit(ring, r):
+            direction = "forward"
+        elif is_unit(ring, r):
             return Certificate(True)
-        return Certificate(False, (factor,), "inverse")
+        else:
+            direction = "inverse"
+        try:
+            image = factor * r if direction == "forward" else exact_div(factor, r)
+        except ContextError:
+            image = None    # outside the tower, so outside G
+        return _replayed(g, (factor,), None if image is None else (image,),
+                         direction)
 
     gens = invariance_generators(g)
     for direction in ("forward", "inverse"):
@@ -428,14 +434,28 @@ def _acts(g: GroupDescriptor, mat: ExactMatrix) -> Certificate:
         # candidate refuted forward may not even be invertible in the tower
         m = mat if direction == "forward" else mat.inverse()
         for kind, vec in gens:
-            if holds(kind, g, vec_mat_mul(vec, m)):
+            image = vec_mat_mul(vec, m)
+            if holds(kind, g, image):
                 continue
-            if kind == "rat":
-                vec = _rat_witness(g, vec, m)
-            elif kind == "real":
-                vec = _real_witness(g, vec, m)
-            return Certificate(False, vec, direction)
+            if kind != "int":
+                witness = _rat_witness if kind == "rat" else _real_witness
+                vec = witness(g, vec, m)
+                image = vec_mat_mul(vec, m)
+            return _replayed(g, vec, image, direction)
     return Certificate(True)
+
+
+def _replayed(g: GroupDescriptor, w: Vector, image: Optional[Vector],
+              direction: str) -> Certificate:
+    """The refutation (w, direction) once it replays: w is in G and its
+    image under A or A^-1 is not.  An image outside the scalar tower (None)
+    is outside G."""
+    if _member(g, w).member and (image is None or not _member(g, image).member):
+        return Certificate(False, w, direction)
+    from .dsl import group_to_text
+    raise ConsistencyError(
+        f"the {direction} refutation of {group_to_text(g)} by {w!r} does "
+        f"not replay")
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +588,10 @@ def aut_group(g: GroupDescriptor) -> AutResult:
     return _aut_rules(normalize(g))
 
 
-@lru_cache(maxsize=4096)
 def _aut_rules(g: GroupDescriptor) -> AutResult:
+    # g is normal, and so is every node inside it
     if isinstance(g, Scaled):
-        return _aut_rules(normalize(g.inner))   # invariance ignores scaling
+        return _aut_rules(g.inner)   # invariance ignores scaling
     if isinstance(g, FullLine):
         return Exact(GLR(1))
     if isinstance(g, FullSpace):
@@ -598,7 +618,7 @@ def _aut_rules(g: GroupDescriptor) -> AutResult:
 
 
 def _image_rule(g: Image) -> AutResult:
-    inner = _aut_rules(normalize(g.inner))
+    inner = _aut_rules(g.inner)
     a = g.matrix
 
     def transfer(d: AutDescriptor) -> Optional[AutDescriptor]:
@@ -629,26 +649,30 @@ def _image_rule(g: Image) -> AutResult:
 # ---------------------------------------------------------------------------
 
 def aut_member(g: GroupDescriptor, a) -> bool:
-    """Is ``a`` in the invariance group of g?  Decided by the closed-form
-    predicate when one exists, always checked against the certificate."""
-    result = aut_group(g)
-    cert = acts_invariantly(g, a)
-    if isinstance(result, Exact):
-        predicted = contains(result.descriptor, a)
-        if predicted != cert.verdict:
-            raise ConsistencyError(
-                f"closed form {descriptor_code(result.descriptor)} and "
-                f"certificate disagree on {a!r} for {kind_name(g)}")
-        return predicted
-    if not cert.verdict and any(contains(d, a) for d in result.lower):
-        raise ConsistencyError(
-            f"a lower bound claims {a!r} for {kind_name(g)} but the "
-            f"certificate refutes it")
-    if cert.verdict and not all(contains(d, a) for d in result.upper):
-        raise ConsistencyError(
-            f"an upper bound excludes {a!r} for {kind_name(g)} but the "
-            f"certificate confirms it")
-    return cert.verdict
+    """Is ``a`` in the invariance group of g?  Decided by the certificate
+    and checked against the closed form or bounds (``admits``).  When the
+    closed form runs out of factoring budget, {+1,-1} is the lower bound."""
+    try:
+        result = aut_group(g)
+    except BudgetExceededError:
+        result = Bounds((PlusMinusOne(),))
+    verdict = acts_invariantly(g, a).verdict
+    admits(result, a, verdict)
+    return verdict
+
+
+def admits(result: AutResult, a, verdict: bool) -> None:
+    """Raise ConsistencyError unless the certificate verdict on ``a`` fits
+    the closed form: whatever a lower bound contains is confirmed, whatever
+    is confirmed lies in every upper bound."""
+    if isinstance(result, Exact):   # its own lower and upper bound
+        result = Bounds((result.descriptor,), (result.descriptor,))
+    for d in (result.upper if verdict else result.lower):
+        if contains(d, a) != verdict:
+            said, found = ("excludes", "confirms") if verdict \
+                else ("contains", "refutes")
+            raise ConsistencyError(f"{descriptor_code(d)} {said} {a!r}, but "
+                                   f"the certificate {found} it")
 
 
 def is_unit(ring: GroupDescriptor, r) -> bool:

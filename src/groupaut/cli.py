@@ -3,10 +3,11 @@
 Every invocation answers a single query and prints one JSON document.
 Exit code 0 means a decided verdict (including decided "false"), 2 means
 the honest don't-know path (Bounds, exhausted search budget), 1 means the
-input could not be understood, and 3 means two decision routes disagreed
-(an internal error).  All numbers in the output are exact strings; two
-identical invocations print identical bytes.  An error prints nothing on
-stdout and its reason on stderr.
+input could not be understood (usage errors included), and 3 means an
+internal error: two decision routes disagreed, or any other exception.
+All numbers in the output are exact strings; two identical invocations
+print identical bytes.  An error prints nothing on stdout and its reason
+on stderr.
 """
 
 import argparse
@@ -35,7 +36,7 @@ from .dsl import (
     parse_scalar,
     scalar_to_text,
 )
-from .errors import BudgetExceededError, ConsistencyError, GroupAutError
+from .errors import BudgetExceededError, ConsistencyError, GroupAutError, ParseError
 from .matrices import circle_sum_witness
 from .oracle import (
     brute_force_aut,
@@ -72,6 +73,14 @@ def _parse_vector(text: str) -> tuple:
     return tuple(parse_scalar(p) for p in _split_top_level(body))
 
 
+def _number(text: str, kind=Fraction):
+    """text as a Fraction (or an int); a malformed number is a ParseError."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"not a number: {text.strip()!r}", 0) from None
+
+
 def _parse_action(text: str):
     """A matrix when it looks like one, otherwise a scalar."""
     stripped = text.strip()
@@ -83,7 +92,7 @@ def _parse_action(text: str):
 def _parse_cycles(text: str) -> list[tuple[int, ...]]:
     cycles = []
     for body in re.findall(r"\(([^()]*)\)", text):
-        entries = [int(x) for x in re.split(r"[,\s]+", body.strip()) if x]
+        entries = [_number(x, int) for x in re.split(r"[,\s]+", body.strip()) if x]
         cycles.append(tuple(entries))
     return cycles
 
@@ -174,8 +183,8 @@ def _cmd_sl_witness(args) -> tuple[dict, int]:
 
 
 def _cmd_circle_witness(args) -> tuple[dict, int]:
-    r2 = Fraction(args.r2)
-    target = [Fraction(p) for p in _split_top_level(args.target.strip("()[] "))]
+    r2 = _number(args.r2)
+    target = [_number(p) for p in _split_top_level(args.target.strip("()[] "))]
     a, b = circle_sum_witness(r2, target)
     return {"points": [[scalar_to_text(s) for s in a],
                        [scalar_to_text(s) for s in b]],
@@ -184,14 +193,22 @@ def _cmd_circle_witness(args) -> tuple[dict, int]:
 
 def _cmd_perm_demo(args) -> tuple[dict, int]:
     if args.cycles is not None:
-        seq = [Fraction(x) for x in _split_top_level(args.seq or "0")]
+        seq = [_number(x) for x in _split_top_level(args.seq or "0")]
         image = finite_permutation_action(_parse_cycles(args.cycles), seq)
         return {"image": [str(x) for x in image]}, DECIDED
     return {"k": args.k, "injective": injectivity_demo(args.k)}, DECIDED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error exits 1, bad input, not argparse's 2 ("don't know")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="groupaut",
         description="invariance groups of closed-form subgroups of R^n")
     style = parser.add_mutually_exclusive_group()
@@ -262,6 +279,9 @@ def main(argv=None) -> int:
     except GroupAutError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return INTERNAL_ERROR
     if args.pretty:
         text = json.dumps(payload, indent=2)
     else:

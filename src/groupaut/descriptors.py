@@ -487,7 +487,6 @@ def _leaf_rat_line(g: GroupDescriptor, v: Vector) -> bool:
 # divisible hulls
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
 def hull_closure(g: GroupDescriptor) -> GroupDescriptor:
     """The divisible hull of g in closed form (always exists here except
     over Z[1/m])."""
@@ -605,11 +604,8 @@ def _monic(s: ExactScalar) -> ExactScalar:
 # ---------------------------------------------------------------------------
 
 def normalize(g: GroupDescriptor) -> GroupDescriptor:
-    out = _normalize(g)
-    again = _normalize(out)
-    if again != out:   # defensive: the rewrite should be one-pass stable
-        out = again
-    return out
+    """The canonical form of g, stable after one pass."""
+    return _normalize(g)
 
 
 @lru_cache(maxsize=4096)

@@ -23,12 +23,9 @@ from typing import Iterable, Sequence, Union
 from .errors import ConsistencyError, DomainError, SingularMatrixError
 from .scalars import (
     ExactScalar,
-    FieldContext,
-    RAT_CONTEXT,
     Rationalish,
     as_scalar,
     exact_div,
-    join_context,
     one,
     ratio,
     rational,
@@ -57,17 +54,6 @@ class ExactMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> ExactScalar:
-        return self.rows[i][j]
-
-    def context(self) -> FieldContext:
-        """Join of all entry contexts (raises ContextError when incompatible)."""
-        ctx = RAT_CONTEXT
-        for row in self.rows:
-            for x in row:
-                ctx = join_context(ctx, x.context)
-        return ctx
 
     def transpose(self) -> "ExactMatrix":
         n = self.n
@@ -108,9 +94,6 @@ class ExactMatrix:
 
     def is_integer(self) -> bool:
         return all(x.is_integer() for row in self.rows for x in row)
-
-    def sort_key(self) -> tuple:
-        return tuple(x.sort_key() for row in self.rows for x in row)
 
     def __repr__(self) -> str:
         from .dsl import matrix_to_text

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .autgroup import Exact, acts_invariantly, aut_group, contains
+from .autgroup import acts_invariantly, admits, aut_group
 from .descriptors import (
     Cyclic,
     Domain,
@@ -34,7 +34,12 @@ from .descriptors import (
     holds,
     invariance_generators,
 )
-from .errors import DomainError, UnsupportedError
+from .errors import (
+    BudgetExceededError,
+    ConsistencyError,
+    DomainError,
+    UnsupportedError,
+)
 from .matrices import ExactMatrix, Vector, matrix, vec_mat_mul
 from .scalars import (
     ExactScalar,
@@ -161,15 +166,13 @@ def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:
 _MATRIX_HEIGHT_CAP = 3
 
 
-def candidate_matrices(g: GroupDescriptor, height: int,
-                       allow_large: bool = False) -> list[ExactMatrix]:
+def candidate_matrices(g: GroupDescriptor, height: int) -> list[ExactMatrix]:
     """Entrywise candidates for a two-factor product: entry (i, j) must be
     a ratio of a member of factor j by a nonzero member of factor i."""
     h = _check_height(height)
-    if h > _MATRIX_HEIGHT_CAP and not allow_large:
+    if h > _MATRIX_HEIGHT_CAP:
         raise DomainError(
-            f"matrix enumeration above height {_MATRIX_HEIGHT_CAP} must be "
-            f"requested explicitly")
+            f"matrix enumeration is capped at height {_MATRIX_HEIGHT_CAP}")
     if isinstance(g, FullSpace):
         g = Product((FullLine(),) * g.n)
     if not isinstance(g, Product):
@@ -203,7 +206,7 @@ def candidate_matrices(g: GroupDescriptor, height: int,
                     break
             if ok:
                 rows[i].append((c0, c1))
-    if len(rows[0]) * len(rows[1]) > 400_000 and not allow_large:
+    if len(rows[0]) * len(rows[1]) > 400_000:
         raise DomainError(
             "matrix candidate set too large; lower the height bound")
     out = []
@@ -235,15 +238,14 @@ class OracleReport:
     agreement: Optional[bool] = None
 
 
-def brute_force_aut(g: GroupDescriptor, height: int = 3,
-                    allow_large: bool = False) -> OracleReport:
+def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:
     """Classify every bounded-height candidate by certificate alone."""
     h = _check_height(height)
     n = dimension(g)
     if n == 1:
         candidates: list = candidate_scalars(g, h)
     elif n == 2:
-        candidates = candidate_matrices(g, h, allow_large=allow_large)
+        candidates = candidate_matrices(g, h)
     else:
         raise UnsupportedError(
             "the brute-force referee handles one or two dimensions")
@@ -260,25 +262,19 @@ def brute_force_aut(g: GroupDescriptor, height: int = 3,
                         tuple(refuted))
 
 
-def cross_check(g: GroupDescriptor, height: int = 3,
-                allow_large: bool = False) -> OracleReport:
-    """Brute-force report with the agreement flag filled in.
-
-    Bounds are checked one-sided: anything a lower bound claims must be
-    confirmed, anything confirmed must satisfy every upper bound.  An exact
-    closed form is both its own lower and its own upper bound, so it must
-    match the certificate verdict on every candidate.
-    """
-    report = brute_force_aut(g, height, allow_large=allow_large)
+def cross_check(g: GroupDescriptor, height: int = 3) -> OracleReport:
+    """Brute-force report with the agreement flag filled in: every
+    candidate verdict must fit the closed form or bounds (``admits``)."""
+    report = brute_force_aut(g, height)
     result = aut_group(g)
-    if isinstance(result, Exact):
-        lower = upper = (result.descriptor,)
-    else:
-        lower, upper = result.lower, result.upper
-    agreement = not any(contains(d, r.candidate)
-                        for r in report.refuted for d in lower) \
-        and all(contains(d, c) for c in report.confirmed for d in upper)
-    return replace(report, agreement=agreement)
+    try:
+        for r in report.refuted:
+            admits(result, r.candidate, False)
+        for c in report.confirmed:
+            admits(result, c, True)
+    except ConsistencyError:
+        return replace(report, agreement=False)
+    return replace(report, agreement=True)
 
 
 def report_to_json(report: OracleReport) -> dict:
@@ -306,6 +302,12 @@ def report_to_json(report: OracleReport) -> dict:
 # the permutation action on finite-support sequences
 # ---------------------------------------------------------------------------
 
+# The demos hold all k! permutations, and a sequence padded up to its
+# largest cycle entry, in memory.
+PERM_DEMO_MAX_K = 8
+PERM_MAX_ENTRY = 4095
+
+
 def _mapping_from_cycles(cycles: Sequence[Sequence[int]]) -> dict[int, int]:
     mapping: dict[int, int] = {}
     seen: set[int] = set()
@@ -315,6 +317,9 @@ def _mapping_from_cycles(cycles: Sequence[Sequence[int]]) -> dict[int, int]:
         for k in cycle:
             if not isinstance(k, int) or k < 0:
                 raise DomainError(f"cycle entries must be naturals, got {k!r}")
+            if k > PERM_MAX_ENTRY:
+                raise BudgetExceededError(
+                    f"cycle entry {k} is above the cap {PERM_MAX_ENTRY}")
             if k in seen:
                 raise DomainError(f"cycles are not disjoint at {k}")
             seen.add(k)
@@ -345,6 +350,10 @@ def injectivity_demo(k: int) -> bool:
     (1, 2, ..., k, 0, 0, ...)."""
     if k < 1:
         raise DomainError("need at least one coordinate")
+    if k > PERM_DEMO_MAX_K:
+        raise BudgetExceededError(
+            f"the demo holds all k! permutations; k = {k} is above the cap "
+            f"{PERM_DEMO_MAX_K}")
     probe = tuple(Fraction(i + 1) for i in range(k))
     images = {_apply_mapping(perm, probe)
               for perm in itertools.permutations(range(k))}

@@ -578,10 +578,6 @@ def invert(a: ExactScalar) -> ExactScalar:
     return as_scalar(a).invert()
 
 
-def is_rational(a: ExactScalar) -> bool:
-    return as_scalar(a).is_rational()
-
-
 def ratio(a, b) -> Optional[ExactScalar]:
     """a / b when b is invertible in the tower; None when undefined.
 

@@ -584,3 +584,30 @@ def test_divisible_hull_is_folded_when_built():
     assert group_to_text(parse_descriptor("hull(cyclic(3))")) == "Q"
     with pytest.raises(UnsupportedError):
         hull_closure(scaled(2, fraction_ring(3)))
+
+
+def _nodes(g):
+    """g and every descriptor node inside it."""
+    yield g
+    if isinstance(g, (_d.Scaled, _d.Image)):
+        yield from _nodes(g.inner)
+    elif isinstance(g, _d.Product):
+        for f in g.factors:
+            yield from _nodes(f)
+
+
+def test_normalize_is_stable_after_one_pass():
+    # normalize runs one pass, and the rule table reads the inner nodes of
+    # its output without normalizing them again: each node must be normal
+    rng = random.Random(5)
+    normalized = 0
+    for _ in range(4000):
+        g = _random_group(rng, rng.choice((1, 2)), 4)
+        try:
+            n = normalize(g)
+        except GroupAutError:
+            continue     # e.g. a product of matrices across towers
+        for node in _nodes(n):
+            assert _d._normalize(node) == node, (g, node)
+        normalized += 1
+    assert normalized > 3000
