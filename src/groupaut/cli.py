@@ -90,11 +90,11 @@ def _parse_action(text: str):
 
 
 def _parse_cycles(text: str) -> list[tuple[int, ...]]:
-    cycles = []
-    for body in re.findall(r"\(([^()]*)\)", text):
-        entries = [_number(x, int) for x in re.split(r"[,\s]+", body.strip()) if x]
-        cycles.append(tuple(entries))
-    return cycles
+    """Cycles such as "(0,3) (1,2,5)"; any other text is a ParseError."""
+    if not re.fullmatch(r"\s*(\([^()]*\)\s*)*", text):
+        raise ParseError(f"not a sequence of cycles: {text.strip()!r}", 0)
+    return [tuple(_number(x, int) for x in re.split(r"[,\s]+", body.strip()) if x)
+            for body in re.findall(r"\(([^()]*)\)", text)]
 
 
 def _bounds_json(result: Bounds) -> dict:

@@ -449,7 +449,9 @@ def _real_line(g: GroupDescriptor, v: Vector) -> bool:
 @lru_cache(maxsize=65536)
 def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
     if isinstance(g, (Cyclic, MixedModule)):
-        w = _module_solve(g.terms, v[0])
+        # zero lies in every group: every coefficient of its combination is 0
+        w = (Fraction(0),) * len(g.terms) if v[0].is_zero() \
+            else _module_solve(g.terms, v[0])
         return MembershipVerdict(w is not None, w)
     if isinstance(g, LaurentRing):
         s = v[0]

@@ -386,33 +386,15 @@ def _coeff_prefix(c: Fraction) -> str:
 
 def scalar_to_text(s: ExactScalar) -> str:
     s = as_scalar(s)
-    parts: list[str] = []
+    # (coefficient, basis element) of each nonzero term; "" is the unit
     if s.context.kind is ContextKind.FORMAL:
-        for k, c in s.coords:
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{_coeff_prefix(c)}t")
-            else:
-                parts.append(f"{_coeff_prefix(c)}t^{k}")
+        terms = [(c, "" if k == 0 else "t" if k == 1 else f"t^{k}")
+                 for k, c in s.coords]
     else:
-        rad = context_radicands(s.context)
-        for i, c in enumerate(s.coords):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{_coeff_prefix(c)}sqrt({rad[i]})")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += "-" + p[1:]
-        else:
-            out += "+" + p
-    return out
+        terms = [(c, "" if r == 1 else f"sqrt({r})")
+                 for c, r in zip(s.coords, context_radicands(s.context)) if c]
+    parts = [f"{_coeff_prefix(c)}{b}" if b else str(c) for c, b in terms] or ["0"]
+    return parts[0] + "".join(p if p[0] == "-" else "+" + p for p in parts[1:])
 
 
 def _scalar_in_term(s: ExactScalar) -> str:

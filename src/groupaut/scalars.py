@@ -12,21 +12,25 @@ Four context kinds are supported:
                        t stands for a transcendental real; the convention
                        "t > 1" is recorded here and never used in a decision.
 
-Every value is a tuple of Fraction coordinates over the context basis
-(finite exponent->coefficient support for FORMAL).  Scalars auto-minimize on
+Every value is stored as integers: a tuple of integer numerators over one
+positive integer denominator, in lowest terms (the gcd of the numerators and
+the denominator is 1), which is the canonical form of FLINT's ``fmpq_poly``.
+In a number field the numerators are the coordinates over the context
+basis; in the FORMAL context they are (exponent, numerator) pairs in
+ascending exponent order with no zero numerator.  Scalars auto-minimize on
 construction: a biquadratic value whose surd coordinates vanish comes out as
-a plain rational, so equality and hashing are plain structural equality.
+a plain rational, so equality and hashing compare tuples of ints.
 No decision anywhere relies on floating point or on ordering real numbers;
 :meth:`ExactScalar.approx` exists for display only.
 
-Arithmetic takes the cheapest route that gives the same value.  Each field
-has one context object (``quad_context`` and ``biquad_context`` intern
-them), so operands in the same context are recognised by identity and
-combined coordinatewise, with no join and no embedding; a rational operand
-scales or shifts the coordinates of the other one.  Only operands from two
-different fields go through :func:`join_context` and ``_embedded``.
-Quadratic and biquadratic inverses use the conjugate, not a linear solve.
-Scalars are immutable, so each caches its hash on first use.
+Addition, multiplication and inversion each take one integer path per
+context kind.  Each field has one context object (``quad_context`` and
+``biquad_context`` intern them), so operands in the same context are
+recognised by identity; operands of two different contexts are lifted into
+their join (:func:`join_context`), where a rational is a vector with zero
+surd coordinates.  Quadratic and biquadratic inverses use the conjugate,
+not a linear solve.  Scalars are immutable, so each caches its hash on
+first use.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterator, Optional, Union
 
 from .errors import BudgetExceededError, ContextError, DomainError
@@ -194,27 +199,21 @@ def context_radicands(ctx: FieldContext) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _mul_table(ctx: FieldContext) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Basis multiplication: entry [i][j] = (k, c) with b_i*b_j == c*b_k."""
-    rad = context_radicands(ctx)
-    table = []
-    for ri in rad:
-        row = []
-        for rj in rad:
-            s, core = squarefree_decomposition(ri * rj)
-            row.append((rad.index(core), s))
-        table.append(tuple(row))
-    return tuple(table)
+def _biquad_products(d: int, e: int) -> tuple[int, ...]:
+    """(d, e, f, p, q, r) for the biquadratic context labelled (d, e): its
+    basis is 1, sqrt d, sqrt e, sqrt f, and sqrt(d e) = p sqrt f,
+    sqrt(d f) = q sqrt e, sqrt(e f) = r sqrt d.  d and e are square-free,
+    so p = gcd(d, e), q = d / p and r = e / p."""
+    p = gcd(d, e)
+    return d, e, d * e // (p * p), p, d // p, e // p
 
 
 def join_context(a: FieldContext, b: FieldContext) -> FieldContext:
     """Smallest supported context containing both, or raise ContextError."""
-    if a is b or a == b:
+    if a is b or b.kind is ContextKind.RAT:
         return a
-    if a.kind is ContextKind.RAT:
+    if a.kind is ContextKind.RAT or a == b:
         return b
-    if b.kind is ContextKind.RAT:
-        return a
     if ContextKind.FORMAL in (a.kind, b.kind):
         raise ContextError(f"cannot join {a!r} with {b!r}")
     rads = {r for r in context_radicands(a) if r != 1}
@@ -230,79 +229,72 @@ def join_context(a: FieldContext, b: FieldContext) -> FieldContext:
     raise ContextError(f"joining {a!r} and {b!r} needs a field of degree > 4")
 
 
-def _add_coords(ctx: FieldContext, a: tuple, b: tuple) -> "ExactScalar":
-    """Sum of two coordinate tuples over one context."""
-    kind = ctx.kind
-    if kind is _FORMAL:
-        acc = dict(a)
-        for k, c in b:
-            acc[k] = acc[k] + c if k in acc else c
-        return ExactScalar._make(ctx, acc.items())
-    if kind is _QUAD:
-        surd = a[1] + b[1]
-        if surd:
-            return ExactScalar(ctx, (a[0] + b[0], surd))
-        return ExactScalar(RAT_CONTEXT, (a[0] + b[0],))
-    return ExactScalar._make(ctx, tuple(x + y for x, y in zip(a, b)))
+def _number(ctx: FieldContext, nums: tuple, den: int) -> "ExactScalar":
+    """nums / den over the basis of a number-field context (den != 0), in
+    lowest terms and in the smallest context that holds it."""
+    if len(nums) == 4:
+        live = [i for i in (1, 2, 3) if nums[i]]
+        if len(live) < 2:
+            # a single surd left names its quadratic field; with none left,
+            # the zero surd of (nums[0], 0) makes it rational below
+            i = live[0] if live else 1
+            ctx, nums = quad_context(context_radicands(ctx)[i]), (nums[0], nums[i])
+    if len(nums) == 2 and not nums[1]:
+        ctx, nums = RAT_CONTEXT, nums[:1]
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    return ExactScalar(ctx, nums if g == 1 else tuple([n // g for n in nums]),
+                       den // g)
 
 
-def _mul_coords(ctx: FieldContext, a: tuple, b: tuple) -> "ExactScalar":
-    """Product of two coordinate tuples over one non-rational context."""
-    kind = ctx.kind
-    if kind is _QUAD:
-        # (a0 + a1 r)(b0 + b1 r) with r = sqrt(d); a1, b1 != 0 in QUAD
-        a0, a1 = a
-        b0, b1 = b
-        r0 = a1 * b1 * ctx.d
-        if a0 and b0:
-            r0 += a0 * b0
-            r1 = a0 * b1 + a1 * b0
-        elif a0:
-            r1 = a0 * b1
-        elif b0:
-            r1 = a1 * b0
-        else:
-            return ExactScalar(RAT_CONTEXT, (r0,))
-        if r1:
-            return ExactScalar(ctx, (r0, r1))
-        return ExactScalar(RAT_CONTEXT, (r0,))
-    if kind is _FORMAL:
-        acc: dict[int, Fraction] = {}
-        for k1, c1 in a:
-            for k2, c2 in b:
-                k = k1 + k2
-                acc[k] = acc[k] + c1 * c2 if k in acc else c1 * c2
-        return ExactScalar._make(ctx, acc.items())
-    table = _mul_table(ctx)
-    out = [Fraction(0)] * len(a)
-    for i, ci in enumerate(a):
-        if not ci:
-            continue
-        row = table[i]
-        for j, cj in enumerate(b):
-            if not cj:
-                continue
-            k, scale = row[j]
-            out[k] += ci * cj * scale
-    return ExactScalar._make(ctx, out)
+def _laurent(acc: dict, den: int) -> "ExactScalar":
+    """The Laurent value with numerators acc (exponent -> int) over den > 0,
+    in lowest terms."""
+    terms = [(k, n) for k, n in sorted(acc.items()) if n]
+    if not terms or (len(terms) == 1 and terms[0][0] == 0):
+        return _number(RAT_CONTEXT, (terms[0][1] if terms else 0,), den)
+    g = gcd(den, *(n for _, n in terms))
+    return ExactScalar(FORMAL_CONTEXT, tuple([(k, n // g) for k, n in terms]),
+                       den // g)
+
+
+def _lowest(n: int, den: int) -> tuple[int, int]:
+    """Numerator and denominator of the single coordinate n / den."""
+    g = gcd(n, den)
+    return n // g, den // g
+
+
+_KIND_RANK = {ContextKind.RAT: 0, ContextKind.QUAD: 1, ContextKind.BIQUAD: 2}
+# the surd numerators of a rational lifted into a larger number field
+_NO_SURDS = {ContextKind.QUAD: (0,), ContextKind.BIQUAD: (0, 0, 0)}
 
 
 class ExactScalar:
     """An exact real number (or formal Laurent element) in one context.
 
-    ``coords`` is a tuple of Fractions over the context basis, except in the
-    FORMAL context where it is a tuple of (exponent, coefficient) pairs in
-    ascending exponent order with no zero coefficients.
+    ``nums`` and ``den`` are the stored value: integer numerators over the
+    context basis and one positive denominator, in lowest terms.  In the
+    FORMAL context ``nums`` holds (exponent, numerator) pairs in ascending
+    exponent order with no zero numerator.
+
+    ``coords`` is a read-only view of the same value as Fractions, computed
+    when it is read and not stored: Fractions over the context basis, or
+    (exponent, Fraction) pairs in the FORMAL context.  :meth:`_make` builds
+    a value from int or Fraction coordinates.
 
     Values are immutable: assigning to an attribute raises AttributeError.
-    Equality is structural, and the hash is computed once and kept.
+    Equality compares the integers and the context, and the hash is computed
+    once and kept.
     """
 
-    __slots__ = ("context", "coords", "_hash")
+    __slots__ = ("context", "nums", "den", "_hash")
 
-    def __init__(self, context: FieldContext, coords: tuple):
+    def __init__(self, context: FieldContext, nums: tuple, den: int):
+        # callers pass a canonical value in an interned context
         _set_context(self, context)
-        _set_coords(self, coords)
+        _set_nums(self, nums)
+        _set_den(self, den)
         _set_hash(self, None)
 
     def __setattr__(self, name, value):
@@ -314,13 +306,16 @@ class ExactScalar:
     def __eq__(self, other) -> bool:
         if type(other) is not ExactScalar:
             return NotImplemented
-        return self is other or (self.coords == other.coords
-                                 and self.context == other.context)
+        return self is other or (self.nums == other.nums
+                                 and self.den == other.den
+                                 and (self.context is other.context
+                                      or self.context == other.context))
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.context, self.coords))
+            ctx = self.context
+            h = hash((self.nums, self.den, ctx.d, ctx.e))
             _set_hash(self, h)
         return h
 
@@ -328,33 +323,36 @@ class ExactScalar:
 
     @staticmethod
     def _make(ctx: FieldContext, coords) -> "ExactScalar":
+        """The minimized value of int or Fraction coordinates over ctx."""
+        coords = list(coords)
         if ctx.kind is _FORMAL:
-            terms = tuple(sorted(
-                (int(k), c if type(c) is Fraction else Fraction(c))
-                for k, c in coords if c != 0))
-            if all(k == 0 for k, _ in terms):
-                coeff = terms[0][1] if terms else Fraction(0)
-                return ExactScalar(RAT_CONTEXT, (coeff,))
-            return ExactScalar(FORMAL_CONTEXT, terms)
-        vals = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-        if len(vals) < 2:
-            return ExactScalar(RAT_CONTEXT, vals or (Fraction(0),))
-        rad = context_radicands(ctx)
-        live = [rad[i] for i in range(1, len(vals)) if vals[i] != 0]
-        if not live:
-            return ExactScalar(RAT_CONTEXT, (vals[0],))
-        if len(live) == 1:
-            sub = quad_context(live[0])
-            i = rad.index(live[0])
-            return ExactScalar(sub, (vals[0], vals[i]))
-        return ExactScalar(ctx, vals)
+            den = lcm(*(c.denominator for _, c in coords))
+            return _laurent({int(k): c.numerator * (den // c.denominator)
+                             for k, c in coords}, den)
+        vals = coords or [0]
+        den = lcm(*(c.denominator for c in vals))
+        nums = tuple([c.numerator * (den // c.denominator) for c in vals])
+        if len(nums) == 4:
+            # the interned context of the field, in its basis order
+            label = biquad_context(ctx.d, ctx.e)
+            nums, ctx = ExactScalar(ctx, nums, den)._lift(label), label
+        else:
+            ctx = quad_context(ctx.d) if len(nums) == 2 else RAT_CONTEXT
+        return _number(ctx, nums, den)
 
     # -- predicates and views ---------------------------------------------
+
+    @property
+    def coords(self) -> tuple:
+        den = self.den
+        if self.context.kind is _FORMAL:
+            return tuple((k, Fraction(n, den)) for k, n in self.nums)
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def is_zero(self) -> bool:
         # only a rational can vanish: a zero surd or Laurent part minimizes
         # away on construction
-        return self.context.kind is _RAT and not self.coords[0]
+        return self.context.kind is _RAT and not self.nums[0]
 
     def is_rational(self) -> bool:
         return self.context.kind is _RAT
@@ -362,21 +360,24 @@ class ExactScalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise DomainError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coords[0].denominator == 1
+        return self.is_rational() and self.den == 1
 
     @property
     def height(self) -> int:
-        """Max of |numerator|, denominator and |exponent| over the coordinates."""
-        h = 0
-        if self.context.kind is ContextKind.FORMAL:
-            for k, c in self.coords:
-                h = max(h, abs(k), abs(c.numerator), c.denominator)
+        """Max of |numerator|, denominator and |exponent| over the
+        coordinates, each coordinate in its own lowest terms."""
+        h, den = 0, self.den
+        if self.context.kind is _FORMAL:
+            for k, n in self.nums:
+                g = gcd(n, den)
+                h = max(h, abs(k), abs(n) // g, den // g)
             return h
-        for c in self.coords:
-            h = max(h, abs(c.numerator), c.denominator)
+        for n in self.nums:
+            g = gcd(n, den)
+            h = max(h, abs(n) // g, den // g)
         return h
 
     def approx(self) -> Optional[float]:
@@ -388,52 +389,49 @@ class ExactScalar:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _embedded(self, ctx: FieldContext) -> tuple:
-        if self.context is ctx or self.context == ctx:
-            return self.coords
-        if self.context.kind is ContextKind.RAT:
-            if ctx.kind is ContextKind.FORMAL:
-                return ((0, self.coords[0]),) if self.coords[0] != 0 else ()
-            out = [Fraction(0)] * len(context_radicands(ctx))
-            out[0] = self.coords[0]
-            return tuple(out)
-        if ctx.kind is ContextKind.FORMAL or self.context.kind is ContextKind.FORMAL:
-            raise ContextError(f"cannot embed {self.context!r} into {ctx!r}")
-        src = context_radicands(self.context)
-        dst = context_radicands(ctx)
-        if any(r not in dst for r in src):
-            raise ContextError(f"cannot embed {self.context!r} into {ctx!r}")
-        out = [Fraction(0)] * len(dst)
-        for i, r in enumerate(src):
-            out[dst.index(r)] = self.coords[i]
-        return tuple(out)
+    def _lift(self, ctx: FieldContext) -> tuple:
+        """The numerators of self over the basis of ctx, a context that
+        contains it; the denominator stays self.den."""
+        sc, nums = self.context, self.nums
+        if sc is ctx or sc == ctx:
+            return nums
+        if sc.kind is _RAT:
+            if ctx.kind is not _FORMAL:
+                return nums + _NO_SURDS[ctx.kind]
+            return ((0, nums[0]),) if nums[0] else ()
+        if _FORMAL in (sc.kind, ctx.kind) \
+                or not set(context_radicands(sc)) <= set(context_radicands(ctx)):
+            raise ContextError(f"cannot embed {sc!r} into {ctx!r}")
+        at = dict(zip(context_radicands(sc), nums))
+        return tuple(at.get(r, 0) for r in context_radicands(ctx))
 
-    def _scaled(self, q: Fraction) -> "ExactScalar":
-        """self * q for a rational q; a nonzero q keeps the shape."""
-        if not q:
-            return ExactScalar(RAT_CONTEXT, (q,))
-        ctx = self.context
+    def _embedded(self, ctx: FieldContext) -> tuple:
+        """The coordinates of self over the basis of ctx, as Fractions."""
+        den = self.den
         if ctx.kind is _FORMAL:
-            return ExactScalar(ctx, tuple((k, c * q) for k, c in self.coords))
-        return ExactScalar(ctx, tuple(c * q if c else c for c in self.coords))
+            return tuple((k, Fraction(n, den)) for k, n in self._lift(ctx))
+        return tuple(Fraction(n, den) for n in self._lift(ctx))
 
     def __add__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
             other = as_scalar(other)
-        sc, oc = self.context, other.context
-        if sc is oc or sc == oc:
-            if sc.kind is _RAT:
-                return ExactScalar(RAT_CONTEXT, (self.coords[0] + other.coords[0],))
-            return _add_coords(sc, self.coords, other.coords)
-        # a rational shifts the first coordinate and leaves the surds alone
-        if sc.kind is _RAT and oc.kind is not _FORMAL:
-            c = other.coords
-            return ExactScalar(oc, (c[0] + self.coords[0],) + c[1:])
-        if oc.kind is _RAT and sc.kind is not _FORMAL:
-            c = self.coords
-            return ExactScalar(sc, (c[0] + other.coords[0],) + c[1:])
-        ctx = join_context(sc, oc)
-        return _add_coords(ctx, self._embedded(ctx), other._embedded(ctx))
+        ctx = self.context
+        if ctx is other.context:
+            a, b = self.nums, other.nums
+        else:
+            ctx = join_context(ctx, other.context)
+            a, b = self._lift(ctx), other._lift(ctx)
+        # both over the common denominator lcm(da, db)
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        den = da * ma
+        if ctx.kind is _FORMAL:
+            acc = {k: n * ma for k, n in a}
+            for k, n in b:
+                acc[k] = acc.get(k, 0) + n * mb
+            return _laurent(acc, den)
+        return _number(ctx, tuple([x * ma + y * mb for x, y in zip(a, b)]), den)
 
     def __radd__(self, other) -> "ExactScalar":
         return self.__add__(other)
@@ -441,8 +439,8 @@ class ExactScalar:
     def __neg__(self) -> "ExactScalar":
         ctx = self.context
         if ctx.kind is _FORMAL:
-            return ExactScalar(ctx, tuple((k, -c) for k, c in self.coords))
-        return ExactScalar(ctx, tuple(-c for c in self.coords))
+            return ExactScalar(ctx, tuple([(k, -n) for k, n in self.nums]), self.den)
+        return ExactScalar(ctx, tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other) -> "ExactScalar":
         return self.__add__(as_scalar(other).__neg__())
@@ -453,17 +451,43 @@ class ExactScalar:
     def __mul__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
             other = as_scalar(other)
-        sc, oc = self.context, other.context
-        if sc.kind is _RAT:
-            if oc.kind is _RAT:
-                return ExactScalar(RAT_CONTEXT, (self.coords[0] * other.coords[0],))
-            return other._scaled(self.coords[0])
-        if oc.kind is _RAT:
-            return self._scaled(other.coords[0])
-        if sc is oc or sc == oc:
-            return _mul_coords(sc, self.coords, other.coords)
-        ctx = join_context(sc, oc)
-        return _mul_coords(ctx, self._embedded(ctx), other._embedded(ctx))
+        ctx = self.context
+        if ctx is other.context:
+            a, b = self.nums, other.nums
+        else:
+            ctx = join_context(ctx, other.context)
+            a, b = self._lift(ctx), other._lift(ctx)
+        da, db = self.den, other.den
+        kind = ctx.kind
+        if kind is _RAT:
+            # cross-cancel first, as Fraction does: the product is then in
+            # lowest terms, and the factors stay small
+            na, nb = a[0], b[0]
+            if not na or not nb:
+                return _ZERO
+            g1, g2 = gcd(na, db), gcd(nb, da)
+            return ExactScalar(RAT_CONTEXT, ((na // g1) * (nb // g2),),
+                               (da // g2) * (db // g1))
+        if kind is _QUAD:
+            # (a0 + a1 r)(b0 + b1 r) with r = sqrt(d)
+            a0, a1 = a
+            b0, b1 = b
+            return _number(ctx, (a0 * b0 + a1 * b1 * ctx.d, a0 * b1 + a1 * b0),
+                           da * db)
+        if kind is _BIQUAD:
+            a0, a1, a2, a3 = a
+            b0, b1, b2, b3 = b
+            d, e, f, p, q, r = _biquad_products(ctx.d, ctx.e)
+            return _number(ctx, (
+                a0 * b0 + d * a1 * b1 + e * a2 * b2 + f * a3 * b3,
+                a0 * b1 + a1 * b0 + r * (a2 * b3 + a3 * b2),
+                a0 * b2 + a2 * b0 + q * (a1 * b3 + a3 * b1),
+                a0 * b3 + a3 * b0 + p * (a1 * b2 + a2 * b1)), da * db)
+        acc: dict[int, int] = {}
+        for k1, n1 in a:
+            for k2, n2 in b:
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + n1 * n2
+        return _laurent(acc, da * db)
 
     def __rmul__(self, other) -> "ExactScalar":
         return self.__mul__(other)
@@ -474,29 +498,26 @@ class ExactScalar:
         In the FORMAL context only monomials q*t^k are units of the
         representation; anything else raises DomainError.
         """
-        ctx, c = self.context, self.coords
+        ctx, c, den = self.context, self.nums, self.den
         kind = ctx.kind
         if kind is _RAT:
             if not c[0]:
                 raise DomainError("zero has no inverse")
-            return ExactScalar(RAT_CONTEXT, (1 / c[0],))
+            return _number(ctx, (den,), c[0])
         if kind is _FORMAL:
             if len(c) != 1:
                 raise DomainError(
                     "only monomials are invertible in Q[t,1/t]; "
                     f"got {len(c)} terms")
-            k, v = c[0]
-            return ExactScalar(FORMAL_CONTEXT, ((-k, 1 / v),))
+            (k, n), = c
+            return ExactScalar(ctx, ((-k, den if n > 0 else -den),), abs(n))
         if kind is _QUAD:
             # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - d b^2)
             a, b = c
-            if not a:
-                return ExactScalar(ctx, (a, 1 / (b * ctx.d)))
-            norm = a * a - b * b * ctx.d
-            return ExactScalar(ctx, (a / norm, -b / norm))
+            return _number(ctx, (a * den, -b * den), a * a - b * b * ctx.d)
         # x = u + v sqrt(e) with u, v in Q(sqrt d); the conjugate u - v sqrt(e)
         # flips sqrt(e) and sqrt(f), and x times it lies in Q(sqrt d)
-        conj = ExactScalar(ctx, (c[0], c[1], -c[2], -c[3]))
+        conj = ExactScalar(ctx, (c[0], c[1], -c[2], -c[3]), den)
         return conj * (self * conj).invert()
 
     def __pow__(self, n: int) -> "ExactScalar":
@@ -516,11 +537,13 @@ class ExactScalar:
     # -- ordering key for deterministic enumeration ------------------------
 
     def sort_key(self) -> tuple:
-        if self.context.kind is ContextKind.FORMAL:
-            return (3, tuple((k, c.numerator, c.denominator) for k, c in self.coords))
-        rad = context_radicands(self.context)
-        kind = {ContextKind.RAT: 0, ContextKind.QUAD: 1, ContextKind.BIQUAD: 2}[self.context.kind]
-        return (kind, rad, tuple((c.numerator, c.denominator) for c in self.coords))
+        """Each coordinate as its own lowest-terms numerator and denominator
+        (after the exponent in the FORMAL context)."""
+        den = self.den
+        if self.context.kind is _FORMAL:
+            return (3, tuple((k,) + _lowest(n, den) for k, n in self.nums))
+        return (_KIND_RANK[self.context.kind], context_radicands(self.context),
+                tuple(_lowest(n, den) for n in self.nums))
 
     def __repr__(self) -> str:
         from .dsl import scalar_to_text
@@ -530,11 +553,12 @@ class ExactScalar:
 # slot writers that bypass the immutability guard, for construction and the
 # hash cache only
 _set_context = ExactScalar.context.__set__
-_set_coords = ExactScalar.coords.__set__
+_set_nums = ExactScalar.nums.__set__
+_set_den = ExactScalar.den.__set__
 _set_hash = ExactScalar._hash.__set__
 
-_ZERO = ExactScalar(RAT_CONTEXT, (Fraction(0),))
-_ONE = ExactScalar(RAT_CONTEXT, (Fraction(1),))
+_ZERO = ExactScalar(RAT_CONTEXT, (0,), 1)
+_ONE = ExactScalar(RAT_CONTEXT, (1,), 1)
 
 
 def as_scalar(x) -> ExactScalar:
@@ -542,12 +566,12 @@ def as_scalar(x) -> ExactScalar:
     if type(x) is ExactScalar:
         return x
     if isinstance(x, (int, Fraction)):
-        return ExactScalar(RAT_CONTEXT, (Fraction(x),))
+        return ExactScalar(RAT_CONTEXT, (int(x.numerator),), x.denominator)
     raise DomainError(f"cannot interpret {x!r} as an exact scalar")
 
 
 def rational(x: Rationalish) -> ExactScalar:
-    return as_scalar(Fraction(x))
+    return as_scalar(x if isinstance(x, (int, Fraction)) else Fraction(x))
 
 
 def zero() -> ExactScalar:
@@ -566,12 +590,12 @@ def sqrt_rational(q: Rationalish) -> ExactScalar:
     core, mult = canonicalize_radical(q)
     if core == 1:
         return rational(mult)
-    return ExactScalar._make(quad_context(core), (Fraction(0), mult))
+    return ExactScalar._make(quad_context(core), (0, mult))
 
 
 def t_monomial(exp: int, coeff: Rationalish = 1) -> ExactScalar:
     """The Laurent monomial coeff * t^exp."""
-    return ExactScalar._make(FORMAL_CONTEXT, ((exp, Fraction(coeff)),))
+    return ExactScalar._make(FORMAL_CONTEXT, ((exp, coeff),))
 
 
 def invert(a: ExactScalar) -> ExactScalar:
@@ -607,31 +631,23 @@ def exact_div(a: ExactScalar, b: ExactScalar) -> Optional[ExactScalar]:
     if b.context.kind is not ContextKind.FORMAL and a.context.kind is not ContextKind.FORMAL:
         return a * b.invert()
     ctx = FORMAL_CONTEXT
-    num = dict(a._embedded(ctx)) if not a.is_zero() else {}
-    den = dict(b._embedded(ctx))
-    if not num:
-        return zero()
-    # shift exponents to ordinary polynomials
-    nmin = min(num)
-    dmin = min(den)
-    np_ = {k - nmin: c for k, c in num.items()}
-    dp = {k - dmin: c for k, c in den.items()}
-    ddeg = max(dp)
-    lead = dp[ddeg]
-    quot: dict[int, Fraction] = {}
-    while np_:
-        ndeg = max(np_)
-        if ndeg < ddeg:
+    num = dict(a._embedded(ctx))      # empty when a is zero
+    den = b._embedded(ctx)
+    (low, _), (high, lead) = den[0], den[-1]
+    # long division from the top term; a quotient term below the lowest
+    # exponent num allows leaves a remainder
+    floor = min(num, default=0) - low
+    quot = {}
+    while num:
+        top = max(num)
+        k = top - high
+        if k < floor:
             return None
-        f = np_[ndeg] / lead
-        k = ndeg - ddeg
-        quot[k] = f
-        for dk, dc in dp.items():
-            key = dk + k
-            val = np_.get(key, Fraction(0)) - f * dc
-            if val == 0:
-                np_.pop(key, None)
+        quot[k] = f = num[top] / lead
+        for e, c in den:
+            val = num.get(e + k, 0) - f * c
+            if val:
+                num[e + k] = val
             else:
-                np_[key] = val
-    shift = nmin - dmin
-    return ExactScalar._make(ctx, tuple((k + shift, c) for k, c in quot.items()))
+                num.pop(e + k, None)
+    return ExactScalar._make(ctx, quot.items())

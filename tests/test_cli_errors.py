@@ -87,6 +87,23 @@ def test_perm_demo_at_its_caps_answers():
         == (0, f'{{"k":{PERM_DEMO_MAX_K},"injective":true}}\n')
 
 
+@pytest.mark.parametrize("cycles", ["(0,1", "0,1", "(0,1)x"])
+def test_malformed_cycles_exit_one(cycles):
+    # only balanced groups, with whitespace between them, are cycles
+    proc = _groupaut("perm-demo", "--cycles", cycles, "--seq", "1,2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: not a sequence of cycles")
+    assert "Traceback" not in proc.stderr
+
+
+def test_well_formed_cycles_keep_their_answer():
+    for cycles in ("(0,3)(1,2,5)", " (0,3) (1,2,5) "):
+        proc = _groupaut("perm-demo", "--cycles", cycles, "--seq", "1,2,3,4")
+        assert (proc.returncode, proc.stdout) \
+            == (0, '{"image":["4","3","0","1","0","2"]}\n')
+
+
 def test_perm_demo_caps_in_process():
     assert injectivity_demo(PERM_DEMO_MAX_K) is True
     with pytest.raises(BudgetExceededError):

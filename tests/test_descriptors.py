@@ -611,3 +611,24 @@ def test_normalize_is_stable_after_one_pass():
             assert _d._normalize(node) == node, (g, node)
         normalized += 1
     assert normalized > 3000
+
+
+def test_zero_leaf_member_matches_the_module_solve():
+    # zero lies in every group, so a module leaf answers it without a solve;
+    # the verdict and the witness are the ones the module solve gives
+    rng = random.Random(6)
+    checked = 0
+    for _ in range(400):
+        try:
+            g = normalize(_random_group(rng, rng.choice((1, 2)), 3))
+        except GroupAutError:
+            continue
+        for node in _nodes(g):
+            if isinstance(node, (Cyclic, MixedModule)):
+                w = _d._module_solve(node.terms, rational(0))
+                assert w is not None and not any(w), node
+                assert _d._leaf_member(node, (rational(0),)) \
+                    == _d.MembershipVerdict(True, w), node
+                checked += 1
+        assert member(g, (rational(0),) * dimension(g)).member, g
+    assert checked > 100
