@@ -19,7 +19,6 @@ from fractions import Fraction
 from .autgroup import (
     Bounds,
     Exact,
-    acts_invariantly,
     aut_group,
     aut_member,
     descriptor_code,
@@ -45,7 +44,7 @@ from .oracle import (
     injectivity_demo,
     report_to_json,
 )
-from .witnesses import sl_obstruction_witness
+from .witnesses import _sl_search
 
 DECIDED, INPUT_ERROR, UNKNOWN, INTERNAL_ERROR = 0, 1, 2, 3
 
@@ -172,10 +171,9 @@ def _cmd_cross_check(args) -> tuple[dict, int]:
 def _cmd_sl_witness(args) -> tuple[dict, int]:
     g = parse_descriptor(args.group)
     try:
-        w = sl_obstruction_witness(g, budget=args.budget)
+        w, cert = _sl_search(g, args.budget)
     except BudgetExceededError as exc:
         return {"witness": None, "reason": str(exc)}, UNKNOWN
-    cert = acts_invariantly(g, w)
     return {"witness": matrix_to_json(w),
             "failing_generator": [scalar_to_text(s)
                                   for s in cert.failing_generator],

@@ -29,6 +29,26 @@ All three share one walk, ``_split``, which carries v through the Scaled,
 Image and Product nodes and yields the leaf groups with their coordinates;
 each question is then a loop over the leaves.
 
+A question asks about many vectors of one group (every candidate of an
+oracle run, say), so a module leaf is factored once per question into a
+frame, held in three lru_caches and built part by part as first needed:
+
+* ``_coordinates``: the generators' integer numerators over one basis (the
+  joined context, or in Q[t,1/t] the exponents that occur);
+* ``_span``: an integer annihilator of the Q-span of the Q-slots, rows a
+  with a.x = 0 exactly for x in the span;
+* ``_lattice``: the Hermite rows of the Z-slots reduced by that
+  annihilator, with their transformation, and the linear forms that read
+  off Q-slot coefficients.
+
+Per vector, the rational line is then integer dot products on the scalar's
+own numerators, and membership is one reduction, an integrality check
+against the lattice denominator and a back-substitution through the
+Hermite rows.  A vector with a coordinate outside the frame (a wider field,
+an exponent of t no generator has) is in neither, and builds nothing past
+``_coordinates``.  Verdicts and witnesses are those of eliminating the
+generators and the vector together from scratch.
+
 Construction *rejects* redundant generator families instead of repairing
 them: a generator whose whole coefficient-domain line already lies in the
 group generated by the remaining terms is an input error.
@@ -41,6 +61,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg
@@ -59,6 +80,7 @@ from .scalars import (
     FieldContext,
     RAT_CONTEXT,
     as_scalar,
+    context_radicands,
     exact_div,
     join_context,
     one,
@@ -172,45 +194,133 @@ def _frame_scalars(frame: Frame, rows: list[list[Fraction]]) -> list[ExactScalar
             for row in rows]
 
 
-def _module_solve(terms: Sequence[tuple[Domain, ExactScalar]],
-                  v: ExactScalar) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients c (Z-slots integral) with sum c_i * g_i == v, or None."""
-    gens = [g for _, g in terms]
-    rows, _ = _coordinate_rows(list(gens) + [v])
-    gen_rows, target = rows[:-1], rows[-1]
+# ---------------------------------------------------------------------------
+# module frames: the per-group half of the module decisions
+# ---------------------------------------------------------------------------
+
+ModuleTerms = tuple[tuple[Domain, ExactScalar], ...]
+
+
+@lru_cache(maxsize=4096)
+def _coordinates(terms: ModuleTerms) -> tuple[FieldContext, Optional[dict],
+                                             int, list, list[int]]:
+    """(ctx, columns, n, rows, dens): the joined context of the generators;
+    when it is FORMAL, the column of each exponent of t that occurs (None
+    otherwise); the number n of coordinates; and each generator as integer
+    numerators over those coordinates with its denominator."""
+    ctx = RAT_CONTEXT
+    for _, g in terms:
+        ctx = join_context(ctx, g.context)
+    lifted = [g._lift(ctx) for _, g in terms]
+    dens = [g.den for _, g in terms]
+    if ctx.kind is not ContextKind.FORMAL:
+        return ctx, None, len(context_radicands(ctx)), lifted, dens
+    support = sorted({k for pairs in lifted for k, _ in pairs})
+    columns = {k: i for i, k in enumerate(support)}
+    rows = []
+    for pairs in lifted:
+        row = [0] * len(support)
+        for k, c in pairs:
+            row[columns[k]] = c
+        rows.append(row)
+    return ctx, columns, len(support), rows, dens
+
+
+def _numerators(coords, v: ExactScalar):
+    """The numerators of v over the generators' coordinates ``coords`` (its
+    denominator is v.den), or None when v has a coordinate the generators
+    lack and so is in neither their Q-span nor the group.  Raises
+    ContextError when v cannot join the generators' context."""
+    ctx, columns, n = coords[:3]
+    joined = join_context(ctx, v.context)
+    if joined is not ctx and joined != ctx:
+        return None
+    if columns is None:
+        return v._lift(ctx)
+    x = [0] * n
+    for k, c in v._lift(ctx):
+        i = columns.get(k)
+        if i is None:
+            return None
+        x[i] = c
+    return x
+
+
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(map(mul, a, x))
+
+
+@lru_cache(maxsize=4096)
+def _span(terms: ModuleTerms) -> list[list[int]]:
+    """Integer annihilator of the Q-span of the Q-slot generators."""
+    _, _, n, rows, _ = _coordinates(terms)
+    return linalg.annihilator(
+        [r for (d, _), r in zip(terms, rows) if d is Domain.RAT], n)
+
+
+@lru_cache(maxsize=4096)
+def _lattice(terms: ModuleTerms):
+    """(int_idx, lcd, zrows, ann, form, forms): the Z-slot positions and
+    rows over their common denominator lcd, the annihilator of the Q-span
+    (``_span``), the Hermite form of the Z-slot rows reduced by it, and
+    the linear forms of the Q-slot coefficients (``combination_rows``)."""
+    _, _, n, rows, dens = _coordinates(terms)
     int_idx = [i for i, (d, _) in enumerate(terms) if d is Domain.INT]
     rat_idx = [i for i, (d, _) in enumerate(terms) if d is Domain.RAT]
-    rat_rows = [gen_rows[i] for i in rat_idx]
+    lcd = lcm(*(dens[i] for i in int_idx))
+    zrows = [[c * (lcd // dens[i]) for c in rows[i]] for i in int_idx]
+    ann = _span(terms)
+    form = linalg.hermite([[_dot(a, z) for a in ann] for z in zrows])
+    rat_rows = [[Fraction(c, dens[i]) for c in rows[i]] for i in rat_idx]
+    forms = [(rat_idx[p], r, d)
+             for p, r, d in linalg.combination_rows(rat_rows, n)]
+    return int_idx, lcd, zrows, ann, form, forms
 
-    # project onto the quotient by the Q-span of the Q-slot generators, where
-    # v must be an integer combination of the Z-slot generators (with no
-    # Z-slots, v must vanish there)
-    basis = linalg.rref_basis(rat_rows)
-    reduced_int = [linalg.reduce_by_span(basis, gen_rows[i]) for i in int_idx]
-    reduced_v = linalg.reduce_by_span(basis, target)
-    intvecs, _ = linalg.clear_denominators(reduced_int + [reduced_v])
-    int_part = linalg.integer_combination(intvecs[:-1], intvecs[-1])
+
+def _module_solve(terms: Sequence[tuple[Domain, ExactScalar]],
+                  v: ExactScalar) -> Optional[tuple[Fraction, ...]]:
+    """Coefficients c (Z-slots integral) with sum c_i * g_i == v, or None.
+
+    Free Q-slot coefficients are 0, and the Z-slot part is the one the
+    Hermite back-substitution finds, so the witness is deterministic.
+    """
+    terms = tuple(terms)
+    x = _numerators(_coordinates(terms), v)
+    if x is None:
+        return None
+    int_idx, lcd, zrows, ann, form, forms = _lattice(terms)
+    # v modulo the Q-span, in the lattice's coordinates: integral unless v
+    # is outside the group
+    den = v.den
+    t = []
+    for a in ann:
+        s = _dot(a, x) * lcd
+        if s % den:
+            return None
+        t.append(s // den)
+    int_part = linalg.hermite_solve(form, t)
     if int_part is None:
         return None
-
-    residual = list(target)
-    for zi, i in zip(int_part, int_idx):
-        residual = [r - zi * c for r, c in zip(residual, gen_rows[i])]
-    rat_coeffs = linalg.solve_combination(rat_rows, residual)
-    if rat_coeffs is None:
-        return None
-
     witness = [Fraction(0)] * len(terms)
-    for i, c in zip(int_idx + rat_idx, int_part + rat_coeffs):
-        witness[i] = Fraction(c)
+    for i, z in zip(int_idx, int_part):
+        witness[i] = Fraction(z)
+    if forms:
+        # what the Z-slots leave lies in the Q-span: numerators over den*lcd
+        rest = [c * lcd for c in x]
+        for z, row in zip(int_part, zrows):
+            if z:
+                rest = [u - den * z * c for u, c in zip(rest, row)]
+        for i, r, d in forms:
+            witness[i] = Fraction(_dot(r, rest), d * den * lcd)
     return tuple(witness)
 
 
 def _module_rat_line(terms: Sequence[tuple[Domain, ExactScalar]],
                      v: ExactScalar) -> bool:
-    rat_gens = [g for d, g in terms if d is Domain.RAT]
-    rows, _ = _coordinate_rows(list(rat_gens) + [v])
-    return linalg.in_span(rows[:-1], rows[-1])
+    """Does v lie in the Q-span of the Q-slot generators?"""
+    rat_terms = tuple(t for t in terms if t[0] is Domain.RAT)
+    x = _numerators(_coordinates(rat_terms), v)
+    return x is not None and not any(_dot(a, x) for a in _span(rat_terms))
 
 
 def coprime_part(k: int, m: int) -> int:

@@ -1,25 +1,35 @@
-"""Small exact linear-algebra helpers over Fraction coordinates.
+"""Small exact linear-algebra helpers over Fraction and integer coordinates.
 
-Everything here works on plain lists of ``fractions.Fraction`` (or int) and is
-deterministic: the pivot is always the first nonzero entry.  There is one
-rational elimination, :func:`_gauss_jordan`, and two read-offs of the
-reduced row echelon form (RREF) it returns, which is unique:
+Everything here is deterministic: the pivot is always the first nonzero
+entry.  There is one rational elimination, :func:`_gauss_jordan`, and the
+read-offs of the reduced row echelon form (RREF) it returns, which is
+unique:
 
 * :func:`rref_basis` -- the RREF of a family of vectors, a basis of its
   rational span (``rank`` is its length);
 * :func:`solve_combination` -- rational solutions of ``sum c_i * g_i = v``,
-  read off the RREF of the augmented system (``in_span`` asks whether one
-  exists).
+  read off the RREF of the augmented system;
+* :func:`annihilator` -- primitive integer rows ``a`` with ``a . x == 0``
+  exactly for ``x`` in the span, one per non-pivot column ``j``, where
+  ``a . x`` is a positive multiple of coordinate ``j`` of ``x`` reduced
+  modulo the span;
+* :func:`combination_rows` -- the linear forms that give the coefficients
+  ``solve_combination`` returns, for every target inside the span.
 
-Integer solutions come from :func:`integer_combination`, a Hermite-style
-elimination with an integral transformation matrix carried along so a
-witness vector can be reported.
+Integer solutions come from one Hermite-style elimination,
+:func:`hermite`, which carries an integral transformation so a witness
+vector can be reported, and a back-substitution, :func:`hermite_solve`;
+:func:`integer_combination` is the two in a row.  A caller that asks
+about many targets against one family eliminates once and back-substitutes
+per target.  The answers do not change when every row is scaled by one
+positive integer, or when one column is scaled by a positive integer in
+every row and in the target: each gcd step then takes the same quotients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 Vec = list[Fraction]
@@ -79,9 +89,49 @@ def solve_combination(gens: list[Vec], target: Vec) -> list[Fraction] | None:
     return out
 
 
-def in_span(gens: list[Vec], target: Vec) -> bool:
-    """Whether target lies in the rational span of the generators."""
-    return solve_combination(gens, target) is not None
+def _integral(row: Vec) -> tuple[list[int], int]:
+    """(r, d) with row == r / d, r integral and d > 0 the least such."""
+    d = lcm(*(x.denominator for x in row))
+    return [int(x * d) for x in row], d
+
+
+def annihilator(vectors: list[Vec], n: int) -> list[list[int]]:
+    """Integer rows ``a`` with ``a . x == 0`` for every x in the span.
+
+    One row per column j that is not a pivot of the span's RREF, in
+    column order: ``a . x`` is a positive multiple of coordinate j of x
+    reduced modulo the span (``reduce_by_span``), so x lies in the span
+    exactly when every row gives 0.  Each row is primitive.
+    """
+    basis = rref_basis(vectors)
+    pivots = {c for c, _ in basis}
+    out = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        row = [Fraction(0)] * n
+        row[j] = Fraction(1)
+        for c, b in basis:
+            row[c] = -b[j]
+        # entry j is 1, so clearing denominators leaves a primitive row
+        out.append(_integral(row)[0])
+    return out
+
+
+def combination_rows(gens: list[Vec], n: int) -> list[tuple[int, list[int], int]]:
+    """Linear forms for the coefficients of ``solve_combination``.
+
+    Returns (i, r, d) triples: for every target v in the span,
+    ``solve_combination(gens, v)[i] == r . v / d``, and the coefficients
+    of the generators not listed are 0.  They come from the same
+    elimination with the identity appended to the augmented system; the
+    extra columns only add rows that vanish on the span.
+    """
+    m = len(gens)
+    aug = [[g[r] for g in gens] + [1 if c == r else 0 for c in range(n)]
+           for r in range(n)]
+    return [(col, *_integral(row[m:])) for col, row in _gauss_jordan(aug)
+            if col < m]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -99,21 +149,26 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def integer_combination(gens: list[list[int]], target: list[int]) -> list[int] | None:
-    """Integer coefficients ``c`` with ``sum c_i * gens[i] == target``, or None.
+Hermite = tuple[int, list[tuple[int, list[int], list[int]]]]
 
-    Row-reduces the generator matrix to echelon form with integer operations
-    only (gcd combinations), carrying the transformation so the coefficient
-    vector refers to the original generators.
+
+def hermite(gens: list[list[int]]) -> Hermite:
+    """Integer echelon form of the generator rows.
+
+    Returns ``(m, pivots)``: m is the number of generators, and each pivot
+    is ``(column, row, transformation)`` in pivot order, with a positive
+    entry of ``row`` at ``column`` and ``row == sum transformation[i] *
+    gens[i]``.  Rows are combined by gcd steps only, so the pivot rows
+    generate the same lattice as the generators.
     """
     m = len(gens)
     if m == 0:
-        return [] if all(x == 0 for x in target) else None
+        return 0, []
     n = len(gens[0])
     # rows are [generator | unit row] so the right part tracks coefficients
     rows = [list(gens[i]) + [1 if j == i else 0 for j in range(m)]
             for i in range(m)]
-    pivots: list[tuple[int, int]] = []
+    pivots = []
     top = 0
     for col in range(n):
         live = [i for i in range(top, m) if rows[i][col] != 0]
@@ -131,22 +186,34 @@ def integer_combination(gens: list[list[int]], target: list[int]) -> list[int] |
         rows[top], rows[piv] = rows[piv], rows[top]
         if rows[top][col] < 0:
             rows[top] = [-x for x in rows[top]]
-        pivots.append((top, col))
+        pivots.append((col, rows[top][:n], rows[top][n:]))
         top += 1
+    return m, pivots
+
+
+def hermite_solve(form: Hermite, target: list[int]) -> list[int] | None:
+    """Integer coefficients ``c`` with ``sum c_i * gens[i] == target``, or
+    None, by back-substitution through ``form = hermite(gens)``."""
+    m, pivots = form
     t = list(target)
     coeff = [0] * m
-    for r, c in pivots:
+    for c, row, trans in pivots:
         if t[c] == 0:
             continue
-        a = rows[r][c]
+        a = row[c]
         if t[c] % a != 0:
             return None
         q = t[c] // a
-        t = [u - q * v for u, v in zip(t, rows[r][:n])]
-        coeff = [u + q * v for u, v in zip(coeff, rows[r][n:])]
+        t = [u - q * v for u, v in zip(t, row)]
+        coeff = [u + q * v for u, v in zip(coeff, trans)]
     if any(x != 0 for x in t):
         return None
     return coeff
+
+
+def integer_combination(gens: list[list[int]], target: list[int]) -> list[int] | None:
+    """Integer coefficients ``c`` with ``sum c_i * gens[i] == target``, or None."""
+    return hermite_solve(hermite(gens), target)
 
 
 def reduce_by_span(basis: list[tuple[int, Vec]], vec: Vec) -> Vec:
@@ -161,14 +228,3 @@ def reduce_by_span(basis: list[tuple[int, Vec]], vec: Vec) -> Vec:
         if f != 0:
             w = [a - f * b for a, b in zip(w, row)]
     return w
-
-
-def clear_denominators(vectors: list[Vec]) -> tuple[list[list[int]], int]:
-    """Scale a family of rational vectors by one common L > 0 to integers."""
-    L = 1
-    for v in vectors:
-        for x in v:
-            f = Fraction(x)
-            L = L * f.denominator // gcd(L, f.denominator)
-    out = [[int(Fraction(x) * L) for x in v] for v in vectors]
-    return out, L

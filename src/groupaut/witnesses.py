@@ -10,7 +10,7 @@ the witness returned for a given group never changes between runs.
 from fractions import Fraction
 from typing import Iterator
 
-from .autgroup import acts_invariantly
+from .autgroup import Certificate, acts_invariantly
 from .descriptors import (
     FullSpace,
     GroupDescriptor,
@@ -64,6 +64,12 @@ def sl_obstruction_witness(g: GroupDescriptor, budget: int = 64) -> ExactMatrix:
     identity map up to sign) and BudgetExceededError when the allotted
     number of certificate checks runs out before a witness appears.
     """
+    return _sl_search(g, budget)[0]
+
+
+def _sl_search(g: GroupDescriptor, budget: int) -> tuple[ExactMatrix, Certificate]:
+    """The witness of ``sl_obstruction_witness`` with the refutation that
+    certified it, checked on the normalized group."""
     gn = normalize(g)
     n = dimension(gn)
     if n < 2:
@@ -83,6 +89,6 @@ def sl_obstruction_witness(g: GroupDescriptor, budget: int = 64) -> ExactMatrix:
             continue      # candidate scalar lives in an incompatible tower
         checks += 1
         if not cert.verdict:
-            return cand
+            return cand, cert
     raise BudgetExceededError(
         f"candidate ladder exhausted after {checks} checks")

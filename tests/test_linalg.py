@@ -1,7 +1,7 @@
 """Differential tests of the one rational elimination in ``linalg``.
 
-``solve_combination`` and ``rref_basis`` are read-offs of one Gauss-Jordan
-routine.  The reference copies below are the two separate eliminations they
+``solve_combination``, ``rref_basis``, ``annihilator`` and
+``combination_rows`` are read-offs of one Gauss-Jordan routine.  The reference copies below are the two separate eliminations they
 replace, kept verbatim; the reduced row echelon form is unique, so both
 must give identical answers on every system.
 """
@@ -122,7 +122,15 @@ def test_solve_combination_matches_reference_on_seeded_systems():
         assert got == expected, (gens, target)
         if got is not None:
             assert all(type(c) is Fraction for c in got)
-        assert linalg.in_span(gens, target) == (expected is not None)
+        n = len(target)
+        in_span = not any(sum(a * x for a, x in zip(row, target))
+                          for row in linalg.annihilator(gens, n))
+        assert in_span == (expected is not None), (gens, target)
+        if expected is not None:
+            read = [Fraction(0)] * len(gens)
+            for i, r, d in linalg.combination_rows(gens, n):
+                read[i] = Fraction(sum(a * x for a, x in zip(r, target)), d)
+            assert read == expected, (gens, target)
         outcomes["solved" if expected is not None else "inconsistent"] += 1
     assert kinds == {"random", "in_span", "zero_target", "dependent",
                      "zero_generator"}

@@ -1,0 +1,95 @@
+"""Differential test of ``det`` and ``inverse`` against sympy.
+
+Matrices of size 1 to 4 over Q, Q(sqrt d) and Q(sqrt d, sqrt e) are compared
+with sympy's ``DomainMatrix`` (the exact engine behind ``sympy.Matrix``) over
+``QQ.algebraic_field(sqrt d, sqrt e)``, which
+contains every context their entries live in: the determinant must agree,
+and so must the inverse, or both must find the matrix singular.  Sizes 1
+and 2 use closed forms and sizes from 3 on Bareiss elimination, so both
+paths are covered.  The inputs are seeded, so the test is deterministic.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from groupaut.errors import SingularMatrixError
+from groupaut.matrices import ExactMatrix
+from groupaut.scalars import (
+    ExactScalar,
+    biquad_context,
+    context_radicands,
+    quad_context,
+    rational,
+)
+
+sympy = pytest.importorskip("sympy")
+DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+
+_FIELDS = (("rat", 2, 3), ("quad", 2, 3), ("quad", 5, 2),
+           ("biquad", 2, 3), ("biquad", 3, 7))
+
+
+def _q(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _entry(rng, kind, d, e):
+    """A seeded value of the field named by kind, drawn from its subfields."""
+    which = rng.randrange(5 if kind == "biquad" else 2 if kind == "quad" else 1)
+    if which == 0:
+        return rational(_q(rng))
+    if kind == "quad":
+        return ExactScalar._make(quad_context(d), (_q(rng), _q(rng)))
+    if which < 4:
+        r = context_radicands(biquad_context(d, e))[which]
+        return ExactScalar._make(quad_context(r), (_q(rng), _q(rng)))
+    return ExactScalar._make(biquad_context(d, e), [_q(rng) for _ in range(4)])
+
+
+def _matrix(rng, n, kind, d, e):
+    rows = [[_entry(rng, kind, d, e) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        # a row that is a multiple of another makes the matrix singular
+        i, j = rng.sample(range(n), 2)
+        k = _entry(rng, kind, d, e)
+        rows[i] = [k * x for x in rows[j]]
+    return ExactMatrix(tuple(tuple(r) for r in rows))
+
+
+def _embedding(d, e):
+    field = sympy.QQ.algebraic_field(sympy.sqrt(d), sympy.sqrt(e))
+    roots = {r: field.from_sympy(sympy.sqrt(r))
+             for r in context_radicands(biquad_context(d, e))}
+
+    def elem(s):
+        out = field.zero
+        for c, r in zip(s.coords, context_radicands(s.context)):
+            out += field.convert(sympy.QQ(c.numerator, c.denominator)) * roots[r]
+        return out
+    return field, elem
+
+
+@pytest.mark.parametrize("kind,d,e", _FIELDS)
+def test_det_and_inverse_match_sympy(kind, d, e):
+    field, elem = _embedding(d, e)
+    rng = random.Random(f"sympy-matrix-{kind}-{d}-{e}")
+    singular = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(12):
+            a = _matrix(rng, n, kind, d, e)
+            dm = DomainMatrix([[elem(x) for x in row] for row in a.rows],
+                              (n, n), field)
+            det = dm.det()
+            assert elem(a.det()) == det, a
+            if det == field.zero:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    a.inverse()
+                continue
+            inv = dm.inv()
+            got = a.inverse()
+            assert [[elem(x) for x in row] for row in got.rows] \
+                == inv.to_list(), a
+    assert singular > 0
