@@ -14,13 +14,14 @@ disagree.  When no table row applies, the engine answers with explicit
 Bounds (known lower/upper descriptor sets) instead of guessing; {+1,-1} is
 always a sound lower bound.
 
-The table covers: cyclic groups; Q-lines; modules Z*g + Q*h whose
-rescaled generator ratio is a pure square root; two-generator Q-spans
-(field case when the square of the irrational basis element stays inside,
-Q^x otherwise); Laurent rings and their hulls; Z[1/m]; Q^n and its
-scalings; the two-factor "rational multiples of a fixed square root off
-the diagonal" pattern; Q^p x R^q block groups; and full spaces.  Powers
-A_x for quadratic irrational bases are out of reach of the table (the
+The table covers: cyclic groups; every rational line Q*g; modules
+Z*g + Q*h whose rescaled generator ratio is a pure square root;
+two-generator Q-spans Q*g0 + Q*g1 by the square test (the field holding
+g1/g0 when g1^2 lies in the Q-span of g0^2 and g0*g1, Q^x otherwise);
+Laurent rings and their hulls; Z[1/m]; Q^n and its scalings; the
+two-factor "rational multiples of a fixed square root off the diagonal"
+pattern; Q^p x R^q block groups; and full spaces.  Powers A_x for
+quadratic irrational bases are out of reach of the table (the
 question is open); such inputs fall through to Bounds.
 """
 
@@ -29,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
-from . import linalg
 from .descriptors import (
     Cyclic,
     Domain,
@@ -44,11 +45,12 @@ from .descriptors import (
     MixedModule,
     Product,
     Scaled,
-    _coordinate_rows,
-    _frame_scalars,
+    _coordinates,
     _member,
+    _split,
     _module_rat_line,
     coprime_part,
+    cyclic_form,
     dimension,
     fraction_ring,
     holds,
@@ -79,6 +81,7 @@ from .scalars import (
     ContextKind,
     ExactScalar,
     as_scalar,
+    context_radicands,
     exact_div,
     factorize,
     iter_factors,
@@ -374,7 +377,7 @@ _REAL_PROBES = (1, Fraction(1, 2), 2, 3, 5)
 def _real_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
     probes = [rational(q) for q in _REAL_PROBES]
     probes[2:2] = [sqrt_rational(2), sqrt_rational(3), sqrt_rational(5)]
-    for lam in probes:
+    for lam in chain(probes, _leaf_probes(g, vec, mat)):
         w = tuple(lam * c for c in vec)
         try:
             if not _member(g, vec_mat_mul(w, mat)).member:
@@ -385,6 +388,31 @@ def _real_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
     raise ConsistencyError(
         f"the real line through {vec!r} leaves {group_to_text(g)} "
         f"under {mat!r}, but none of the probed multiples does")
+
+
+def _leaf_probes(g: GroupDescriptor, vec: Vector, mat: ExactMatrix):
+    """Probes past the fixed ones, read off the module leaves that vec * mat
+    meets.  A leaf in a number field K whose Q-span is not all of K loses
+    the coordinate c there under one of K's basis roots, since K*c = K.  In
+    Q[t,1/t] irrational probes fail to join and rational ones may stay
+    inside, but a leaf has finitely many exponents of t, and t^k takes c
+    past them once k exceeds their spread.  Powers of t are skipped when
+    vec has a surd, which t does not join."""
+    roots, top, low = set(), 0, 0
+    for leaf, coords in _split(g, vec_mat_mul(vec, mat)):
+        if isinstance(leaf, (Cyclic, MixedModule)):
+            ctx, columns = _coordinates(leaf.terms)[:2]    # columns: exponents
+            if columns is None:
+                roots.update(context_radicands(ctx))
+            else:
+                top = max(top, *columns)
+            if coords[0].context.kind is ContextKind.FORMAL:
+                low = min(low, coords[0].nums[0][0])    # the least exponent
+    for r in sorted(roots.difference((1, 2, 3, 5))):
+        yield sqrt_rational(r)
+    if all(c.is_rational() or c.context.kind is ContextKind.FORMAL for c in vec):
+        for k in range(1, top - low + 2):
+            yield t_monomial(k)
 
 
 def _ring_core(g: GroupDescriptor) -> tuple[Optional[GroupDescriptor], ExactScalar]:
@@ -462,81 +490,47 @@ def _replayed(g: GroupDescriptor, w: Vector, image: Optional[Vector],
 # the rule table
 # ---------------------------------------------------------------------------
 
-def _span_scalars(gens: list[ExactScalar],
-                  base: ExactScalar) -> Optional[list[ExactScalar]]:
-    """Reduced echelon basis of the Q-span of the ratios g / base, as
-    scalars; None when base has no inverse in the tower."""
-    rescaled = [ratio(g, base) for g in gens]
-    if any(r is None for r in rescaled):
-        return None
-    rows, frame = _coordinate_rows(rescaled)
-    return _frame_scalars(frame, [row for _, row in linalg.rref_basis(rows)])
-
-
-def _reduce_mod_span(targets: list[ExactScalar],
-                     span: list[ExactScalar]) -> list[ExactScalar]:
-    """Each target minus its projection onto the Q-span (set-preserving for
-    Z-generators of a module whose Q-part is the span)."""
-    rows, frame = _coordinate_rows(list(targets) + list(span))
-    basis = linalg.rref_basis(rows[len(targets):])
-    reduced = [linalg.reduce_by_span(basis, r) for r in rows[:len(targets)]]
-    return _frame_scalars(frame, reduced)
-
-
-def _pure_root_radicand(x: ExactScalar) -> Optional[int]:
-    """d when x is a nonzero rational multiple of sqrt(d), d > 1 square-free."""
-    if x.context.kind is not ContextKind.QUAD:
-        return None
-    if x.coords[0] != 0 or x.coords[1] == 0:
-        return None
-    return x.context.d
-
-
 def _module_rule(m: Union[Cyclic, MixedModule]) -> Optional[AutDescriptor]:
-    int_gens = [g for d, g in m.terms if d is Domain.INT]
+    slots = [d for d, _ in m.terms]
     rat_gens = [g for d, g in m.terms if d is Domain.RAT]
 
     if not rat_gens:
         return PlusMinusOne() if is_cyclic(m) else None
-
-    if not int_gens:
-        basis = _span_scalars(rat_gens, rat_gens[0])
-        if basis is None:
-            return None
-        if len(basis) == 1:
-            return RatStar()        # a single rational line
-        if len(basis) == 2 and basis[0] == one():
-            x = basis[1]
-            terms = ((Domain.RAT, basis[0]), (Domain.RAT, x))
-            if _module_rat_line(terms, x * x):
-                d = _pure_root_radicand(x)
-                # x^2 inside the span forces a pure root after reduction
-                return FieldUnits(d) if d is not None else None
+    if len(slots) == len(rat_gens) == 1:
+        return RatStar()            # a single rational line
+    if len(slots) == len(rat_gens) == 2:
+        # Q*g0 + Q*g1 = g0*(Q + Q*y) with y = g1/g0.  When y^2 escapes
+        # Q + Q*y, an r = a + b*y in the group has r*y inside only for b = 0
+        g0, g1 = rat_gens
+        squares = ((Domain.RAT, g0 * g0), (Domain.RAT, g0 * g1))
+        if not _module_rat_line(squares, g1 * g1):
             return RatStar()        # the square escapes, only Q acts
+        # y is quadratic over Q, so it lies in a number field, not Q[t,1/t]
+        y = exact_div(g1, g0)
+        if y is None or y.context.kind is not ContextKind.QUAD:
+            return None
+        return FieldUnits(y.context.d)
+    if len(rat_gens) != 1:
         return None
 
-    # mixed Z/Q slots: fold the Z-part to one generator modulo the Q-span
-    reduced = [r for r in _reduce_mod_span(int_gens, rat_gens)
-               if not r.is_zero()]
+    # Z-slots with one Q-slot q: reduce each Z-slot modulo Q*q by clearing
+    # q's leading coordinate, then fold the Z-part to one generator
+    q, qi = rat_gens[0], slots.index(Domain.RAT)
+    _, _, _, rows, dens = _coordinates(m.terms)
+    lead = next(j for j, c in enumerate(rows[qi]) if c)
+    per_q = Fraction(dens[qi], rows[qi][lead])    # 1 / q's leading coordinate
+    reduced = [g - rational(per_q * Fraction(row[lead], den)) * q
+               for (d, g), row, den in zip(m.terms, rows, dens) if d is Domain.INT]
+    reduced = [r for r in reduced if not r.is_zero()]
     if not reduced:
         return None
-    lattice = cyclic_generator_of(reduced)
+    lattice = cyclic_form(MixedModule(tuple((Domain.INT, r) for r in reduced)))
     if lattice is None:
         return None
-    basis = _span_scalars(rat_gens, lattice)
-    if basis is not None and len(basis) == 1:
-        x = basis[0]
-        if not x.is_rational() and (x * x).is_rational():
-            return PlusMinusOne()   # Z + Q*x with x a pure root is rigid
+    x = ratio(q, lattice.generator)
+    if x is not None and not x.is_rational() and (x * x).is_rational():
+        return PlusMinusOne()       # Z + Q*x with x a pure root is rigid
     return None
-
-
-def cyclic_generator_of(gens: list[ExactScalar]) -> Optional[ExactScalar]:
-    """Generator of the group sum(Z*g) when that group is cyclic."""
-    from .descriptors import cyclic_form
-    module = MixedModule(tuple((Domain.INT, g) for g in gens))
-    form = cyclic_form(module)
-    return form.generator if form is not None else None
 
 
 _Q_MODULE = MixedModule(((Domain.RAT, one()),))

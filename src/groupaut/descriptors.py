@@ -47,7 +47,9 @@ against the lattice denominator and a back-substitution through the
 Hermite rows.  A vector with a coordinate outside the frame (a wider field,
 an exponent of t no generator has) is in neither, and builds nothing past
 ``_coordinates``.  Verdicts and witnesses are those of eliminating the
-generators and the vector together from scratch.
+generators and the vector together from scratch.  The frame is the one
+bridge between scalars and coordinate rows: the rule table reads module
+rows from ``_coordinates`` too.
 
 Construction *rejects* redundant generator families instead of repairing
 them: a generator whose whole coefficient-domain line already lies in the
@@ -156,42 +158,6 @@ class MembershipVerdict:
 
     def __bool__(self) -> bool:
         return self.member
-
-
-# ---------------------------------------------------------------------------
-# coordinates: scalars as Q-vectors over a common basis
-# ---------------------------------------------------------------------------
-
-Frame = tuple[FieldContext, Optional[list[int]]]
-
-
-def _coordinate_rows(scalars: Sequence[ExactScalar]
-                     ) -> tuple[list[list[Fraction]], Frame]:
-    """Q-coordinate rows of the given scalars over a single joined basis.
-
-    Also returns the frame of that basis: the joined context and, when it is
-    FORMAL, the sorted exponents of t that occur (None otherwise).
-    ``_frame_scalars`` reads rows over the frame back as scalars.
-    """
-    ctx = RAT_CONTEXT
-    for s in scalars:
-        ctx = join_context(ctx, s.context)
-    if ctx.kind is not ContextKind.FORMAL:
-        return [list(s._embedded(ctx)) for s in scalars], (ctx, None)
-    embedded = [dict(s._embedded(ctx)) for s in scalars]
-    support = sorted({k for d in embedded for k in d})
-    rows = [[d.get(k, Fraction(0)) for k in support] for d in embedded]
-    return rows, (ctx, support)
-
-
-def _frame_scalars(frame: Frame, rows: list[list[Fraction]]) -> list[ExactScalar]:
-    """The scalars whose coordinate rows over the frame are ``rows``."""
-    ctx, support = frame
-    if support is None:
-        return [ExactScalar._make(ctx, tuple(row)) for row in rows]
-    return [ExactScalar._make(ctx, tuple((k, c) for k, c in zip(support, row)
-                                         if c != 0))
-            for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +628,11 @@ def cyclic_form(g: GroupDescriptor) -> Optional[Cyclic]:
     if isinstance(g, (Cyclic, MixedModule)):
         if any(d is Domain.RAT for d, _ in g.terms):
             return None
-        gens = [gen for _, gen in g.terms]
-        lead = gens[0]
-        ratios = []
-        for gen in gens:
-            rows, _ = _coordinate_rows([lead, gen])
-            sol = linalg.solve_combination([rows[0]], rows[1])
-            if sol is None:
-                return None
-            ratios.append(sol[0])
+        lead = g.terms[0][1]
+        quotients = [exact_div(gen, lead) for _, gen in g.terms]
+        if not all(r is not None and r.is_rational() for r in quotients):
+            return None
+        ratios = [r.as_fraction() for r in quotients]
         # the subgroup of Q generated by the ratios is cyclic: gcd over a
         # common denominator
         denom = lcm(*(r.denominator for r in ratios))

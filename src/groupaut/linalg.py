@@ -6,7 +6,7 @@ read-offs of the reduced row echelon form (RREF) it returns, which is
 unique:
 
 * :func:`rref_basis` -- the RREF of a family of vectors, a basis of its
-  rational span (``rank`` is its length);
+  rational span;
 * :func:`solve_combination` -- rational solutions of ``sum c_i * g_i = v``,
   read off the RREF of the augmented system;
 * :func:`annihilator` -- primitive integer rows ``a`` with ``a . x == 0``
@@ -60,14 +60,12 @@ def _gauss_jordan(rows: list[Vec]) -> list[tuple[int, Vec]]:
     return list(zip(pivot_cols, rows))
 
 
+# rref_basis, solve_combination and integer_combination keep their names:
+# perfbench/spans.py wraps all three, and tests/test_perfbench_selftest.py
+# fails if one goes.
 def rref_basis(vectors: list[Vec]) -> list[tuple[int, Vec]]:
     """Reduced-row-echelon basis of the span, as (pivot_col, row) pairs."""
     return _gauss_jordan(vectors)
-
-
-def rank(vectors: list[Vec]) -> int:
-    """Rank of the span of the given vectors."""
-    return len(rref_basis(vectors))
 
 
 def solve_combination(gens: list[Vec], target: Vec) -> list[Fraction] | None:
@@ -100,8 +98,8 @@ def annihilator(vectors: list[Vec], n: int) -> list[list[int]]:
 
     One row per column j that is not a pivot of the span's RREF, in
     column order: ``a . x`` is a positive multiple of coordinate j of x
-    reduced modulo the span (``reduce_by_span``), so x lies in the span
-    exactly when every row gives 0.  Each row is primitive.
+    minus its projection onto the span along the pivot columns, so x lies
+    in the span exactly when every row gives 0.  Each row is primitive.
     """
     basis = rref_basis(vectors)
     pivots = {c for c, _ in basis}
@@ -214,17 +212,3 @@ def hermite_solve(form: Hermite, target: list[int]) -> list[int] | None:
 def integer_combination(gens: list[list[int]], target: list[int]) -> list[int] | None:
     """Integer coefficients ``c`` with ``sum c_i * gens[i] == target``, or None."""
     return hermite_solve(hermite(gens), target)
-
-
-def reduce_by_span(basis: list[tuple[int, Vec]], vec: Vec) -> Vec:
-    """Reduce vec modulo an RREF basis (list of (pivot_col, row) pairs).
-
-    The result has a zero in every pivot column, giving canonical
-    coordinates for the quotient by the span.
-    """
-    w = [Fraction(x) for x in vec]
-    for col, row in basis:
-        f = w[col]
-        if f != 0:
-            w = [a - f * b for a, b in zip(w, row)]
-    return w

@@ -60,6 +60,8 @@ EXACT_TABLE = [
     ("Q + Q*sqrt(15)", "U(Q+Q*sqrt(15))"),
     ("Q*sqrt(2) + Q*sqrt(3)", "U(Q+Q*sqrt(6))"),
     ("Q + Q*t", "Qx"),
+    ("Q*(1+t)", "Qx"),
+    ("Q + Q*t^-1", "Qx"),
     ("Z*1 + Q*sqrt(2)", "PM1"),
     ("Q + Z*sqrt(2)", "PM1"),
     ("Z*sqrt(2) + Q*sqrt(3)", "PM1"),
@@ -115,6 +117,12 @@ def test_scaling_is_invisible():
         g = P(text)
         for factor in ("3", "-1/2", "sqrt(5)"):
             assert aut_group(P(f"({factor})*({text})")) == aut_group(g)
+    # in the formal tower too, by factors that are not units of Q[t,1/t]
+    for text in ("Q + Q*t", "Q", "Q*t", "Q*t^-1 + Q*t", "Q + Q*t^2"):
+        assert aut_group(P(text)) == Exact(RatStar()), text
+        for factor in ("t^-1", "1+t", "t-t^-1"):
+            assert aut_group(P(f"({factor})*({text})")) == Exact(RatStar()), \
+                (factor, text)
 
 
 def test_image_rule_transfers():

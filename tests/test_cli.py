@@ -209,3 +209,44 @@ def test_consistency_error_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "the routes disagree" in err
+
+
+def test_laurent_scaling_prints_the_same_answer(capsys):
+    # Phi(r*G) = Phi(G), also for a factor that is not a unit of Q[t,1/t]
+    assert run(capsys, "aut", "t^-1*(Q + Q*t)") == run(capsys, "aut", "Q + Q*t")
+    for text in ("Q*(1+t)", "Q + Q*t^-1", "t^-1*(Q + Q*t)"):
+        assert run(capsys, "aut", text) == (0, '{"aut":{"kind":"RatStar"}}\n', "")
+
+
+def _replays(group, a, witness, direction):
+    from groupaut.descriptors import member
+    from groupaut.dsl import parse_descriptor, parse_matrix, parse_scalar
+    from groupaut.matrices import vec_mat_mul
+    g = parse_descriptor(group)
+    a = parse_matrix(a)
+    w = tuple(parse_scalar(x) for x in witness)
+    m = a if direction == "forward" else a.inverse()
+    return member(g, w).member and not member(g, vec_mat_mul(w, m)).member
+
+
+@pytest.mark.parametrize("group", ["(Q + Q*t) x R", "R x (Q + Q*t)"])
+def test_sl_witness_in_the_formal_tower(capsys, group):
+    # rational multiples stay in Q + Q*t and surds cannot join it: the real
+    # line leaves G through a power of t
+    code, out, err = run(capsys, "sl-witness", group)
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    a = "[" + ";".join(",".join(row) for row in got["witness"]) + "]"
+    assert "t^2" in got["failing_generator"]
+    assert _replays(group, a, got["failing_generator"], got["direction"])
+
+
+@pytest.mark.parametrize("group,a", [("(Q + Q*t) x R", "[1,0;1,1]"),
+                                     ("Q*t x R", "[1,0;t,1]")])
+def test_aut_member_refutes_in_the_formal_tower(capsys, group, a):
+    from groupaut.autgroup import acts_invariantly
+    from groupaut.dsl import parse_descriptor, parse_matrix, scalar_to_text
+    assert run(capsys, "aut-member", group, a) == (0, '{"aut_member":false}\n', "")
+    cert = acts_invariantly(parse_descriptor(group), parse_matrix(a))
+    witness = [scalar_to_text(x) for x in cert.failing_generator]
+    assert _replays(group, a, witness, cert.direction)

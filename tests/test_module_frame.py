@@ -19,14 +19,29 @@ from groupaut.descriptors import Domain
 from groupaut.errors import ContextError, GroupAutError
 from groupaut.scalars import (
     FORMAL_CONTEXT,
+    RAT_CONTEXT,
+    ContextKind,
     ExactScalar,
     biquad_context,
+    join_context,
     quad_context,
     rational,
 )
 
 
 # --- reference copies of the former routines, verbatim ---------------------
+
+def ref_coordinate_rows(scalars):
+    ctx = RAT_CONTEXT
+    for s in scalars:
+        ctx = join_context(ctx, s.context)
+    if ctx.kind is not ContextKind.FORMAL:
+        return [list(s._embedded(ctx)) for s in scalars], (ctx, None)
+    embedded = [dict(s._embedded(ctx)) for s in scalars]
+    support = sorted({k for d in embedded for k in d})
+    rows = [[d.get(k, Fraction(0)) for k in support] for d in embedded]
+    return rows, (ctx, support)
+
 
 def ref_in_span(gens, target):
     return linalg.solve_combination(gens, target) is not None
@@ -111,7 +126,7 @@ def ref_clear_denominators(vectors):
 
 def ref_module_solve(terms, v):
     gens = [g for _, g in terms]
-    rows, _ = _d._coordinate_rows(list(gens) + [v])
+    rows, _ = ref_coordinate_rows(list(gens) + [v])
     gen_rows, target = rows[:-1], rows[-1]
     int_idx = [i for i, (d, _) in enumerate(terms) if d is Domain.INT]
     rat_idx = [i for i, (d, _) in enumerate(terms) if d is Domain.RAT]
@@ -140,7 +155,7 @@ def ref_module_solve(terms, v):
 
 def ref_module_rat_line(terms, v):
     rat_gens = [g for d, g in terms if d is Domain.RAT]
-    rows, _ = _d._coordinate_rows(list(rat_gens) + [v])
+    rows, _ = ref_coordinate_rows(list(rat_gens) + [v])
     return ref_in_span(rows[:-1], rows[-1])
 
 
