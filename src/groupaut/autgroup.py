@@ -533,9 +533,6 @@ def _module_rule(m: Union[Cyclic, MixedModule]) -> Optional[AutDescriptor]:
     return None
 
 
-_Q_MODULE = MixedModule(((Domain.RAT, one()),))
-
-
 def _line_scalar(f: GroupDescriptor) -> Optional[ExactScalar]:
     if isinstance(f, MixedModule) and len(f.terms) == 1 \
             and f.terms[0][0] is Domain.RAT:
@@ -546,27 +543,19 @@ def _line_scalar(f: GroupDescriptor) -> Optional[ExactScalar]:
 def _product_rule(p: Product) -> AutResult:
     factors = p.factors
     n = len(factors)
-
-    if all(f == _Q_MODULE for f in factors):
-        return Exact(GLQ(n))
-
-    if all(f == _Q_MODULE or isinstance(f, FullLine) for f in factors):
-        rational_count = sum(1 for f in factors if f == _Q_MODULE)
-        if 0 < rational_count < n \
-                and all(f == _Q_MODULE for f in factors[:rational_count]):
-            # Q^p x R^q in that order (a permuted product is a different set
-            # and has no closed form in the table)
-            return Exact(BlockTriangular(rational_count, n - rational_count))
-        return _product_fallback(factors)
-
     lines = [_line_scalar(f) for f in factors]
-    if all(x is not None for x in lines):
-        if all(x == lines[0] for x in lines):
-            return Exact(GLQ(n))    # common rescaling of Q^n
-        if n == 2:
-            x1, x2 = lines
-            if (x1 * x1).is_rational() and (x2 * x2).is_rational():
-                return Exact(PatternQuad(x1 * x2))
+    k = next((i for i, x in enumerate(lines) if x is None), n)
+
+    if k and all(x == lines[0] for x in lines[:k]) \
+            and all(isinstance(f, FullLine) for f in factors[k:]):
+        # Q^p x R^q in that order, up to one common rescaling r of the Q
+        # factors: r*R = R, so G = r*(Q^p x R^q), and Phi(r*G) = Phi(G) (a
+        # permuted product is a different set and has no closed form)
+        return Exact(GLQ(n) if k == n else BlockTriangular(k, n - k))
+    if k == n == 2:
+        x1, x2 = lines
+        if (x1 * x1).is_rational() and (x2 * x2).is_rational():
+            return Exact(PatternQuad(x1 * x2))
     return _product_fallback(factors)
 
 

@@ -7,6 +7,9 @@ candidate with the generator certificates.  The closed-form table is never
 consulted while classifying — only afterwards, when ``cross_check``
 compares the two answers.
 
+Ratios are formed on integer numerators: a scalar is built only for a
+ratio inside the height bound, and most fall outside it.
+
 The same module hosts the finite-support permutation demo: coordinate
 permutations act on the group of finitely supported rational sequences,
 and distinct permutations act distinctly.
@@ -44,6 +47,7 @@ from .matrices import ExactMatrix, Vector, matrix, vec_mat_mul
 from .scalars import (
     ExactScalar,
     one,
+    products_within,
     rational,
     sqrt_rational,
     t_monomial,
@@ -134,21 +138,18 @@ def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
 def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
             h: int) -> dict:
     """The ratios x / y of height at most h, keyed by sort_key, over x in
-    numerators and nonzero y in denominators."""
-    found = {}
+    numerators and nonzero y in denominators.  They are formed on integer
+    numerators, and a scalar is built only for a ratio inside the bound
+    (scalars.products_within)."""
+    inverses = []
     for y in denominators:
         if y.is_zero():
             continue
         try:
-            inv = y.invert()
+            inverses.append(y.invert())
         except DomainError:
             continue        # not a unit of the representation tower
-        for x in numerators:
-            r = x * inv
-            if scalar_height(r) > h:
-                continue
-            found.setdefault(r.sort_key(), r)
-    return found
+    return {r.sort_key(): r for r in products_within(numerators, inverses, h)}
 
 
 def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:

@@ -232,6 +232,13 @@ def join_context(a: FieldContext, b: FieldContext) -> FieldContext:
 def _number(ctx: FieldContext, nums: tuple, den: int) -> "ExactScalar":
     """nums / den over the basis of a number-field context (den != 0), in
     lowest terms and in the smallest context that holds it."""
+    if len(nums) == 1:
+        # a rational, the commonest value: one gcd, and one shared zero
+        n = nums[0]
+        if not n:
+            return _ZERO
+        g = gcd(n, den) if den > 0 else -gcd(n, den)
+        return ExactScalar(ctx, (n // g,), den // g)
     if len(nums) == 4:
         live = [i for i in (1, 2, 3) if nums[i]]
         if len(live) < 2:
@@ -248,21 +255,105 @@ def _number(ctx: FieldContext, nums: tuple, den: int) -> "ExactScalar":
                        den // g)
 
 
-def _laurent(acc: dict, den: int) -> "ExactScalar":
-    """The Laurent value with numerators acc (exponent -> int) over den > 0,
-    in lowest terms."""
-    terms = [(k, n) for k, n in sorted(acc.items()) if n]
+def _laurent(terms: tuple, den: int) -> "ExactScalar":
+    """The Laurent value with the (exponent, numerator) pairs terms, in
+    ascending exponent order with no zero numerator, over den > 0, in
+    lowest terms."""
     if not terms or (len(terms) == 1 and terms[0][0] == 0):
         return _number(RAT_CONTEXT, (terms[0][1] if terms else 0,), den)
-    g = gcd(den, *(n for _, n in terms))
-    return ExactScalar(FORMAL_CONTEXT, tuple([(k, n // g) for k, n in terms]),
-                       den // g)
+    return ExactScalar(FORMAL_CONTEXT, *lowest_terms(FORMAL_CONTEXT, terms, den))
+
+
+def _terms(acc: dict) -> tuple:
+    """The nonzero (exponent, numerator) pairs of acc, ascending."""
+    return tuple([(k, n) for k, n in sorted(acc.items()) if n])
 
 
 def _lowest(n: int, den: int) -> tuple[int, int]:
     """Numerator and denominator of the single coordinate n / den."""
     g = gcd(n, den)
     return n // g, den // g
+
+
+def lowest_terms(ctx: FieldContext, nums: tuple, den: int) -> tuple[tuple, int]:
+    """nums / den over the basis of ctx (den > 0) with the common gcd
+    cancelled."""
+    formal = ctx.kind is _FORMAL
+    g = gcd(den, *([n for _, n in nums] if formal else nums))
+    if g == 1:
+        return nums, den
+    if formal:
+        return tuple([(k, n // g) for k, n in nums]), den // g
+    return tuple([n // g for n in nums]), den // g
+
+
+def nums_height(ctx: FieldContext, nums: tuple, den: int) -> int:
+    """Max of |numerator|, denominator and |exponent| over the coordinates
+    of nums / den over the basis of ctx, each in its own lowest terms."""
+    h = 0
+    if ctx.kind is _FORMAL:
+        h = max([abs(k) for k, _ in nums], default=0)
+        nums = [n for _, n in nums]
+    for n in nums:
+        g = gcd(n, den)
+        h = max(h, abs(n) // g, den // g)
+    return h
+
+
+def nums_product(ctx: FieldContext, a: tuple, b: tuple) -> tuple:
+    """The numerators over ctx of x * y, for x and y with numerators a and b
+    over ctx, over the product of their denominators; when FORMAL, the
+    nonzero (exponent, numerator) pairs, ascending."""
+    kind = ctx.kind
+    if kind is _RAT:
+        return (a[0] * b[0],)
+    if kind is _QUAD:
+        # (a0 + a1 r)(b0 + b1 r) with r = sqrt(d)
+        a0, a1 = a
+        b0, b1 = b
+        return (a0 * b0 + a1 * b1 * ctx.d, a0 * b1 + a1 * b0)
+    if kind is _BIQUAD:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        d, e, f, p, q, r = _biquad_products(ctx.d, ctx.e)
+        return (a0 * b0 + d * a1 * b1 + e * a2 * b2 + f * a3 * b3,
+                a0 * b1 + a1 * b0 + r * (a2 * b3 + a3 * b2),
+                a0 * b2 + a2 * b0 + q * (a1 * b3 + a3 * b1),
+                a0 * b3 + a3 * b0 + p * (a1 * b2 + a2 * b1))
+    acc: dict[int, int] = {}
+    for k1, n1 in a:
+        for k2, n2 in b:
+            acc[k1 + k2] = acc.get(k1 + k2, 0) + n1 * n2
+    return _terms(acc)
+
+
+def products_within(xs: list, ys: list, h: int) -> list["ExactScalar"]:
+    """The distinct products x * y of height at most h over y in ys and x in
+    xs.  Each x is lifted once into its join with each context of ys, and
+    products are formed on int numerators: a scalar is built only for a
+    product inside the bound whose lowest terms are new in its join.  A pair
+    with no join raises ContextError at the first such pair, y outer."""
+    out, seen, lifts = [], {}, {}
+    for y in ys:
+        groups = lifts.get(y.context)
+        if groups is None:
+            # each x over its join with this context, grouped by the join
+            groups = lifts[y.context] = {}
+            for x in xs:
+                ctx = join_context(x.context, y.context)
+                groups.setdefault(ctx, []).append((x._lift(ctx), x.den))
+        for ctx, lifted in groups.items():
+            b, db, keys = y._lift(ctx), y.den, seen.setdefault(ctx, set())
+            for a, da in lifted:
+                nums, den = nums_product(ctx, a, b), da * db
+                if nums_height(ctx, nums, den) > h:
+                    continue
+                key = lowest_terms(ctx, nums, den)
+                if key not in keys:
+                    keys.add(key)
+                    out.append(_laurent(*key) if ctx.kind is _FORMAL
+                               else _number(ctx, *key))
+    return out
 
 
 _KIND_RANK = {ContextKind.RAT: 0, ContextKind.QUAD: 1, ContextKind.BIQUAD: 2}
@@ -327,8 +418,8 @@ class ExactScalar:
         coords = list(coords)
         if ctx.kind is _FORMAL:
             den = lcm(*(c.denominator for _, c in coords))
-            return _laurent({int(k): c.numerator * (den // c.denominator)
-                             for k, c in coords}, den)
+            return _laurent(_terms({int(k): c.numerator * (den // c.denominator)
+                                    for k, c in coords}), den)
         vals = coords or [0]
         den = lcm(*(c.denominator for c in vals))
         nums = tuple([c.numerator * (den // c.denominator) for c in vals])
@@ -369,16 +460,7 @@ class ExactScalar:
     def height(self) -> int:
         """Max of |numerator|, denominator and |exponent| over the
         coordinates, each coordinate in its own lowest terms."""
-        h, den = 0, self.den
-        if self.context.kind is _FORMAL:
-            for k, n in self.nums:
-                g = gcd(n, den)
-                h = max(h, abs(k), abs(n) // g, den // g)
-            return h
-        for n in self.nums:
-            g = gcd(n, den)
-            h = max(h, abs(n) // g, den // g)
-        return h
+        return nums_height(self.context, self.nums, self.den)
 
     def approx(self) -> Optional[float]:
         """Double-precision embedding, for display only (None for formal t)."""
@@ -430,7 +512,7 @@ class ExactScalar:
             acc = {k: n * ma for k, n in a}
             for k, n in b:
                 acc[k] = acc.get(k, 0) + n * mb
-            return _laurent(acc, den)
+            return _laurent(_terms(acc), den)
         return _number(ctx, tuple([x * ma + y * mb for x, y in zip(a, b)]), den)
 
     def __radd__(self, other) -> "ExactScalar":
@@ -457,37 +539,9 @@ class ExactScalar:
         else:
             ctx = join_context(ctx, other.context)
             a, b = self._lift(ctx), other._lift(ctx)
-        da, db = self.den, other.den
-        kind = ctx.kind
-        if kind is _RAT:
-            # cross-cancel first, as Fraction does: the product is then in
-            # lowest terms, and the factors stay small
-            na, nb = a[0], b[0]
-            if not na or not nb:
-                return _ZERO
-            g1, g2 = gcd(na, db), gcd(nb, da)
-            return ExactScalar(RAT_CONTEXT, ((na // g1) * (nb // g2),),
-                               (da // g2) * (db // g1))
-        if kind is _QUAD:
-            # (a0 + a1 r)(b0 + b1 r) with r = sqrt(d)
-            a0, a1 = a
-            b0, b1 = b
-            return _number(ctx, (a0 * b0 + a1 * b1 * ctx.d, a0 * b1 + a1 * b0),
-                           da * db)
-        if kind is _BIQUAD:
-            a0, a1, a2, a3 = a
-            b0, b1, b2, b3 = b
-            d, e, f, p, q, r = _biquad_products(ctx.d, ctx.e)
-            return _number(ctx, (
-                a0 * b0 + d * a1 * b1 + e * a2 * b2 + f * a3 * b3,
-                a0 * b1 + a1 * b0 + r * (a2 * b3 + a3 * b2),
-                a0 * b2 + a2 * b0 + q * (a1 * b3 + a3 * b1),
-                a0 * b3 + a3 * b0 + p * (a1 * b2 + a2 * b1)), da * db)
-        acc: dict[int, int] = {}
-        for k1, n1 in a:
-            for k2, n2 in b:
-                acc[k1 + k2] = acc.get(k1 + k2, 0) + n1 * n2
-        return _laurent(acc, da * db)
+        if ctx.kind is _FORMAL:
+            return _laurent(nums_product(ctx, a, b), self.den * other.den)
+        return _number(ctx, nums_product(ctx, a, b), self.den * other.den)
 
     def __rmul__(self, other) -> "ExactScalar":
         return self.__mul__(other)
@@ -516,9 +570,12 @@ class ExactScalar:
             a, b = c
             return _number(ctx, (a * den, -b * den), a * a - b * b * ctx.d)
         # x = u + v sqrt(e) with u, v in Q(sqrt d); the conjugate u - v sqrt(e)
-        # flips sqrt(e) and sqrt(f), and x times it lies in Q(sqrt d)
-        conj = ExactScalar(ctx, (c[0], c[1], -c[2], -c[3]), den)
-        return conj * (self * conj).invert()
+        # flips sqrt(e) and sqrt(f), and x times it is (n0 + n1 sqrt d) / den^2,
+        # so 1/x = conj * den * (n0 - n1 sqrt d) / (n0^2 - d n1^2), all in ctx
+        conj = (c[0], c[1], -c[2], -c[3])
+        n0, n1, _, _ = nums_product(ctx, c, conj)
+        return _number(ctx, nums_product(ctx, conj, (n0 * den, -n1 * den, 0, 0)),
+                       n0 * n0 - n1 * n1 * ctx.d)
 
     def __pow__(self, n: int) -> "ExactScalar":
         if not isinstance(n, int):

@@ -81,6 +81,9 @@ EXACT_TABLE = [
     ("Q x R", "Block(1,1)"),
     ("Q x Q x R", "Block(2,1)"),
     ("Q x R x R", "Block(1,2)"),
+    ("Q*sqrt(2) x R", "Block(1,1)"),        # Phi(r*G) = Phi(G)
+    ("sqrt(2)*(Q x R)", "Block(1,1)"),
+    ("Q*sqrt(3) x Q*sqrt(3) x R", "Block(2,1)"),
 ]
 
 BOUNDS_TABLE = [
@@ -92,6 +95,7 @@ BOUNDS_TABLE = [
     ("(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))", ["EZ(2)", "PM1"]),
     ("Zinv(2) x Zinv(2)", ["EZ(2)", "PM1"]),
     ("R x Q", ["PM1"]),
+    ("Q*sqrt(2) x Q*sqrt(3) x R", ["PM1"]),     # no common rescaling
     ("ring(Z[t,1/t]) x Q", ["PM1"]),
 ]
 

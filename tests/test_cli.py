@@ -218,6 +218,15 @@ def test_laurent_scaling_prints_the_same_answer(capsys):
         assert run(capsys, "aut", text) == (0, '{"aut":{"kind":"RatStar"}}\n', "")
 
 
+def test_a_rescaled_rational_block_prints_the_answer_of_q_x_r(capsys):
+    expected = run(capsys, "aut", "Q x R")
+    assert expected == (0, '{"aut":{"kind":"BlockTriangular","p":1,"q":1}}\n', "")
+    for text in ("sqrt(2)*(Q x R)", "Q*sqrt(2) x R"):
+        assert run(capsys, "aut", text) == expected
+    assert run(capsys, "aut", "Q*sqrt(2) x Q*sqrt(3) x R") == \
+        (2, '{"bounds":{"lower":["PM1"]}}\n', "")
+
+
 def _replays(group, a, witness, direction):
     from groupaut.descriptors import member
     from groupaut.dsl import parse_descriptor, parse_matrix, parse_scalar

@@ -119,7 +119,8 @@ def test_soundness_definitional_recheck():
 
 def test_cross_check_exact_rows():
     for text, height in (("Q + Q*sqrt(2)", 2), ("ring(Z[t,1/t])", 2),
-                         ("Q", 3), ("Z*1 + Q*sqrt(2)", 2), ("Q + Q*t", 2)):
+                         ("Q", 3), ("Z*1 + Q*sqrt(2)", 2), ("Q + Q*t", 2),
+                         ("Q*sqrt(2) x R", 2)):
         rep = cross_check(P(text), height)
         assert rep.agreement is True, text
 

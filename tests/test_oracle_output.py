@@ -28,9 +28,16 @@ from groupaut.autgroup import (
     pm_powers,
     rat_times_pm_powers,
 )
-from groupaut.descriptors import FullLine, FullSpace, Product, holds, invariance_generators
+from groupaut.descriptors import (
+    FullLine,
+    FullSpace,
+    Product,
+    dimension,
+    holds,
+    invariance_generators,
+)
 from groupaut.dsl import parse_descriptor, scalar_to_text
-from groupaut.errors import DomainError
+from groupaut.errors import ContextError, DomainError
 from groupaut.matrices import ExactMatrix, matrix
 from groupaut.oracle import (
     brute_force_aut,
@@ -153,8 +160,11 @@ def ref_descriptor_json(d):
 # --- comparisons ------------------------------------------------------------
 
 LINES = ["Z", "Q", "R", "Zinv(6)", "Q + Q*sqrt(2)", "Z*1 + Q*sqrt(2)",
-         "cyclic(1+sqrt(2))", "ring(Z[t,1/t])", "Q + Q*t", "sqrt(3)*Z"]
-PLANES = ["Q x Z", "Q x Q*sqrt(2)", "R x R", "Z x Z", "Q x R"]
+         "cyclic(1+sqrt(2))", "ring(Z[t,1/t])", "Q + Q*t", "sqrt(3)*Z",
+         "Q*sqrt(2) + Q*sqrt(3)", "Z*sqrt(6) + Q*sqrt(2)",
+         "hull(Z*1 + Z*sqrt(7))", "Zinv(5)"]
+PLANES = ["Q x Z", "Q x Q*sqrt(2)", "R x R", "Z x Z", "Q x R",
+          "Q*sqrt(2) x Q*sqrt(3)"]
 
 
 @pytest.mark.parametrize("text", LINES)
@@ -169,6 +179,41 @@ def test_candidate_matrices_match_reference(text):
     g = P(text)
     for h in (1, 2):
         assert candidate_matrices(g, h) == ref_candidate_matrices(g, h)
+
+
+# cheap lines at height 3; at height 1, a line whose ratios take equal
+# numerators in two quadratic fields (1+sqrt(2) and 1+sqrt(3)), and a
+# plane that is slow at height 2
+@pytest.mark.parametrize("text,h", [
+    ("Zinv(5)", 3), ("cyclic(1+sqrt(2))", 3),
+    ("Z*1 + Z*sqrt(2) + Z*sqrt(3)", 1),
+    ("(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))", 1)])
+def test_candidates_at_one_height_match_reference(text, h):
+    g = P(text)
+    if dimension(g) == 1:
+        assert candidate_scalars(g, h) == ref_candidate_scalars(g, h)
+    else:
+        assert candidate_matrices(g, h) == ref_candidate_matrices(g, h)
+
+
+@pytest.mark.parametrize("text", ["(Q + Q*t) x R",
+                                  "(Q*sqrt(2) + Q*sqrt(3)) x Q*sqrt(5)"])
+def test_cross_tower_entries_raise_like_the_reference(text):
+    g = P(text)
+    with pytest.raises(ContextError) as expected:
+        ref_candidate_matrices(g, 1)
+    with pytest.raises(ContextError) as got:
+        candidate_matrices(g, 1)
+    assert str(got.value) == str(expected.value)
+
+
+def test_quadratic_ratios_are_the_known_values():
+    # pinned as text, so that a product formula shared by the two sides
+    # cannot make them agree on wrong values
+    g = P("Q + Q*sqrt(2)")
+    assert [scalar_to_text(s) for s in candidate_scalars(g, 1)] == [
+        "-1", "1", "-1-sqrt(2)", "-1+sqrt(2)", "-sqrt(2)", "sqrt(2)",
+        "1-sqrt(2)", "1+sqrt(2)"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
