@@ -73,6 +73,7 @@ from .matrices import (
     Vector,
     block_triangular_member,
     classify,
+    combine_rows,
     pattern_quad_member,
     scalar_matrix,
     vec_mat_mul,
@@ -424,8 +425,36 @@ def _ring_core(g: GroupDescriptor) -> tuple[Optional[GroupDescriptor], ExactScal
     return (g if isinstance(g, (LaurentRing, FractionRing)) else None), factor
 
 
-def acts_invariantly(g: GroupDescriptor, a) -> Certificate:
+def run_generators(checks: dict, g: GroupDescriptor) -> tuple:
+    """invariance_generators(g) with their supports, kept in ``checks``."""
+    if g not in checks:
+        checks[g] = tuple((kind, vec, tuple(i for i, x in enumerate(vec)
+                                            if not x.is_zero()))
+                          for kind, vec in invariance_generators(g))
+    return checks[g]
+
+
+def failing_generator(checks: dict, g: GroupDescriptor, gens: tuple, rows):
+    """The first (kind, vec, support) of gens with vec * M not in G, or None.
+    vec * M reads only the rows of M on the support, so the run's memo
+    ``checks`` keeps each check that held under (kind, vec, those rows); a
+    check that fails ends its row or candidate and is not kept."""
+    for gen in gens:
+        kind, vec, support = gen
+        key = (kind, vec, tuple(map(rows.__getitem__, support)))
+        if key not in checks:
+            if not holds(kind, g, combine_rows(vec, rows)):
+                return gen
+            checks[key] = True
+    return None
+
+
+def acts_invariantly(g: GroupDescriptor, a,
+                     _checks: Optional[dict] = None) -> Certificate:
     """Certificate for G*a = G via generator checks (both directions).
+
+    ``_checks`` is the memo of one ``brute_force_aut`` run over G (see
+    ``failing_generator``); a certificate on its own starts with an empty one.
 
     A refutation is replayed before it is returned (``_replayed``)."""
     n = dimension(g)
@@ -456,20 +485,18 @@ def acts_invariantly(g: GroupDescriptor, a) -> Certificate:
         return _replayed(g, (factor,), None if image is None else (image,),
                          direction)
 
-    gens = invariance_generators(g)
+    checks = {} if _checks is None else _checks
+    gens = run_generators(checks, g)
     for direction in ("forward", "inverse"):
         # the inverse is formed only after the forward pass succeeds; a
         # candidate refuted forward may not even be invertible in the tower
         m = mat if direction == "forward" else mat.inverse()
-        for kind, vec in gens:
-            image = vec_mat_mul(vec, m)
-            if holds(kind, g, image):
-                continue
+        if failing := failing_generator(checks, g, gens, m.rows):
+            kind, vec, _ = failing
             if kind != "int":
                 witness = _rat_witness if kind == "rat" else _real_witness
                 vec = witness(g, vec, m)
-                image = vec_mat_mul(vec, m)
-            return _replayed(g, vec, image, direction)
+            return _replayed(g, vec, vec_mat_mul(vec, m), direction)
     return Certificate(True)
 
 

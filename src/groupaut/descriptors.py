@@ -74,7 +74,8 @@ from .errors import (
     SingularMatrixError,
     UnsupportedError,
 )
-from .matrices import ExactMatrix, Vector, identity, scalar_matrix, vec_mat_mul, vector
+from .matrices import (ExactMatrix, Vector, frozen_dataclass, identity,
+                       scalar_matrix, vec_mat_mul, vector)
 from .scalars import (
     ContextKind,
     ExactScalar,
@@ -94,9 +95,10 @@ from .scalars import (
 class Domain(Enum):
     INT = "Z"
     RAT = "Q"
+    __hash__ = object.__hash__      # members are singletons
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Cyclic:
     generator: ExactScalar
 
@@ -105,44 +107,44 @@ class Cyclic:
         return ((Domain.INT, self.generator),)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class MixedModule:
     terms: tuple[tuple[Domain, ExactScalar], ...]
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class LaurentRing:
     coeffs: Domain
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class FractionRing:
     m: int
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Scaled:
     factor: ExactScalar
     inner: "GroupDescriptor"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class FullLine:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Product:
     factors: tuple["GroupDescriptor", ...]
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Image:
     inner: "GroupDescriptor"
     matrix: ExactMatrix
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class FullSpace:
     n: int
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, SingularMatrixError
@@ -42,7 +42,21 @@ def vector(items: Iterable) -> Vector:
     return tuple(as_scalar(x) for x in items)
 
 
-@dataclass(frozen=True)
+def frozen_dataclass(cls):
+    """A frozen dataclass that computes its hash once, as ExactScalar does."""
+    cls = dataclass(frozen=True)(cls)
+    computed, cls._hash = cls.__hash__, None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = computed(self)
+        return h
+    cls.__hash__ = __hash__
+    return cls
+
+
+@frozen_dataclass
 class ExactMatrix:
     rows: tuple[tuple[ExactScalar, ...], ...]
 
@@ -132,18 +146,17 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def vec_mat_mul(v: Vector, a: ExactMatrix) -> Vector:
     if len(v) != a.n:
         raise DomainError(f"vector length {len(v)} vs matrix size {a.n}")
-    # a zero coordinate contributes nothing and a coordinate 1 its row as it
-    # stands, so only the other coordinates are multiplied
-    rows = []
-    for x, row in zip(map(as_scalar, v), a.rows):
-        if not x.is_zero():
-            rows.append(row if x == _ONE else tuple(x * y for y in row))
+    return combine_rows(v, a.rows)
+
+
+def combine_rows(v: Vector, rows) -> Vector:
+    """v * A from the rows of A; the rows at zero coordinates may be None."""
+    rows = [row if x == _ONE else tuple(x * y for y in row)
+            for x, row in zip(map(as_scalar, v), rows) if not x.is_zero()]
     if not rows:
-        return (zero(),) * a.n
-    out = rows[0]
-    for row in rows[1:]:
-        out = tuple(p + q for p, q in zip(out, row))
-    return out
+        return (zero(),) * len(v)
+    return reduce(lambda out, row: tuple(map(ExactScalar.__add__, out, row)),
+                  rows)
 
 
 @lru_cache(maxsize=4096)

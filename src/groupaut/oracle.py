@@ -8,7 +8,9 @@ consulted while classifying — only afterwards, when ``cross_check``
 compares the two answers.
 
 Ratios are formed on integer numerators: a scalar is built only for a
-ratio inside the height bound, and most fall outside it.
+ratio inside the height bound, and most fall outside it.  A run asks each
+generator check once: the row filter of ``candidate_matrices`` and every
+certificate share the run's memo (``autgroup.failing_generator``).
 
 The same module hosts the finite-support permutation demo: coordinate
 permutations act on the group of finitely supported rational sequences,
@@ -20,7 +22,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .autgroup import acts_invariantly, admits, aut_group
+from .autgroup import (acts_invariantly, admits, aut_group,
+                       failing_generator, run_generators)
 from .descriptors import (
     Cyclic,
     Domain,
@@ -34,8 +37,6 @@ from .descriptors import (
     Product,
     Scaled,
     dimension,
-    holds,
-    invariance_generators,
 )
 from .errors import (
     BudgetExceededError,
@@ -43,7 +44,7 @@ from .errors import (
     DomainError,
     UnsupportedError,
 )
-from .matrices import ExactMatrix, Vector, matrix, vec_mat_mul
+from .matrices import ExactMatrix, Vector, vec_mat_mul
 from .scalars import (
     ExactScalar,
     one,
@@ -167,7 +168,8 @@ def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:
 _MATRIX_HEIGHT_CAP = 3
 
 
-def candidate_matrices(g: GroupDescriptor, height: int) -> list[ExactMatrix]:
+def candidate_matrices(g: GroupDescriptor, height: int,
+                       _checks: Optional[dict] = None) -> list[ExactMatrix]:
     """Entrywise candidates for a two-factor product: entry (i, j) must be
     a ratio of a member of factor j by a nonzero member of factor i."""
     h = _check_height(height)
@@ -190,29 +192,24 @@ def candidate_matrices(g: GroupDescriptor, height: int) -> list[ExactMatrix]:
             entries[2 * i + j] = [found[k] for k in sorted(found)]
 
     # Each generator of a two-factor product lives on a single coordinate,
-    # so the forward half of its certificate constrains one row of the
-    # matrix at a time.  Filtering rows first keeps the product of entry
-    # sets from exploding; assembled matrices still get the full
-    # certificate later.
-    gens = invariance_generators(g)
+    # so its image reads one row of the matrix.  Rows go through the same
+    # generator check as the certificate, and only rows that pass are
+    # assembled; the run's memo then answers each forward half.
+    checks = {} if _checks is None else _checks
+    gens = run_generators(checks, g)
     rows: list[list[tuple[ExactScalar, ExactScalar]]] = [[], []]
     for i in range(2):
-        for c0, c1 in itertools.product(entries[2 * i], entries[2 * i + 1]):
-            ok = True
-            for kind, vec in gens:
-                if vec[i].is_zero():
-                    continue
-                if not holds(kind, g, (vec[i] * c0, vec[i] * c1)):
-                    ok = False
-                    break
-            if ok:
-                rows[i].append((c0, c1))
+        on_row = tuple(gen for gen in gens if i in gen[2])
+        for row in itertools.product(entries[2 * i], entries[2 * i + 1]):
+            placed = (row, None) if i == 0 else (None, row)
+            if failing_generator(checks, g, on_row, placed) is None:
+                rows[i].append(row)
     if len(rows[0]) * len(rows[1]) > 400_000:
         raise DomainError(
             "matrix candidate set too large; lower the height bound")
     out = []
     for r0, r1 in itertools.product(rows[0], rows[1]):
-        m = matrix([r0, r1])
+        m = ExactMatrix((r0, r1))
         if not m.det().is_zero():
             out.append(m)
     return out
@@ -243,17 +240,18 @@ def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:
     """Classify every bounded-height candidate by certificate alone."""
     h = _check_height(height)
     n = dimension(g)
+    checks: dict = {}       # the run's generator checks, each asked once
     if n == 1:
         candidates: list = candidate_scalars(g, h)
     elif n == 2:
-        candidates = candidate_matrices(g, h)
+        candidates = candidate_matrices(g, h, checks)
     else:
         raise UnsupportedError(
             "the brute-force referee handles one or two dimensions")
     confirmed = []
     refuted = []
     for c in candidates:
-        cert = acts_invariantly(g, c)
+        cert = acts_invariantly(g, c, checks)
         if cert.verdict:
             confirmed.append(c)
         else:

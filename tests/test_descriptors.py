@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from groupaut.descriptors import (
     scaled,
     subgroup_of,
 )
+from groupaut.dsl import parse_descriptor
 from groupaut.errors import (
     ContextError,
     DescriptorError,
@@ -632,3 +635,69 @@ def test_zero_leaf_member_matches_the_module_solve():
                 checked += 1
         assert member(g, (rational(0),) * dimension(g)).member, g
     assert checked > 100
+
+
+# -- hashing ------------------------------------------------------------------
+
+# every descriptor kind, as DSL text and as the constructors build it
+HASH_CASES = [
+    ("Z", lambda: cyclic(1)),
+    ("Z*1 + Q*sqrt(2)",
+     lambda: mixed_module([(Domain.INT, 1), (Domain.RAT, R2)])),
+    ("ring(Z[t,1/t])", lambda: laurent_ring(Domain.INT)),
+    ("Zinv(6)", lambda: fraction_ring(6)),
+    ("2*ring(Q[t,1/t])", lambda: scaled(2, laurent_ring(Domain.RAT))),
+    ("R", full_line),
+    ("Q x Z", lambda: product([_rational_module(1), cyclic(1)])),
+    ("image(Q x Q*sqrt(2), [1,1;0,1])",
+     lambda: image(product([_rational_module(1), _rational_module(R2)]),
+                   matrix([[1, 1], [0, 1]]))),
+    ("R x R", lambda: full_space(2)),
+]
+
+
+def _dataclass_repr(d):
+    names = [f.name for f in dataclasses.fields(d)]
+    return f"{type(d).__name__}(" \
+        + ", ".join(f"{n}={getattr(d, n)!r}" for n in names) + ")"
+
+
+def test_hash_cases_cover_every_descriptor_kind():
+    kinds = {type(build()) for _, build in HASH_CASES}
+    assert kinds == set(typing.get_args(_d.GroupDescriptor))
+
+
+@pytest.mark.parametrize("text,build", HASH_CASES,
+                         ids=[text for text, _ in HASH_CASES])
+def test_descriptor_hash_is_kept_and_is_the_dataclass_hash(text, build):
+    parsed, built = parse_descriptor(text), build()
+    assert type(parsed) is type(built) and parsed == built
+    assert parsed is not built
+    names = [f.name for f in dataclasses.fields(built)]
+    # the hash the dataclass computes: the tuple of its fields
+    expected = hash(tuple(getattr(built, n) for n in names))
+    assert hash(parsed) == hash(built) == expected
+    assert hash(built) == expected      # read back once kept
+    # the kept hash is no field: repr, fields and replace are unchanged
+    assert repr(built) == repr(parsed) == _dataclass_repr(built)
+    assert [f.name for f in dataclasses.fields(built)] == names
+    copy = dataclasses.replace(built)
+    assert copy == built and copy is not built and hash(copy) == expected
+    assert {parsed: text}[built] == text
+
+
+def test_replace_does_not_inherit_the_kept_hash():
+    g = full_space(2)
+    hash(g)
+    wider = dataclasses.replace(g, n=3)
+    assert wider == full_space(3) and hash(wider) == hash((3,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 3
+
+
+def test_domain_members_are_dict_keys():
+    table = {Domain.INT: "Z", Domain.RAT: "Q"}
+    assert table[Domain("Z")] == "Z" and table[Domain("Q")] == "Q"
+    assert hash(Domain.INT) == hash(Domain("Z")) != hash(Domain.RAT)
+    assert hash(Domain.RAT) == object.__hash__(Domain.RAT)     # by identity
+    assert {laurent_ring(Domain.INT): 1}[parse_descriptor("ring(Z[t,1/t])")] == 1

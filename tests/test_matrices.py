@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -351,3 +352,25 @@ def test_non_monomial_laurent_det_raises_as_before(n):
         a.inverse()
     with pytest.raises(DomainError, match="only monomials"):
         _inverse_by_adjugate(a)
+
+
+def test_matrix_hash_is_kept_and_is_the_dataclass_hash():
+    from groupaut.dsl import matrix_to_text, parse_matrix
+    rows = ((rational(1), sqrt_rational(2)),
+            (rational(Fraction(1, 2)), t_monomial(1)))
+    built, listed = ExactMatrix(rows), matrix([[1, sqrt_rational(2)],
+                                               [Fraction(1, 2), t_monomial(1)]])
+    parsed = parse_matrix("[1,sqrt(2);1/2,t]")
+    assert built == listed == parsed and built is not listed
+    expected = hash((rows,))        # the hash the dataclass computes
+    assert hash(built) == hash(listed) == hash(parsed) == expected
+    assert hash(built) == expected      # read back once kept
+    assert repr(built) == f"ExactMatrix({matrix_to_text(built)})"
+    assert [f.name for f in dataclasses.fields(built)] == ["rows"]
+    copy = dataclasses.replace(built)
+    assert copy == built and copy is not built and hash(copy) == expected
+    flipped = dataclasses.replace(built, rows=rows[::-1])
+    assert hash(flipped) == hash((rows[::-1],)) and flipped != built
+    assert {parsed: "kept"}[built] == "kept"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.rows = rows

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from groupaut import autgroup
 from groupaut.autgroup import acts_invariantly
 from groupaut.descriptors import member
 from groupaut.dsl import parse_descriptor, scalar_to_text
@@ -171,6 +172,25 @@ def test_matrix_candidates_guard_rails():
         brute_force_aut(P("Q"), 0)
     with pytest.raises(UnsupportedError):
         brute_force_aut(P("Q x Q x Q"), 2)
+
+
+def test_the_check_memo_does_not_outlive_a_run(monkeypatch):
+    # a run remembers its generator checks; the next run asks them again
+    g = P("Z x Z")
+    first = brute_force_aut(g, 2)
+    assert first.candidates > 0 and first.confirmed
+    asked = []
+    honest = autgroup.holds
+
+    def counted(kind, g, v):
+        asked.append(kind)
+        return honest(kind, g, v)
+
+    monkeypatch.setattr(autgroup, "holds", counted)
+    assert brute_force_aut(g, 2) == first and asked
+    monkeypatch.setattr(autgroup, "holds", lambda kind, g, v: False)
+    lying = brute_force_aut(g, 2)
+    assert lying.candidates == 0 != first.candidates
 
 
 def test_report_json_shape():

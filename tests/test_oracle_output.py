@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from groupaut import oracle
+from groupaut import autgroup, oracle
 from groupaut.autgroup import (
     GLQ,
     GLR,
@@ -22,6 +22,7 @@ from groupaut.autgroup import (
     PatternQuad,
     PlusMinusOne,
     RatStar,
+    acts_invariantly,
     aut_group,
     contains,
     descriptor_json,
@@ -36,9 +37,9 @@ from groupaut.descriptors import (
     holds,
     invariance_generators,
 )
-from groupaut.dsl import parse_descriptor, scalar_to_text
+from groupaut.dsl import parse_descriptor, parse_matrix, scalar_to_text
 from groupaut.errors import ContextError, DomainError
-from groupaut.matrices import ExactMatrix, matrix
+from groupaut.matrices import ExactMatrix, matrix, vec_mat_mul
 from groupaut.oracle import (
     brute_force_aut,
     candidate_matrices,
@@ -111,6 +112,22 @@ def ref_candidate_matrices(g, h):
         if not m.det().is_zero():
             out.append(m)
     return out
+
+
+def ref_certificate(g, mat):
+    """The generator loop of acts_invariantly without the run's memo: one
+    vec_mat_mul and one holds per generator and direction."""
+    for direction in ("forward", "inverse"):
+        m = mat if direction == "forward" else mat.inverse()
+        for kind, vec in invariance_generators(g):
+            if holds(kind, g, vec_mat_mul(vec, m)):
+                continue
+            if kind != "int":
+                witness = autgroup._rat_witness if kind == "rat" \
+                    else autgroup._real_witness
+                vec = witness(g, vec, m)
+            return False, vec, direction
+    return True, None, None
 
 
 def _key(c):
@@ -234,6 +251,51 @@ def test_cross_check_agreement_matches_reference(text):
     assert report.agreement is True
     assert report.agreement == ref_agreement(brute_force_aut(g, 1), aut_group(g))
     assert replace(report, agreement=None) == brute_force_aut(g, 1)
+
+
+def _verdict(cert):
+    return cert.verdict, cert.failing_generator, cert.direction
+
+
+# a factor with two generators of one kind on the same coordinate
+@pytest.mark.parametrize("text", PLANES + ["(Z*1 + Z*sqrt(2)) x Z"])
+def test_run_certificates_match_fresh_certificates(text):
+    # brute_force_aut shares one memo of generator checks across its row
+    # filter and every certificate; each verdict must be the one a
+    # certificate computed on its own gives
+    g = P(text)
+    for h in (1, 2):
+        report = brute_force_aut(g, h)
+        got = [(c, True, None, None) for c in report.confirmed] \
+            + [(r.candidate, False, r.witness, r.direction)
+               for r in report.refuted]
+        assert len(got) == report.candidates
+        for c, *verdict in got:
+            assert tuple(verdict) == _verdict(acts_invariantly(g, c)), c
+
+
+# generators that touch both rows, so a check reads two rows of the matrix
+TWO_ROW_GROUPS = ["image(Q x Q*sqrt(2), [1,1;0,1])", "image(Z x Z, [1,1;0,1])",
+                  "image(Z x R, [2,1;1,1])", "sqrt(2)*(Z x Z)",
+                  "image((Z*1 + Z*sqrt(2)) x Z, [1,1;0,1])"]
+# confirmed and refuted, forward and inverse, and rows shared between them
+CERTIFIED = ["[1,0;0,1]", "[1,1;0,1]", "[1,0;1,1]", "[2,0;0,1]", "[1/2,0;0,1]",
+             "[0,1;1,0]", "[-1,0;0,-1]", "[2,1;1,1]", "[1,1/2;0,1]",
+             "[1,sqrt(2);0,1]", "[sqrt(2),0;0,1]", "[1,0;0,sqrt(2)]",
+             "[1,1;1,2]", "[1,1;0,2]", "[3,1;2,1]", "[1,0;1/3,1]"]
+
+
+@pytest.mark.parametrize("text", TWO_ROW_GROUPS)
+def test_certificates_match_the_per_generator_loop(text):
+    g = P(text)
+    shared = {}     # one memo across the list, as a run shares it
+    verdicts = set()
+    for m in map(parse_matrix, CERTIFIED):
+        expected = ref_certificate(g, m)
+        assert _verdict(acts_invariantly(g, m)) == expected, m
+        assert _verdict(acts_invariantly(g, m, shared)) == expected, m
+        verdicts.add((expected[0], expected[2]))
+    assert (True, None) in verdicts and (False, "forward") in verdicts
 
 
 @pytest.mark.parametrize("wrong", [Exact(RatStar()), Exact(PlusMinusOne()),
