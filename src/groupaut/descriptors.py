@@ -400,7 +400,14 @@ def image(inner: GroupDescriptor, a: ExactMatrix) -> Image:
         raise DescriptorError(
             f"matrix size {a.n} does not match group dimension {dimension(inner)}")
     try:
-        a.inverse()
+        if a.is_rational():
+            if a.det().is_zero():
+                raise SingularMatrixError("matrix has determinant 0")
+        else:
+            # a unit determinant does not put A^-1 in the tower: the inverse
+            # of [1,t,0;0,1,sqrt(2);0,0,1] (det 1) needs t*sqrt(2), which no
+            # context holds, so only the inverse itself can reject A
+            a.inverse()
     except (DomainError, SingularMatrixError, ContextError) as exc:
         raise DescriptorError(f"image matrix must be invertible: {exc}") from None
     return Image(inner, a)

@@ -1,9 +1,13 @@
 """Small exact linear-algebra helpers over Fraction and integer coordinates.
 
 Everything here is deterministic: the pivot is always the first nonzero
-entry.  There is one rational elimination, :func:`_gauss_jordan`, and the
-read-offs of the reduced row echelon form (RREF) it returns, which is
-unique:
+entry.  There is one rational elimination, :func:`fraction_free`, Bareiss
+elimination on integer rows: every entry it forms is a minor, so each
+division is exact.  ``matrices`` reads rational determinants off its
+below-only form.  Its ``jordan`` form, which :func:`_gauss_jordan` runs on
+the rows with their denominators cleared, ends with each pivot row equal to
+the last pivot times a row of the reduced row echelon form (RREF), which
+is unique; the read-offs divide by that pivot:
 
 * :func:`rref_basis` -- the RREF of a family of vectors, a basis of its
   rational span;
@@ -29,35 +33,59 @@ every row and in the target: each gcd step then takes the same quotients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 Vec = list[Fraction]
 
 
-def _gauss_jordan(rows: list[Vec]) -> list[tuple[int, Vec]]:
-    """RREF of the rows, as (pivot_col, row) pairs in pivot order.
+def fraction_free(rows: list[list[int]], jordan: bool
+                  ) -> tuple[int, list[int], list[list[int]], int]:
+    """Bareiss elimination of the integer rows, in place; returns
+    ``(sign, cols, rows, p)``.
 
     Columns are taken left to right; in each, the first remaining row with
-    a nonzero entry becomes the pivot row, is scaled to a leading 1 and is
-    subtracted from every other row.  Zero rows are dropped.
+    a nonzero entry becomes the pivot row (a swap flips ``sign``), and each
+    row below it, and above it too when ``jordan``, becomes (p * row -
+    row[col] * pivot_row) / p' for this pivot p and the one before, p'.
+    ``cols`` are the pivot columns, pivot row k is ``rows[k]``, the rows
+    past them are zero, and ``p`` is the last pivot: a square matrix of
+    full rank has determinant ``sign * p``, and with ``jordan`` ``rows[k] /
+    p`` is row k of the RREF.
     """
-    rows = [[Fraction(x) for x in r] for r in rows]
-    pivot_cols: list[int] = []
+    sign, cols, prev = 1, [], 1
     for col in range(len(rows[0]) if rows else 0):
-        top = len(pivot_cols)
-        piv = next((i for i in range(top, len(rows)) if rows[i][col] != 0), None)
+        top = len(cols)
+        piv = next((i for i in range(top, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        inv = 1 / rows[top][col]
-        pivot = rows[top] = [x * inv for x in rows[top]]
-        for i, r in enumerate(rows):
-            f = r[col]
-            if i != top and f != 0:
-                rows[i] = [a - f * b for a, b in zip(r, pivot)]
-        pivot_cols.append(col)
-    return list(zip(pivot_cols, rows))
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            sign = -sign
+        # left of col a row below is zero; a row above is not, when jordan
+        lo = 0 if jordan else col
+        pivot_row = rows[top][lo:]
+        p = pivot_row[col - lo]
+        for i in range(0 if jordan else top + 1, len(rows)):
+            if i != top:
+                row = rows[i]
+                f = row[col]
+                row[lo:] = [(p * a - f * b) // prev
+                            for a, b in zip(row[lo:], pivot_row)]
+        cols.append(col)
+        prev = p
+    return sign, cols, rows, prev
+
+
+def _gauss_jordan(rows: list[Vec]) -> tuple[list[int], list[list[int]], int]:
+    """(cols, rows, p) of ``fraction_free`` in its ``jordan`` form, on the
+    rows each scaled by the lcm of its denominators (the RREF is unchanged)."""
+    ints = []
+    for r in rows:
+        d = lcm(*(x.denominator for x in r))
+        ints.append([x.numerator * (d // x.denominator) for x in r])
+    _, cols, ints, p = fraction_free(ints, jordan=True)
+    return cols, ints, p
 
 
 # rref_basis, solve_combination and integer_combination keep their names:
@@ -65,7 +93,8 @@ def _gauss_jordan(rows: list[Vec]) -> list[tuple[int, Vec]]:
 # fails if one goes.
 def rref_basis(vectors: list[Vec]) -> list[tuple[int, Vec]]:
     """Reduced-row-echelon basis of the span, as (pivot_col, row) pairs."""
-    return _gauss_jordan(vectors)
+    cols, rows, p = _gauss_jordan(vectors)
+    return [(c, [Fraction(x, p) for x in r]) for c, r in zip(cols, rows)]
 
 
 def solve_combination(gens: list[Vec], target: Vec) -> list[Fraction] | None:
@@ -80,17 +109,19 @@ def solve_combination(gens: list[Vec], target: Vec) -> list[Fraction] | None:
     # columns are the generators: rows of the augmented system are coordinates
     aug = [[g[r] for g in gens] + [x] for r, x in enumerate(target)]
     out = [Fraction(0)] * m
-    for col, row in _gauss_jordan(aug):
+    cols, rows, p = _gauss_jordan(aug)
+    for col, row in zip(cols, rows):
         if col == m:
             return None
-        out[col] = row[m]
+        out[col] = Fraction(row[m], p)
     return out
 
 
-def _integral(row: Vec) -> tuple[list[int], int]:
-    """(r, d) with row == r / d, r integral and d > 0 the least such."""
-    d = lcm(*(x.denominator for x in row))
-    return [int(x * d) for x in row], d
+def _primitive(row: list[int], lead: int) -> list[int]:
+    """row divided by the gcd of its entries, signed so that entry lead of
+    the result is positive; that entry is nonzero."""
+    g = gcd(*row)
+    return [x // g for x in row] if row[lead] > 0 else [-x // g for x in row]
 
 
 def annihilator(vectors: list[Vec], n: int) -> list[list[int]]:
@@ -101,18 +132,17 @@ def annihilator(vectors: list[Vec], n: int) -> list[list[int]]:
     minus its projection onto the span along the pivot columns, so x lies
     in the span exactly when every row gives 0.  Each row is primitive.
     """
-    basis = rref_basis(vectors)
-    pivots = {c for c, _ in basis}
+    cols, rows, p = _gauss_jordan(vectors)
     out = []
     for j in range(n):
-        if j in pivots:
+        if j in cols:
             continue
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        for c, b in basis:
+        # p times e_j minus the RREF rows' entries j along the pivots
+        row = [0] * n
+        row[j] = p
+        for c, b in zip(cols, rows):
             row[c] = -b[j]
-        # entry j is 1, so clearing denominators leaves a primitive row
-        out.append(_integral(row)[0])
+        out.append(_primitive(row, j))
     return out
 
 
@@ -120,16 +150,20 @@ def combination_rows(gens: list[Vec], n: int) -> list[tuple[int, list[int], int]
     """Linear forms for the coefficients of ``solve_combination``.
 
     Returns (i, r, d) triples: for every target v in the span,
-    ``solve_combination(gens, v)[i] == r . v / d``, and the coefficients
-    of the generators not listed are 0.  They come from the same
-    elimination with the identity appended to the augmented system; the
-    extra columns only add rows that vanish on the span.
+    ``solve_combination(gens, v)[i] == r . v / d``, with d > 0 the least
+    such, and the coefficients of the generators not listed are 0.  They
+    come from the same elimination with the identity appended to the
+    augmented system; the extra columns only add rows that vanish on the
+    span.
     """
     m = len(gens)
     aug = [[g[r] for g in gens] + [1 if c == r else 0 for c in range(n)]
            for r in range(n)]
-    return [(col, *_integral(row[m:])) for col, row in _gauss_jordan(aug)
-            if col < m]
+    cols, rows, p = _gauss_jordan(aug)
+    # r / d is row[m:] / p in lowest terms
+    forms = [(col, _primitive(row[m:] + [p], n))
+             for col, row in zip(cols, rows) if col < m]
+    return [(col, f[:n], f[n]) for col, f in forms]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -10,7 +10,9 @@ their determinant is a monomial.  Up to 2 x 2 they use the closed forms
 elimination (Bareiss 1968, Math. Comp. 22) serves both: every intermediate
 entry is a minor of the input, and each division by the previous pivot is
 exact in the ring (``exact_div`` for Laurent polynomials), so the work is
-cubic in n instead of exponential.
+cubic in n instead of exponential.  A rational determinant from 3 x 3 on
+runs it on plain ints (``linalg.fraction_free``), its rows scaled by the
+lcms of their denominators.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, SingularMatrixError
+from .linalg import fraction_free
 from .scalars import (
     ExactScalar,
     Rationalish,
@@ -166,6 +170,13 @@ def _det(a: ExactMatrix) -> ExactScalar:
         return rows[0][0]
     if a.n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if a.is_rational():
+        # each row over the lcm of its denominators: an integer determinant
+        dens = [lcm(*(x.den for x in row)) for row in rows]
+        sign, cols, _, p = fraction_free(
+            [[x.nums[0] * (d // x.den) for x in row] for d, row in zip(dens, rows)],
+            jordan=False)
+        return rational(Fraction(sign * p, prod(dens)) if len(cols) == a.n else 0)
     sign, pivot = _bareiss([list(row) for row in rows], jordan=False)
     return pivot if sign > 0 else -pivot
 

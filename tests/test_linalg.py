@@ -1,13 +1,17 @@
-"""Differential tests of the one rational elimination in ``linalg``.
+"""Differential tests of the one elimination in ``linalg``.
 
 ``solve_combination``, ``rref_basis``, ``annihilator`` and
-``combination_rows`` are read-offs of one Gauss-Jordan routine.  The reference copies below are the two separate eliminations they
-replace, kept verbatim; the reduced row echelon form is unique, so both
-must give identical answers on every system.
+``combination_rows`` are read-offs of one fraction-free integer
+Gauss-Jordan routine.  The reference copies below are earlier versions
+they replace, kept verbatim: the two separate eliminations, and the
+single Gauss-Jordan elimination over Fractions with its read-offs.  The
+reduced row echelon form is unique, and so is each primitive row read off
+it, so every version must give identical answers on every system.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from groupaut import linalg
 
@@ -74,6 +78,72 @@ def ref_rref_basis(vectors):
         updated.sort(key=lambda t: t[0])
         basis = updated
     return basis
+
+
+# --- the Fraction Gauss-Jordan and its read-offs, verbatim ---------------
+
+def frac_gauss_jordan(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivot_cols = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivot_cols)
+        piv = next((i for i in range(top, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = 1 / rows[top][col]
+        pivot = rows[top] = [x * inv for x in rows[top]]
+        for i, r in enumerate(rows):
+            f = r[col]
+            if i != top and f != 0:
+                rows[i] = [a - f * b for a, b in zip(r, pivot)]
+        pivot_cols.append(col)
+    return list(zip(pivot_cols, rows))
+
+
+def frac_rref_basis(vectors):
+    return frac_gauss_jordan(vectors)
+
+
+def frac_solve_combination(gens, target):
+    m = len(gens)
+    # columns are the generators: rows of the augmented system are coordinates
+    aug = [[g[r] for g in gens] + [x] for r, x in enumerate(target)]
+    out = [Fraction(0)] * m
+    for col, row in frac_gauss_jordan(aug):
+        if col == m:
+            return None
+        out[col] = row[m]
+    return out
+
+
+def frac_integral(row):
+    d = lcm(*(x.denominator for x in row))
+    return [int(x * d) for x in row], d
+
+
+def frac_annihilator(vectors, n):
+    basis = frac_rref_basis(vectors)
+    pivots = {c for c, _ in basis}
+    out = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        row = [Fraction(0)] * n
+        row[j] = Fraction(1)
+        for c, b in basis:
+            row[c] = -b[j]
+        # entry j is 1, so clearing denominators leaves a primitive row
+        out.append(frac_integral(row)[0])
+    return out
+
+
+def frac_combination_rows(gens, n):
+    m = len(gens)
+    aug = [[g[r] for g in gens] + [1 if c == r else 0 for c in range(n)]
+           for r in range(n)]
+    return [(col, *frac_integral(row[m:])) for col, row in frac_gauss_jordan(aug)
+            if col < m]
 
 
 # --- seeded systems ---------------------------------------------------------
@@ -161,3 +231,69 @@ def test_solve_combination_edge_shapes():
     assert linalg.solve_combination([[0, 0], [1, 1]], [2, 2]) == [0, 2]
     assert linalg.rref_basis([]) == []
     assert linalg.rref_basis([[0, 0]]) == []
+
+
+# --- rank-deficient and rectangular systems against the Fraction versions ---
+
+def _deficient(rng):
+    """(n, vectors): 0 to 6 vectors over 1 to 6 coordinates whose span has
+    rank below both counts as often as not.  Entries are fractions, ints or
+    zero; some columns are zero, and some vectors combine earlier ones, so
+    pivots skip columns and rows vanish during the elimination."""
+    n = rng.randint(1, 6)
+    m = rng.randint(0, 6)
+    zero_cols = {j for j in range(n) if rng.random() < 0.2}
+    vectors = []
+    for _ in range(m):
+        if vectors and rng.random() < 0.4:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in vectors]
+            vectors.append([sum((c * v[j] for c, v in zip(coeffs, vectors)),
+                                Fraction(0)) for j in range(n)])
+        else:
+            vectors.append([0 if j in zero_cols else _entry(rng)
+                            for j in range(n)])
+    if vectors and rng.random() < 0.3:
+        # integer rows, as the module frame passes them
+        vectors = [[int(x * lcm(*(y.denominator for y in map(Fraction, v))))
+                    for x in map(Fraction, v)] for v in vectors]
+    return n, vectors
+
+
+def test_read_offs_match_the_fraction_gauss_jordan():
+    rng = random.Random(11)
+    shapes = set()
+    for _ in range(1500):
+        n, vectors = _deficient(rng)
+        basis = frac_rref_basis(vectors)
+        got = linalg.rref_basis(vectors)
+        assert got == basis, vectors
+        assert all(type(x) is Fraction for _, row in got for x in row)
+        assert linalg.annihilator(vectors, n) == frac_annihilator(vectors, n)
+        # the vectors as generators: n coordinates, one column per vector
+        assert (linalg.combination_rows(vectors, n)
+                == frac_combination_rows(vectors, n)), vectors
+        target = [_entry(rng) for _ in range(n)]
+        assert (linalg.solve_combination(vectors, target)
+                == frac_solve_combination(vectors, target))
+        rank = len(basis)
+        shapes.add(("tall" if len(vectors) > n else "wide" if len(vectors) < n
+                     else "square", rank < min(len(vectors), n)))
+    assert shapes == {(shape, deficient) for shape in ("tall", "wide", "square")
+                      for deficient in (True, False)}
+
+
+def test_fraction_free_rows_are_the_rref_times_the_last_pivot():
+    # pivot row k ends as p times RREF row k, for the last pivot p
+    rng = random.Random(12)
+    for _ in range(500):
+        n, vectors = _deficient(rng)
+        ints = [[int(x * lcm(*(Fraction(y).denominator for y in v)))
+                 for x in map(Fraction, v)] for v in vectors]
+        _, cols, rows, p = linalg.fraction_free([list(r) for r in ints],
+                                                jordan=True)
+        basis = frac_gauss_jordan(ints)
+        assert cols == [c for c, _ in basis]
+        assert [[Fraction(x, p) for x in r] for r in rows[:len(cols)]] \
+            == [row for _, row in basis]
+        assert not any(any(r) for r in rows[len(cols):])
