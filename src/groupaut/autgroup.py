@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Optional, Union
 
 from .descriptors import (
@@ -426,26 +427,53 @@ def _ring_core(g: GroupDescriptor) -> tuple[Optional[GroupDescriptor], ExactScal
 
 
 def run_generators(checks: dict, g: GroupDescriptor) -> tuple:
-    """invariance_generators(g) with their supports, kept in ``checks``."""
+    """invariance_generators(g) as (kind, vec, support, position, blocks),
+    kept in ``checks``.  G is checked one block of coordinates at a time:
+    a Product has one block per factor, any other group one block of all
+    its coordinates.  Each block is (index, group, columns, pick): pick
+    takes the entries of M, row by row, to those that the block of vec * M
+    reads (vec is nonzero, so there is at least one)."""
     if g not in checks:
-        checks[g] = tuple((kind, vec, tuple(i for i, x in enumerate(vec)
-                                            if not x.is_zero()))
-                          for kind, vec in invariance_generators(g))
+        blocks = [(b, f, (b,)) for b, f in enumerate(g.factors)] \
+            if isinstance(g, Product) else [(0, g, tuple(range(dimension(g))))]
+        gens = []
+        for pos, (kind, vec) in enumerate(invariance_generators(g)):
+            support = tuple(i for i, x in enumerate(vec) if not x.is_zero())
+            gens.append((kind, vec, support, pos, tuple(
+                (b, group, cols,
+                 itemgetter(*[i * len(vec) + j for i in support for j in cols]))
+                for b, group, cols in blocks)))
+        checks[g] = tuple(gens)
     return checks[g]
 
 
-def failing_generator(checks: dict, g: GroupDescriptor, gens: tuple, rows):
-    """The first (kind, vec, support) of gens with vec * M not in G, or None.
-    vec * M reads only the rows of M on the support, so the run's memo
-    ``checks`` keeps each check that held under (kind, vec, those rows); a
-    check that fails ends its row or candidate and is not kept."""
+def failing_generator(checks: dict, gens: tuple, rows,
+                      block: Optional[int] = None):
+    """The first generator of gens (see ``run_generators``) with vec * M
+    not in G, or None; with ``block``, only that block is checked.
+
+    vec * M is in G exactly when each block of its coordinates is in the
+    block's group, as ``holds`` walks G, and blocks are asked in coordinate
+    order.  The run's memo ``checks`` keeps each verdict under (position,
+    block, the entries the block reads).  A check not known to hold first
+    forms all of vec * M, as a check on the whole of G does, so that an
+    image outside the scalar tower raises the same ContextError."""
+    entries = sum(rows, ())
     for gen in gens:
-        kind, vec, support = gen
-        key = (kind, vec, tuple(map(rows.__getitem__, support)))
-        if key not in checks:
-            if not holds(kind, g, combine_rows(vec, rows)):
-                return gen
-            checks[key] = True
+        kind, vec, _, pos, blocks = gen
+        image = None
+        for b, group, cols, pick in (blocks if block is None
+                                     else blocks[block:block + 1]):
+            key = (pos, b, pick(entries))
+            verdict = checks.get(key)
+            if not verdict:
+                if image is None:
+                    image = combine_rows(vec, rows)
+                if verdict is None:
+                    verdict = checks[key] = holds(
+                        kind, group, tuple([image[j] for j in cols]))
+                if not verdict:
+                    return gen
     return None
 
 
@@ -453,8 +481,10 @@ def acts_invariantly(g: GroupDescriptor, a,
                      _checks: Optional[dict] = None) -> Certificate:
     """Certificate for G*a = G via generator checks (both directions).
 
-    ``_checks`` is the memo of one ``brute_force_aut`` run over G (see
-    ``failing_generator``); a certificate on its own starts with an empty one.
+    ``_checks`` is the memo of one ``brute_force_aut`` run over G, which
+    keeps the verdict of every generator check it has asked, held or failed
+    (see ``failing_generator``); a certificate on its own starts with an
+    empty one.
 
     A refutation is replayed before it is returned (``_replayed``)."""
     n = dimension(g)
@@ -491,8 +521,8 @@ def acts_invariantly(g: GroupDescriptor, a,
         # the inverse is formed only after the forward pass succeeds; a
         # candidate refuted forward may not even be invertible in the tower
         m = mat if direction == "forward" else mat.inverse()
-        if failing := failing_generator(checks, g, gens, m.rows):
-            kind, vec, _ = failing
+        if failing := failing_generator(checks, gens, m.rows):
+            kind, vec = failing[:2]
             if kind != "int":
                 witness = _rat_witness if kind == "rat" else _real_witness
                 vec = witness(g, vec, m)

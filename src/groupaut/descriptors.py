@@ -494,12 +494,18 @@ def _split(g: GroupDescriptor, v: Vector):
             quotient.append(q)
         yield from _split(g.inner, tuple(quotient))
     elif isinstance(g, Image):
-        yield from _split(g.inner, vec_mat_mul(v, g.matrix.inverse()))
+        yield from _split(g.inner, vec_mat_mul(v, _inverse(g.matrix)))
     elif isinstance(g, Product):
         for f, c in zip(g.factors, v):
             yield from _split(f, (c,))
     else:
         yield g, v
+
+
+@lru_cache(maxsize=4096)
+def _inverse(a: ExactMatrix) -> ExactMatrix:
+    """A^-1 for the Image nodes of _split, formed once per matrix."""
+    return a.inverse()
 
 
 _OUTSIDE = MembershipVerdict(False)

@@ -8,9 +8,13 @@ consulted while classifying — only afterwards, when ``cross_check``
 compares the two answers.
 
 Ratios are formed on integer numerators: a scalar is built only for a
-ratio inside the height bound, and most fall outside it.  A run asks each
-generator check once: the row filter of ``candidate_matrices`` and every
-certificate share the run's memo (``autgroup.failing_generator``).
+ratio inside the height bound, and most fall outside it.  Over numerators
+closed under negation, x / (-y) = (-x) / y, so y and -y are not both used.
+A run asks each generator check once per coordinate block of G and matrix
+entries it reads: the row filter of ``candidate_matrices`` and every
+certificate share the run's memo (``autgroup.failing_generator``).  A
+product has one block per factor, so the filter asks each entry of a row,
+not each row, and the rows are the products of the entries that pass.
 
 The same module hosts the finite-support permutation demo: coordinate
 permutations act on the group of finitely supported rational sequences,
@@ -141,15 +145,18 @@ def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
     """The ratios x / y of height at most h, keyed by sort_key, over x in
     numerators and nonzero y in denominators.  They are formed on integer
     numerators, and a scalar is built only for a ratio inside the bound
-    (scalars.products_within)."""
-    inverses = []
+    (scalars.products_within).  When the numerators are closed under
+    negation, a y whose negative came earlier adds no ratio."""
+    closed = set(numerators).issuperset(-x for x in numerators)
+    inverses, taken = [], set()
     for y in denominators:
-        if y.is_zero():
+        if y.is_zero() or (closed and -y in taken):
             continue
         try:
             inverses.append(y.invert())
         except DomainError:
             continue        # not a unit of the representation tower
+        taken.add(y)
     return {r.sort_key(): r for r in products_within(numerators, inverses, h)}
 
 
@@ -192,18 +199,20 @@ def candidate_matrices(g: GroupDescriptor, height: int,
             entries[2 * i + j] = [found[k] for k in sorted(found)]
 
     # Each generator of a two-factor product lives on a single coordinate,
-    # so its image reads one row of the matrix.  Rows go through the same
-    # generator check as the certificate, and only rows that pass are
-    # assembled; the run's memo then answers each forward half.
+    # so each coordinate of its image reads one entry of one row: a row
+    # passes exactly when each entry passes its column's block of the
+    # certificate's check, asked here on the matrix with e everywhere.  The
+    # run's memo then answers each forward half.
     checks = {} if _checks is None else _checks
     gens = run_generators(checks, g)
-    rows: list[list[tuple[ExactScalar, ExactScalar]]] = [[], []]
+    rows: list[list[tuple[ExactScalar, ExactScalar]]] = []
     for i in range(2):
         on_row = tuple(gen for gen in gens if i in gen[2])
-        for row in itertools.product(entries[2 * i], entries[2 * i + 1]):
-            placed = (row, None) if i == 0 else (None, row)
-            if failing_generator(checks, g, on_row, placed) is None:
-                rows[i].append(row)
+        kept = [[e for e in entries[2 * i + j]
+                 if failing_generator(checks, on_row, ((e, e), (e, e)), j)
+                 is None]
+                for j in range(2)]
+        rows.append(list(itertools.product(*kept)))
     if len(rows[0]) * len(rows[1]) > 400_000:
         raise DomainError(
             "matrix candidate set too large; lower the height bound")

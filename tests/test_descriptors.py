@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 import typing
 from fractions import Fraction
 
@@ -558,6 +559,30 @@ def test_walk_is_lazy_in_coordinate_order():
     assert not real_line_member(g, v)
     with pytest.raises(ContextError):
         member(g, (rational(1), R2))
+
+
+def test_an_image_inverts_its_matrix_once(monkeypatch, capsys):
+    # _split carries every vector it walks through A^-1 of an Image node;
+    # the inverse is formed once per matrix, not once per vector
+    from groupaut import cli
+    from groupaut.matrices import ExactMatrix
+    for mod in [m for name, m in sys.modules.items() if name.startswith("groupaut")]:
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    a = matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    inverted = []
+    honest = ExactMatrix.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return honest(self)
+
+    monkeypatch.setattr(ExactMatrix, "inverse", counted)
+    code = cli.main(["aut-member", "image(Z x Z x Z, [2,1,0;1,1,0;0,0,1])",
+                     "[1,1,0;0,1,0;0,0,1]"])
+    assert (code, capsys.readouterr().out) == (0, '{"aut_member":true}\n')
+    assert inverted.count(a) == 1
 
 
 def test_holds_dispatches_the_three_questions():
