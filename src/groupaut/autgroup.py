@@ -73,7 +73,6 @@ from .matrices import (
     ExactMatrix,
     Vector,
     block_triangular_member,
-    classify,
     combine_rows,
     pattern_quad_member,
     scalar_matrix,
@@ -272,6 +271,11 @@ def _is_power_of(n: int, base: int) -> bool:
     return n == 1
 
 
+def _in_EZ(a: ExactMatrix) -> bool:
+    """Is a in E(n, Z), the integer matrices of determinant +-1?"""
+    return a.is_integer() and a.det() in (one(), rational(-1))
+
+
 def contains(d: AutDescriptor, a) -> bool:
     """Does the scalar or matrix ``a`` belong to the described group?"""
     n = _matrix_dim(d)
@@ -288,7 +292,7 @@ def contains(d: AutDescriptor, a) -> bool:
             return block_triangular_member(d.p, d.q, a)
         if isinstance(d, PatternQuad):
             return pattern_quad_member(d.x, a)
-        return classify(a).in_EZ
+        return _in_EZ(a)
 
     if isinstance(a, ExactMatrix):
         s = a.rows[0][0]
@@ -330,8 +334,9 @@ def contains(d: AutDescriptor, a) -> bool:
 # certificates: direct generator checks of G*A = G
 # ---------------------------------------------------------------------------
 
-_RAT_PROBES = tuple(Fraction(1, p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29)) \
-    + tuple(Fraction(k) for k in (2, 3, 4, 5, 6))
+# No integer multiple is a probe: when vec * mat is in G, so is every
+# integer multiple of it, and when it is not, the probe 1 returns first.
+_RAT_PROBES = tuple(Fraction(1, p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
 
 
 def _witness_prime_budget(g: GroupDescriptor, image: Vector) -> int:
@@ -373,12 +378,11 @@ def _rat_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
         f"under {mat!r}, but no multiple 1/p with p <= {p} does")
 
 
-_REAL_PROBES = (1, Fraction(1, 2), 2, 3, 5)
-
-
 def _real_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
-    probes = [rational(q) for q in _REAL_PROBES]
-    probes[2:2] = [sqrt_rational(2), sqrt_rational(3), sqrt_rational(5)]
+    # no integer multiple is a probe, as for _RAT_PROBES: it is in G, or
+    # fails to join G's context, whenever the probe 1 is or does
+    probes = [one(), rational(Fraction(1, 2)),
+              sqrt_rational(2), sqrt_rational(3), sqrt_rational(5)]
     for lam in chain(probes, _leaf_probes(g, vec, mat)):
         w = tuple(lam * c for c in vec)
         try:
@@ -668,7 +672,7 @@ def _image_rule(g: Image) -> AutResult:
             return d
         if isinstance(d, GLQ) and a.is_rational():
             return d
-        if isinstance(d, EZLowerBound) and classify(a).in_EZ:
+        if isinstance(d, EZLowerBound) and _in_EZ(a):
             return d
         return None
 

@@ -1,13 +1,14 @@
 """Small exact linear-algebra helpers over Fraction and integer coordinates.
 
 Everything here is deterministic: the pivot is always the first nonzero
-entry.  There is one rational elimination, :func:`fraction_free`, Bareiss
-elimination on integer rows: every entry it forms is a minor, so each
-division is exact.  ``matrices`` reads rational determinants off its
-below-only form.  Its ``jordan`` form, which :func:`_gauss_jordan` runs on
-the rows with their denominators cleared, ends with each pivot row equal to
-the last pivot times a row of the reduced row echelon form (RREF), which
-is unique; the read-offs divide by that pivot:
+entry.  There is one elimination, :func:`fraction_free`, Bareiss
+elimination over any exact ring, ints by default: every entry it forms is
+a minor, so each division is exact.  ``matrices`` runs it for determinants
+and inverses from 3 x 3 on, on ints when the matrix is rational.  Its
+``jordan`` form, which :func:`_gauss_jordan` runs on the rows with their
+denominators cleared, ends with each pivot row equal to the last pivot
+times a row of the reduced row echelon form (RREF), which is unique; the
+read-offs divide by that pivot:
 
 * :func:`rref_basis` -- the RREF of a family of vectors, a basis of its
   rational span;
@@ -34,44 +35,57 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import floordiv
 
 
 Vec = list[Fraction]
 
 
-def fraction_free(rows: list[list[int]], jordan: bool
-                  ) -> tuple[int, list[int], list[list[int]], int]:
-    """Bareiss elimination of the integer rows, in place; returns
+def fraction_free(rows: list[list], jordan: bool, div=floordiv, square: bool = False
+                  ) -> tuple[int, list[int], list[list], object]:
+    """Bareiss elimination of the rows, in place; returns
     ``(sign, cols, rows, p)``.
 
-    Columns are taken left to right; in each, the first remaining row with
-    a nonzero entry becomes the pivot row (a swap flips ``sign``), and each
-    row below it, and above it too when ``jordan``, becomes (p * row -
-    row[col] * pivot_row) / p' for this pivot p and the one before, p'.
-    ``cols`` are the pivot columns, pivot row k is ``rows[k]``, the rows
-    past them are zero, and ``p`` is the last pivot: a square matrix of
-    full rank has determinant ``sign * p``, and with ``jordan`` ``rows[k] /
-    p`` is row k of the RREF.
+    The entries are ints, or ``ExactScalar``s with ``div`` their exact
+    division; zero is falsy in both.  Columns go left to right; in each, the
+    first remaining row with a nonzero entry becomes the pivot row (a swap
+    flips ``sign``), and each row below it, and above it too when
+    ``jordan``, becomes (p * row - row[col] * pivot_row) / p' for this
+    pivot p and the one before, p' (1 at the start).  Only the entries this
+    can change are formed, so the scalar products, and the first
+    cross-tower ``ContextError`` among them, are those of the classic
+    step.  ``cols`` are the pivot columns, pivot row k is ``rows[k]``, the
+    rows past them are zero, and ``p`` is the last pivot: a square matrix
+    of full rank has determinant ``sign * p``, and with ``jordan``
+    ``rows[k] / p`` is row k of the RREF.  With ``square`` it stops at a
+    column left of ``len(rows)`` without a pivot: the leading block is singular.
     """
-    sign, cols, prev = 1, [], 1
+    sign, cols, free, prev = 1, [], [], 1
     for col in range(len(rows[0]) if rows else 0):
         top = len(cols)
         piv = next((i for i in range(top, len(rows)) if rows[i][col]), None)
         if piv is None:
+            if square and col < len(rows):
+                break
+            free.append(col)
             continue
         if piv != top:
             rows[top], rows[piv] = rows[piv], rows[top]
             sign = -sign
-        # left of col a row below is zero; a row above is not, when jordan
-        lo = 0 if jordan else col
-        pivot_row = rows[top][lo:]
-        p = pivot_row[col - lo]
+        p = rows[top][col]
+        pivot_row, zero = rows[top][col + 1:], p - p
         for i in range(0 if jordan else top + 1, len(rows)):
             if i != top:
                 row = rows[i]
-                f = row[col]
-                row[lo:] = [(p * a - f * b) // prev
-                            for a, b in zip(row[lo:], pivot_row)]
+                f, row[col] = row[col], zero
+                row[col + 1:] = [div(p * a - f * b, prev)
+                                 for a, b in zip(row[col + 1:], pivot_row)]
+                if i < top:
+                    # left of col the pivot row is zero: a row above changes
+                    # at its own pivot, prev to p, and where no pivot is
+                    row[cols[i]] = p
+                    for c in free:
+                        row[c] = div(p * row[c], prev)
         cols.append(col)
         prev = p
     return sign, cols, rows, prev

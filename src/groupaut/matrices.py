@@ -6,13 +6,13 @@ the (i, j) entry is row i, column j.
 Determinants and inverses stay inside the ring generated by the entries
 and 1/det, which is what lets Laurent-entry matrices invert exactly when
 their determinant is a monomial.  Up to 2 x 2 they use the closed forms
-(ad - bc and the adjugate).  From 3 x 3 on one Bareiss fraction-free
-elimination (Bareiss 1968, Math. Comp. 22) serves both: every intermediate
-entry is a minor of the input, and each division by the previous pivot is
-exact in the ring (``exact_div`` for Laurent polynomials), so the work is
-cubic in n instead of exponential.  A rational determinant from 3 x 3 on
-runs it on plain ints (``linalg.fraction_free``), its rows scaled by the
-lcms of their denominators.
+(ad - bc and the adjugate).  From 3 x 3 on each is one Bareiss
+fraction-free elimination (Bareiss 1968, Math. Comp. 22),
+``linalg.fraction_free``: every intermediate entry is a minor of the input,
+and each division by the previous pivot is exact in the ring (``exact_div``
+for Laurent polynomials), so the work is cubic in n instead of exponential.
+A rational matrix is eliminated on plain ints, its rows scaled by the lcms
+of their denominators; any other on its scalars.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm, prod
+from operator import floordiv
 from typing import Iterable, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, SingularMatrixError
@@ -91,12 +92,18 @@ class ExactMatrix:
         if n > 2:
             m = [list(row) + [one() if i == j else zero() for j in range(n)]
                  for i, row in enumerate(self.rows)]
-            _, pivot = _bareiss(m, jordan=True)
-            if pivot.is_zero():
+            ints = self.is_rational()
+            if ints:
+                _, m = _cleared(m)      # [D*A | D] for the row scalings D
+            _, cols, m, p = fraction_free(m, jordan=True, square=True,
+                                          div=floordiv if ints else _divide)
+            if len(cols) < n:
                 raise SingularMatrixError("matrix has determinant 0")
-            # the left block of m is now pivot * I, so the right block is
-            # pivot * A^-1; the pivot is +-det
-            pinv = pivot.invert()   # DomainError for non-monomial Laurent determinants
+            # the left block is now p * I, so the right one is p * A^-1
+            if ints:
+                return ExactMatrix(tuple(vector(Fraction(x, p) for x in row[n:])
+                                         for row in m))
+            pinv = p.invert()   # DomainError for a non-monomial Laurent p
             return ExactMatrix(tuple(tuple(x * pinv for x in row[n:]) for row in m))
         d = self.det()
         if d.is_zero():
@@ -171,14 +178,23 @@ def _det(a: ExactMatrix) -> ExactScalar:
     if a.n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if a.is_rational():
-        # each row over the lcm of its denominators: an integer determinant
-        dens = [lcm(*(x.den for x in row)) for row in rows]
-        sign, cols, _, p = fraction_free(
-            [[x.nums[0] * (d // x.den) for x in row] for d, row in zip(dens, rows)],
-            jordan=False)
-        return rational(Fraction(sign * p, prod(dens)) if len(cols) == a.n else 0)
-    sign, pivot = _bareiss([list(row) for row in rows], jordan=False)
-    return pivot if sign > 0 else -pivot
+        # an integer determinant, over the product of the row scalings
+        dens, m = _cleared(rows)
+        sign, cols, _, p = fraction_free(m, jordan=False, square=True)
+        p = rational(Fraction(p, prod(dens)))
+    else:
+        sign, cols, _, p = fraction_free([list(row) for row in rows],
+                                         jordan=False, div=_divide, square=True)
+    if len(cols) < a.n:
+        return zero()
+    return p if sign > 0 else -p
+
+
+def _cleared(rows) -> tuple[list[int], list[list[int]]]:
+    """The lcm of each rational row's denominators, and the row times it."""
+    dens = [lcm(*(x.den for x in row)) for row in rows]
+    return dens, [[x.nums[0] * (d // x.den) for x in row]
+                  for d, row in zip(dens, rows)]
 
 
 def _divide(x: ExactScalar, d: ExactScalar) -> ExactScalar:
@@ -187,44 +203,6 @@ def _divide(x: ExactScalar, d: ExactScalar) -> ExactScalar:
     if q is None:
         raise ConsistencyError(f"Bareiss step: {d} does not divide {x}")
     return q
-
-
-def _bareiss(m: list[list[ExactScalar]], jordan: bool
-             ) -> tuple[int, ExactScalar]:
-    """Fraction-free elimination of the square block at the left of ``m``,
-    in place.  Returns (sign, p) for the last pivot p: the block's
-    determinant is sign * p, and p is zero when the block is singular.
-
-    Step k takes the first row with a nonzero entry in column k as the pivot
-    row (a swap flips the sign) and replaces every row i below it, and above
-    it too when ``jordan``, by (p * row_i - row_i[k] * pivot_row) / p',
-    where p is this pivot and p' the previous one.  Each entry is then a
-    (k+1)-minor of the input, so the division is exact.  With ``jordan`` the
-    block ends as p * I for the last pivot p, and the columns to its right
-    end multiplied by p times the inverse of the block.
-    """
-    n = len(m)
-    width = len(m[0])
-    sign = 1
-    prev = one()
-    for k in range(n):
-        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-        if piv is None:
-            return sign, zero()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        top = m[k]
-        p = top[k]
-        for i in range(0 if jordan else k + 1, n):
-            if i == k:
-                continue
-            row = m[i]
-            f = row[k]
-            for j in range(k + 1, width):
-                row[j] = _divide(p * row[j] - f * top[j], prev)
-        prev = p
-    return sign, prev
 
 
 # ---------------------------------------------------------------------------

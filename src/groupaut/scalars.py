@@ -376,7 +376,7 @@ class ExactScalar:
 
     Values are immutable: assigning to an attribute raises AttributeError.
     Equality compares the integers and the context, and the hash is computed
-    once and kept.
+    once and kept.  Zero is falsy, as the int and Fraction zeros are.
     """
 
     __slots__ = ("context", "nums", "den", "_hash")
@@ -444,6 +444,9 @@ class ExactScalar:
         # only a rational can vanish: a zero surd or Laurent part minimizes
         # away on construction
         return self.context.kind is _RAT and not self.nums[0]
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def is_rational(self) -> bool:
         return self.context.kind is _RAT

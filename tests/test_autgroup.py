@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from groupaut.errors import (
     SingularMatrixError,
     UnsupportedError,
 )
-from groupaut.matrices import identity, matrix, scalar_matrix, vec_mat_mul
+from groupaut.matrices import classify, identity, matrix, scalar_matrix, vec_mat_mul
 from groupaut.scalars import one, rational, sqrt_rational, t_monomial
 
 P = parse_descriptor
@@ -278,6 +279,61 @@ def test_rat_witness_leaves_g_when_every_probe_stays_inside():
     assert w == (R2 * Fraction(1, 31),)
     assert member(g, w).member
     assert not member(g, tuple(x * a for x in w)).member
+
+
+def test_rat_witness_probes_no_integer_multiple(monkeypatch):
+    # the probes 1, 1/2, ..., 1/29 all stay in G, and 1/31 leaves it; an
+    # integer multiple of an image in G is in G, so none is asked
+    from groupaut import autgroup
+    asked, honest = [], autgroup._member
+
+    def counted(g, v):
+        asked.append(v)
+        return honest(g, v)
+
+    monkeypatch.setattr(autgroup, "_member", counted)
+    a = scalar_matrix(S("3234846615*sqrt(2)"), 1)
+    w = autgroup._rat_witness(P("Z*1 + Q*sqrt(2)"), (R2,), a)
+    assert w == (R2 * Fraction(1, 31),)
+    assert len(asked) == 12
+
+
+def _clear_package_caches():
+    for mod in [m for name, m in sys.modules.items() if name.startswith("groupaut")]:
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_ez_membership_matches_classify_on_the_matrix_samples():
+    from test_matrices import _random_matrix
+    samples = [M(t) for t in ("[1,1;0,1]", "[0,1;-1,0]", "[1,0;3,1]",
+                              "[-1,0;0,1]", "[2,1;1,1]", "[2,0;0,1]")]
+    rng = random.Random(3)
+    entries = [rational(k) for k in range(-2, 3)] + [R2, rational(Fraction(1, 2))]
+    samples += [_random_matrix(rng, 2, entries) for _ in range(60)]
+    rng = random.Random(11)
+    entries = [rational(k) for k in range(-3, 4)] + [R2, 1 + sqrt_rational(3)]
+    samples += [_random_matrix(rng, n, entries) for n in (2, 3, 4) for _ in range(12)]
+    verdicts = [contains(EZLowerBound(a.n), a) for a in samples]
+    assert verdicts == [classify(a).in_EZ for a in samples]
+    assert True in verdicts and False in verdicts
+
+
+def test_cross_check_and_the_image_rule_never_classify(monkeypatch):
+    from groupaut import autgroup, matrices
+    from groupaut.oracle import cross_check
+
+    def refuse(a):
+        raise AssertionError("in_EZ needs no classify record")
+
+    _clear_package_caches()
+    monkeypatch.setattr(matrices, "classify", refuse)
+    monkeypatch.setattr(autgroup, "classify", refuse, raising=False)
+    z2 = P("Z x Z")
+    assert cross_check(z2, 2).agreement is True
+    assert EZLowerBound(2) in aut_group(image(z2, M("[2,1;1,1]"))).lower
+    assert EZLowerBound(2) not in aut_group(image(z2, M("[2,0;0,1]"))).lower
 
 
 def test_witness_search_is_bounded(monkeypatch):

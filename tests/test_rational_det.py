@@ -1,11 +1,12 @@
-"""Rational determinants on integers, and ``image`` checking A by them.
+"""Rational determinants and inverses on integers, and ``image`` checking
+A by the determinant.
 
-From 3 x 3 on, a rational determinant is one fraction-free elimination of
-the integer matrix left when each row's denominators are cleared.  The
-reference is ``_bareiss`` over the scalars, which every determinant took
-before and which every non-rational one still takes, and sympy's.  The
-draws hold fractional entries, singular matrices and zero leading pivots
-that force row swaps.
+From 3 x 3 on, a rational determinant or inverse is one fraction-free
+elimination of the integer matrix left when each row's denominators are
+cleared.  The references are sympy's determinant and ``_bareiss`` below, a
+verbatim copy of the elimination over the scalars that every determinant
+and inverse from 3 x 3 on once took.  The draws hold fractional entries,
+singular matrices and zero leading pivots that force row swaps.
 
 ``image`` checks a rational A by that determinant alone; a matrix that is
 not rational still has to invert inside the tower.  The error cases keep
@@ -20,15 +21,88 @@ import pytest
 from groupaut import matrices
 from groupaut.cli import main
 from groupaut.descriptors import image
-from groupaut.dsl import parse_descriptor
-from groupaut.errors import DescriptorError
+from groupaut.dsl import parse_descriptor, parse_scalar
+from groupaut.errors import (
+    ConsistencyError,
+    ContextError,
+    DescriptorError,
+    DomainError,
+    SingularMatrixError,
+)
 from groupaut.matrices import ExactMatrix, matrix
-from groupaut.scalars import rational, zero
+from groupaut.scalars import (
+    ExactScalar,
+    exact_div,
+    one,
+    rational,
+    sqrt_rational,
+    t_monomial,
+    zero,
+)
+
+
+def _divide(x: ExactScalar, d: ExactScalar) -> ExactScalar:
+    """x / d for a pivot d that divides x in the ring of the entries."""
+    q = exact_div(x, d)
+    if q is None:
+        raise ConsistencyError(f"Bareiss step: {d} does not divide {x}")
+    return q
+
+
+def _bareiss(m: list[list[ExactScalar]], jordan: bool
+             ) -> tuple[int, ExactScalar]:
+    """Fraction-free elimination of the square block at the left of ``m``,
+    in place.  Returns (sign, p) for the last pivot p: the block's
+    determinant is sign * p, and p is zero when the block is singular.
+
+    Step k takes the first row with a nonzero entry in column k as the pivot
+    row (a swap flips the sign) and replaces every row i below it, and above
+    it too when ``jordan``, by (p * row_i - row_i[k] * pivot_row) / p',
+    where p is this pivot and p' the previous one.  Each entry is then a
+    (k+1)-minor of the input, so the division is exact.  With ``jordan`` the
+    block ends as p * I for the last pivot p, and the columns to its right
+    end multiplied by p times the inverse of the block.
+    """
+    n = len(m)
+    width = len(m[0])
+    sign = 1
+    prev = one()
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if piv is None:
+            return sign, zero()
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = _divide(p * row[j] - f * top[j], prev)
+        prev = p
+    return sign, prev
 
 
 def _bareiss_det(a):
-    sign, pivot = matrices._bareiss([list(r) for r in a.rows], jordan=False)
+    sign, pivot = _bareiss([list(r) for r in a.rows], jordan=False)
     return pivot if sign > 0 else -pivot
+
+
+def _bareiss_inverse(a):
+    """A^-1 as the right block of [A | I] after the Jordan elimination,
+    or None for a singular A."""
+    n = a.n
+    m = [list(row) + [one() if i == j else zero() for j in range(n)]
+         for i, row in enumerate(a.rows)]
+    _, pivot = _bareiss(m, jordan=True)
+    if pivot.is_zero():
+        return None
+    pinv = pivot.invert()
+    return ExactMatrix(tuple(tuple(x * pinv for x in row[n:]) for row in m))
 
 
 def _entry(rng):
@@ -76,6 +150,12 @@ def test_rational_det_matches_bareiss_over_scalars():
         if kind == "singular":
             assert want.is_zero()
         seen[kind] += not want.is_zero() or kind == "singular"
+        inverse = _bareiss_inverse(a)
+        if inverse is None:
+            with pytest.raises(SingularMatrixError, match="matrix has determinant 0"):
+                a.inverse()
+        else:
+            assert a.inverse() == inverse, (kind, a)
     assert min(seen.values()) >= 20, seen
 
 
@@ -106,12 +186,13 @@ def test_image_of_a_rational_matrix_never_inverts(monkeypatch):
 
     eliminations, fraction_free = [], matrices.fraction_free
 
-    def counted(rows, jordan):
+    def counted(rows, jordan, div=None, **kwargs):
+        # the integer division: the determinant runs on ints
+        assert div is None
         eliminations.append(len(rows))
-        return fraction_free(rows, jordan)
+        return fraction_free(rows, jordan, **kwargs)
 
     monkeypatch.setattr(ExactMatrix, "inverse", refuse)
-    monkeypatch.setattr(matrices, "_bareiss", refuse)
     monkeypatch.setattr(matrices, "fraction_free", counted)
     matrices._det.cache_clear()
     q5 = parse_descriptor(" x ".join(["Q"] * 5))
@@ -143,3 +224,54 @@ def test_image_errors_keep_their_exit_code_and_message(capsys, text, err):
     code = main(["aut", text])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (1, "", err)
+
+
+R2, R3, R6, T = (sqrt_rational(2), sqrt_rational(3), sqrt_rational(6),
+                  t_monomial(1))
+TOWER = ["0", "0", "0", "1", "-1", "2", "1/2", "-3/4", "t", "1+t", "t^-1",
+         "2*t", "sqrt(2)", "1+sqrt(2)", "sqrt(3)", "sqrt(2)+sqrt(3)", "sqrt(6)"]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (ContextError, DomainError, SingularMatrixError) as exc:
+        return type(exc), str(exc)
+
+
+def test_scalar_eliminations_match_bareiss_across_towers():
+    # entries from number fields and Q[t,1/t] at once: which value, which
+    # singular verdict and which "cannot join" text comes out depends on
+    # the order of the scalar operations, and _bareiss fixed that order
+    matrices._det.cache_clear()
+    # t^-1 does not meet a surd in the determinant's products
+    a = matrix([[R6, 0, 0], [t_monomial(-1), R3, 2], [R6, R6, 2]])
+    assert a.det() == _bareiss_det(a) == R2 * 6 - 12
+    # the pivots sqrt(3) and 3/4 + 3/4*t never meet either
+    a = matrix([[R3, Fraction(-3, 4), 0], [1 + T, 0, 1 + R2],
+                [1 + R2, Fraction(-3, 4), 1 + R2]])
+    assert _outcome(a.inverse) == _outcome(lambda: _bareiss_inverse(a)) == (
+        ContextError, "cannot join Q[t,1/t] with Q(sqrt2,sqrt3)")
+    rng = random.Random(20261019)
+    seen = {"value": 0, "singular": 0, "no inverse": 0, "cannot join": 0}
+    for _ in range(300):
+        n = rng.choice((3, 3, 4, 5))
+        pool = rng.sample(TOWER, rng.randint(2, 7))
+        rows = [[parse_scalar(rng.choice(pool)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.4:
+            i, j = rng.sample(range(n), 2)
+            rows[j] = list(rows[i])
+        if rng.random() < 0.3:
+            c = rng.randrange(n)
+            for r in rows:
+                r[c] = zero()
+        a = ExactMatrix(tuple(map(tuple, rows)))
+        want = _outcome(lambda: _bareiss_inverse(a) or (SingularMatrixError,
+                                                        "matrix has determinant 0"))
+        assert _outcome(a.inverse) == want, a
+        assert _outcome(a.det) == _outcome(lambda: _bareiss_det(a)), a
+        kind = "value" if isinstance(want, ExactMatrix) else {
+            SingularMatrixError: "singular", DomainError: "no inverse",
+            ContextError: "cannot join"}[want[0]]
+        seen[kind] += 1
+    assert min(seen.values()) >= 10, seen

@@ -191,6 +191,11 @@ def test_minimization_and_hashing():
     assert hash(a) == hash(rational(2))
     seen = {rational(2), a, as_scalar(2)}
     assert len(seen) == 1
+    # zero is falsy, as the int and Fraction zeros are, and so is a value
+    # that minimizes to it; one nonzero value of each context is truthy
+    assert not zero() and not rational(0) and not sqrt_rational(2) - sqrt_rational(2)
+    assert all((rational(Fraction(-1, 3)), sqrt_rational(2) - 1,
+                sqrt_rational(2) + sqrt_rational(3), t_monomial(-2, 5)))
 
 
 def test_height():
