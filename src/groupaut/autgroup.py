@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
+from math import gcd
 from operator import itemgetter
 from typing import Optional, Union
 
@@ -47,6 +48,7 @@ from .descriptors import (
     Product,
     Scaled,
     _coordinates,
+    _divisor,
     _member,
     _split,
     _module_rat_line,
@@ -334,53 +336,20 @@ def contains(d: AutDescriptor, a) -> bool:
 # certificates: direct generator checks of G*A = G
 # ---------------------------------------------------------------------------
 
-# No integer multiple is a probe: when vec * mat is in G, so is every
-# integer multiple of it, and when it is not, the probe 1 returns first.
-_RAT_PROBES = tuple(Fraction(1, p) for p in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
-
-
-def _witness_prime_budget(g: GroupDescriptor, image: Vector) -> int:
-    """How many primes past the probes the search for 1/p may try.
-
-    When image is in G but Q*image is not, the primes p with image/p in G
-    are the prime factors of a nonzero integer: the gcd of the coordinates
-    of image, modulo the divisible part of G, over a Z-basis of the rest of
-    G.  A Cramer and Hadamard estimate over the k rational coordinates of
-    the image and of G's generators, of height at most h, bounds its bit
-    length by k * k * bits(h) + k * bits(k); past that many primes the
-    search has found an inconsistency, not a hard case.
-    """
-    scalars = list(image) + [x for _, vec in invariance_generators(g)
-                             for x in vec]
-    k = sum(len(x.coords) for x in scalars)
-    h = max(x.height for x in scalars)
-    return k * k * h.bit_length() + k * k.bit_length()
-
-
 def _rat_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
-    # Q*vec maps outside G; pin down a concrete multiple that leaves it.
-    for q in _RAT_PROBES:
-        w = tuple(q * c for c in vec)
-        if not _member(g, vec_mat_mul(w, mat)).member:
-            return w
-    # every probe stayed inside G: go on with 1/p over further primes
-    p = max(q.denominator for q in _RAT_PROBES)
-    for _ in range(_witness_prime_budget(g, vec_mat_mul(vec, mat))):
-        p += 2
-        while factorize(p) != [(p, 1)]:
-            p += 2
-        w = tuple(Fraction(1, p) * c for c in vec)
-        if not _member(g, vec_mat_mul(w, mat)).member:
-            return w
-    from .dsl import group_to_text
-    raise ConsistencyError(
-        f"the rational line through {vec!r} leaves {group_to_text(g)} "
-        f"under {mat!r}, but no multiple 1/p with p <= {p} does")
+    """Q*vec leaves G under mat: vec/p for the first p of 1, 2, 3, 5, 7, ...
+    (1, then the primes) whose image leaves G.  Past 1 that is the least
+    prime not dividing ``_divisor``'s k.  An image in G with k = 0 means the
+    checks disagree: then vec is returned, and it does not replay."""
+    image = vec_mat_mul(vec, mat)
+    k = _divisor(g, image) if _member(g, image).member else 0
+    p = next(q for q in count(2) if gcd(q, k) == 1) if k else 1
+    return tuple(Fraction(1, p) * c for c in vec)
 
 
 def _real_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
-    # no integer multiple is a probe, as for _RAT_PROBES: it is in G, or
-    # fails to join G's context, whenever the probe 1 is or does
+    # no integer multiple is a probe: it is in G, or fails to join G's
+    # context, whenever the probe 1 is or does
     probes = [one(), rational(Fraction(1, 2)),
               sqrt_rational(2), sqrt_rational(3), sqrt_rational(5)]
     for lam in chain(probes, _leaf_probes(g, vec, mat)):

@@ -44,8 +44,10 @@ frame, held in three lru_caches and built part by part as first needed:
 Per vector, the rational line is then integer dot products on the scalar's
 own numerators, and membership is one reduction, an integrality check
 against the lattice denominator and a back-substitution through the
-Hermite rows.  A vector with a coordinate outside the frame (a wider field,
-an exponent of t no generator has) is in neither, and builds nothing past
+Hermite rows.  The fourth read-off, ``_divisor``, is the gcd k of a
+member's coordinates over those rows: v/q is in G exactly when q divides
+k.  A vector with a coordinate outside the frame (a wider field, an
+exponent of t no generator has) is in neither, and builds nothing past
 ``_coordinates``.  Verdicts and witnesses are those of eliminating the
 generators and the vector together from scratch.  The frame is the one
 bridge between scalars and coordinate rows: the rule table reads module
@@ -260,13 +262,10 @@ def _module_solve(terms: Sequence[tuple[Domain, ExactScalar]],
     # v modulo the Q-span, in the lattice's coordinates: integral unless v
     # is outside the group
     den = v.den
-    t = []
-    for a in ann:
-        s = _dot(a, x) * lcd
-        if s % den:
-            return None
-        t.append(s // den)
-    int_part = linalg.hermite_solve(form, t)
+    t = [_dot(a, x) * lcd for a in ann]
+    if any(s % den for s in t):
+        return None
+    int_part = linalg.hermite_solve(form, [s // den for s in t])
     if int_part is None:
         return None
     witness = [Fraction(0)] * len(terms)
@@ -281,6 +280,20 @@ def _module_solve(terms: Sequence[tuple[Domain, ExactScalar]],
         for i, r, d in forms:
             witness[i] = Fraction(_dot(r, rest), d * den * lcd)
     return tuple(witness)
+
+
+def _divisor(g: GroupDescriptor, v: Vector) -> int:
+    """For v in G, the k >= 0 with v/q in G exactly when q divides k, 0 when
+    Q*v is in G: the gcd of ``linalg.hermite_content`` over the module
+    leaves.  FullLine adds nothing, and a ring has no generator checks."""
+    k = 0
+    for leaf, (c, *_) in _split(g, v):
+        if isinstance(leaf, (Cyclic, MixedModule)):
+            _, lcd, _, ann, form, _ = _lattice(leaf.terms)
+            x = _numerators(_coordinates(leaf.terms), c)
+            t = [_dot(a, x) * lcd // c.den for a in ann]    # as _module_solve's
+            k = gcd(k, linalg.hermite_content(form, t))
+    return k
 
 
 def _module_rat_line(terms: Sequence[tuple[Domain, ExactScalar]],

@@ -26,9 +26,11 @@ Integer solutions come from one Hermite-style elimination,
 vector can be reported, and a back-substitution, :func:`hermite_solve`;
 :func:`integer_combination` is the two in a row.  A caller that asks
 about many targets against one family eliminates once and back-substitutes
-per target.  The answers do not change when every row is scaled by one
-positive integer, or when one column is scaled by a positive integer in
-every row and in the target: each gcd step then takes the same quotients.
+per target.  The same back-substitution gives :func:`hermite_content`: a
+lattice vector over q stays in the lattice exactly when q divides it.  The
+answers do not change when every row is scaled by one positive integer, or
+when one column is scaled by a positive integer in every row and in the
+target: each gcd step then takes the same quotients.
 """
 
 from __future__ import annotations
@@ -255,6 +257,18 @@ def hermite_solve(form: Hermite, target: list[int]) -> list[int] | None:
     if any(x != 0 for x in t):
         return None
     return coeff
+
+
+def hermite_content(form: Hermite, target: list[int]) -> int:
+    """For target in the lattice, the gcd d (0 for zero) of its coordinates
+    over the pivot rows, a Z-basis: target / q is in it exactly when q | d."""
+    t, d = list(target), 0
+    for c, row, _ in form[1]:
+        if t[c]:
+            q = t[c] // row[c]
+            t = [u - q * v for u, v in zip(t, row)]
+            d = gcd(d, q)
+    return d
 
 
 def integer_combination(gens: list[list[int]], target: list[int]) -> list[int] | None:

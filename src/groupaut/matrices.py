@@ -290,6 +290,8 @@ def circle_sum_witness(r2: Rationalish, target: Sequence[Rationalish]
     r2 = Fraction(r2)
     if r2 <= 0:
         raise DomainError(f"squared radius must be positive, got {r2}")
+    if len(target) != 2:
+        raise DomainError(f"target must have two coordinates, got {len(target)}")
     tx, ty = (Fraction(c) for c in target)
     if tx != 0 and ty != 0:
         raise DomainError(f"target {target} is not on a coordinate axis")

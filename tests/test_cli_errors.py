@@ -38,6 +38,8 @@ BAD_INPUT = [
     ("oracle", "Q", "--height", "x"),
     ("circle-witness", "1", "(1,x)"),
     ("circle-witness", "1/0", "(1,0)"),
+    ("circle-witness", "1", "1"),
+    ("circle-witness", "1", "(1,2,3)"),
     ("perm-demo", "3", "--cycles", "(1,a)"),
     ("perm-demo", "--cycles", "(0,1)", "--seq", "x"),
 ]

@@ -6,7 +6,9 @@ Gauss-Jordan routine.  The reference copies below are earlier versions
 they replace, kept verbatim: the two separate eliminations, and the
 single Gauss-Jordan elimination over Fractions with its read-offs.  The
 reduced row echelon form is unique, and so is each primitive row read off
-it, so every version must give identical answers on every system.
+it, so every version must give identical answers on every system.  The
+content read-off of the integer Hermite form is checked on its defining
+property.
 """
 
 import random
@@ -297,3 +299,57 @@ def test_fraction_free_rows_are_the_rref_times_the_last_pivot():
         assert [[Fraction(x, p) for x in r] for r in rows[:len(cols)]] \
             == [row for _, row in basis]
         assert not any(any(r) for r in rows[len(cols):])
+
+
+# --- the content of a lattice vector ----------------------------------------
+
+_PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def _lattice_family(rng):
+    """(n, gens): 0 to 5 integer rows over 1 to 4 coordinates.  Some are
+    multiples k * w of one row w with the k coprime, as in 2Z + 3Z, so the
+    family is Q-dependent without being redundant; some are integer
+    combinations of earlier rows, so the lattice has rank below their
+    count."""
+    n = rng.randint(1, 4)
+    gens = []
+    for _ in range(rng.randint(0, 5)):
+        pick = rng.random()
+        if gens and pick < 0.3:
+            w = rng.choice(gens)
+            gens.append([rng.choice((2, 3, 5, -3)) * x for x in w])
+        elif gens and pick < 0.5:
+            gens.append([sum(rng.randint(-2, 2) * g[j] for g in gens)
+                         for j in range(n)])
+        else:
+            gens.append([rng.randint(-6, 6) if rng.random() < 0.8 else 0
+                         for _ in range(n)])
+    return n, gens
+
+
+def test_hermite_content_is_the_largest_divisor_in_the_lattice():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(800):
+        n, gens = _lattice_family(rng)
+        form = linalg.hermite(gens)
+        assert linalg.hermite_content(form, [0] * n) == 0
+        coeffs = [rng.randint(-4, 4) for _ in gens]
+        scale = rng.choice((1, 2, 6, 35, 2 * 3 * 5 * 7 * 11 * 13))
+        t = [scale * sum((c * g[j] for c, g in zip(coeffs, gens)), 0)
+             for j in range(n)]
+        d = linalg.hermite_content(form, t)
+        if not any(t):
+            assert d == 0
+            continue
+        assert d > 0 and all(x % d == 0 for x in t)
+        assert linalg.hermite_solve(form, [x // d for x in t]) is not None
+        for p in _PRIMES_TO_50:
+            assert any(x % (d * p) for x in t) \
+                or linalg.hermite_solve(form, [x // (d * p) for x in t]) is None
+        seen.add((len(form[1]) < len(gens), d == scale))
+    assert seen == {(False, True), (True, True), (True, False), (False, False)}
+    # 2Z + 3Z is Z: 6 is six times a generator of it
+    form = linalg.hermite([[2], [3]])
+    assert [linalg.hermite_content(form, [x]) for x in (1, 6, -4)] == [1, 6, 4]

@@ -228,6 +228,10 @@ def test_circle_sum_witness_errors():
         circle_sum_witness(1, (1, 1))
     with pytest.raises(DomainError):
         circle_sum_witness(0, (0, 0))
+    with pytest.raises(DomainError, match="two coordinates"):
+        circle_sum_witness(1, (1,))
+    with pytest.raises(DomainError, match="two coordinates"):
+        circle_sum_witness(1, (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
