@@ -12,7 +12,9 @@ fraction-free elimination (Bareiss 1968, Math. Comp. 22),
 and each division by the previous pivot is exact in the ring (``exact_div``
 for Laurent polynomials), so the work is cubic in n instead of exponential.
 A rational matrix is eliminated on plain ints, its rows scaled by the lcms
-of their denominators; any other on its scalars.
+of their denominators; any other on its scalars.  The 2 x 2 closed forms
+take their products and reciprocals from per-request memos (bounded
+``lru_cache``s), as one request's candidates share their entries.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .scalars import (
     as_scalar,
     exact_div,
     one,
-    ratio,
     rational,
     sqrt_rational,
     zero,
@@ -108,11 +109,12 @@ class ExactMatrix:
         d = self.det()
         if d.is_zero():
             raise SingularMatrixError("matrix has determinant 0")
-        dinv = d.invert()   # DomainError for non-monomial Laurent determinants
-        if n == 1:
-            return ExactMatrix(((dinv,),))
+        if n == 1:   # DomainError for non-monomial Laurent determinants
+            return ExactMatrix(((d.invert(),),))
+        dinv, neg = _reciprocals(d)
         (a, b), (c, e) = self.rows
-        return ExactMatrix(((e * dinv, -b * dinv), (-c * dinv, a * dinv)))
+        return ExactMatrix(((_product(e, dinv), _product(b, neg)),
+                            (_product(c, neg), _product(a, dinv))))
 
     def is_rational(self) -> bool:
         return all(x.is_rational() for row in self.rows for x in row)
@@ -176,7 +178,7 @@ def _det(a: ExactMatrix) -> ExactScalar:
     if a.n == 1:
         return rows[0][0]
     if a.n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        return _product(rows[0][0], rows[1][1]) - _product(rows[0][1], rows[1][0])
     if a.is_rational():
         # an integer determinant, over the product of the row scalings
         dens, m = _cleared(rows)
@@ -188,6 +190,18 @@ def _det(a: ExactMatrix) -> ExactScalar:
     if len(cols) < a.n:
         return zero()
     return p if sign > 0 else -p
+
+
+@lru_cache(maxsize=4096)
+def _product(x: ExactScalar, y: ExactScalar) -> ExactScalar:
+    return x * y
+
+
+@lru_cache(maxsize=4096)
+def _reciprocals(d: ExactScalar) -> tuple[ExactScalar, ExactScalar]:
+    """1/d and -1/d; DomainError when d has no inverse in the tower."""
+    dinv = d.invert()
+    return dinv, -dinv
 
 
 def _cleared(rows) -> tuple[list[int], list[list[int]]]:
@@ -260,7 +274,8 @@ def block_triangular_member(p: int, q: int, m: ExactMatrix) -> bool:
 
 
 def pattern_quad_member(x: ExactScalar, m: ExactMatrix) -> bool:
-    """Membership in { [[a, b*x], [c*x, d]] : a,b,c,d rational, det != 0 }."""
+    """Membership in { [[a, b*x], [c*x, d]] : a,b,c,d rational, det != 0 },
+    multiplying b*x and c*x by the memoized 1/x (False when x has none)."""
     if m.n != 2:
         raise DomainError("pattern membership is a 2x2 notion")
     x = as_scalar(x)
@@ -268,9 +283,12 @@ def pattern_quad_member(x: ExactScalar, m: ExactMatrix) -> bool:
         raise DomainError("pattern scalar must be nonzero")
     if not (m.rows[0][0].is_rational() and m.rows[1][1].is_rational()):
         return False
+    try:
+        xinv = _reciprocals(x)[0]
+    except DomainError:
+        return False
     for off in (m.rows[0][1], m.rows[1][0]):
-        r = ratio(off, x)
-        if r is None or not r.is_rational():
+        if not _product(off, xinv).is_rational():
             return False
     return not m.det().is_zero()
 

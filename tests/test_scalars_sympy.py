@@ -143,3 +143,34 @@ def test_laurent_exact_div_matches_sympy():
             assert got is None, (a, b)
         else:
             assert got is not None and _same(got, want), (a, b)
+
+
+def _conjugate(s: ExactScalar) -> ExactScalar:
+    """s with its last square root negated (sqrt(e) and sqrt(d*e) in a
+    biquadratic field), so that s times it lies in a smaller field."""
+    c = s.coords
+    if s.context.kind is ContextKind.QUAD:
+        return ExactScalar._make(s.context, (c[0], -c[1]))
+    if s.context.kind is ContextKind.BIQUAD:
+        return ExactScalar._make(s.context, (c[0], c[1], -c[2], -c[3]))
+    return s
+
+
+def test_each_value_lives_in_the_context_of_its_degree():
+    # the matrices memos key on values, which needs one representation per
+    # value: the stored context is the smallest field holding it, so its
+    # degree over Q is the degree of the value's minimal polynomial
+    x = sympy.Symbol("x")
+    rng = random.Random("sympy-minimal-context")
+    degrees = {1: 0, 2: 0, 4: 0}
+    for d, e in _FIELDS:
+        for _ in range(8):
+            a, b = _field_operand(rng, d, e), _field_operand(rng, d, e)
+            for s in (a, a * b, a * _conjugate(a), (a + b) * (a - b)):
+                radicands = context_radicands(s.context)
+                expr = sum(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(r)
+                           for c, r in zip(s.coords, radicands))
+                poly = sympy.minimal_polynomial(expr, x, compose=False)
+                assert sympy.degree(poly, x) == len(radicands), s
+                degrees[len(radicands)] += 1
+    assert min(degrees.values()) >= 10, degrees
