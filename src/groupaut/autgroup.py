@@ -40,7 +40,6 @@ from .descriptors import (
     Domain,
     FractionRing,
     FullLine,
-    FullSpace,
     GroupDescriptor,
     Image,
     LaurentRing,
@@ -576,12 +575,14 @@ def _product_rule(p: Product) -> AutResult:
     lines = [_line_scalar(f) for f in factors]
     k = next((i for i, x in enumerate(lines) if x is None), n)
 
-    if k and all(x == lines[0] for x in lines[:k]) \
+    if all(x == lines[0] for x in lines[:k]) \
             and all(isinstance(f, FullLine) for f in factors[k:]):
         # Q^p x R^q in that order, up to one common rescaling r of the Q
         # factors: r*R = R, so G = r*(Q^p x R^q), and Phi(r*G) = Phi(G) (a
-        # permuted product is a different set and has no closed form)
-        return Exact(GLQ(n) if k == n else BlockTriangular(k, n - k))
+        # permuted product is a different set and has no closed form);
+        # p = 0 is R^n, whose Phi is GL(n, R)
+        return Exact(GLQ(n) if k == n else GLR(n) if not k
+                     else BlockTriangular(k, n - k))
     if k == n == 2:
         x1, x2 = lines
         if (x1 * x1).is_rational() and (x2 * x2).is_rational():
@@ -607,8 +608,6 @@ def _aut_rules(g: GroupDescriptor) -> AutResult:
         return _aut_rules(g.inner)   # invariance ignores scaling
     if isinstance(g, FullLine):
         return Exact(GLR(1))
-    if isinstance(g, FullSpace):
-        return Exact(GLR(g.n))
     if isinstance(g, LaurentRing):
         if g.coeffs is Domain.INT:
             return Exact(pm_powers(t_monomial(1)))

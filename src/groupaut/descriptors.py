@@ -3,9 +3,10 @@
 A descriptor is a small immutable AST.  The one-dimensional building blocks
 are Cyclic, MixedModule (finitely many generators, each carrying a Z or Q
 coefficient domain), the two Laurent rings, FractionRing (Z[1/m]), Scaled
-and FullLine; higher dimensions come from Product, Image under an
-invertible matrix, and FullSpace.  A divisible hull is not a node:
-``divisible_hull`` folds it into one of these forms when it is built.
+and FullLine; higher dimensions come from Product and Image under an
+invertible matrix.  R^n is the Product of n FullLine factors.  A divisible
+hull is not a node: ``divisible_hull`` folds it into one of these forms
+when it is built.
 
 Cyclic is the one-term Z-module: its ``terms`` are ``((Domain.INT, g),)``,
 and every decision reads it through the module code.  It stays a type of
@@ -146,13 +147,8 @@ class Image:
     matrix: ExactMatrix
 
 
-@frozen_dataclass
-class FullSpace:
-    n: int
-
-
 GroupDescriptor = Union[Cyclic, MixedModule, LaurentRing, FractionRing,
-                        Scaled, FullLine, Product, Image, FullSpace]
+                        Scaled, FullLine, Product, Image]
 
 
 @dataclass(frozen=True)
@@ -392,12 +388,6 @@ def full_line() -> FullLine:
     return FullLine()
 
 
-def full_space(n: int) -> FullSpace:
-    if not isinstance(n, int) or n < 1:
-        raise DescriptorError(f"dimension must be a positive integer, got {n}")
-    return FullSpace(n)
-
-
 def product(factors: Iterable[GroupDescriptor]) -> Product:
     fs = tuple(factors)
     if not fs:
@@ -435,8 +425,6 @@ def dimension(g: GroupDescriptor) -> int:
         return len(g.factors)
     if isinstance(g, Image):
         return g.matrix.n
-    if isinstance(g, FullSpace):
-        return g.n
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
 
@@ -468,8 +456,8 @@ def rat_line_member(g: GroupDescriptor, v) -> bool:
 def real_line_member(g: GroupDescriptor, v) -> bool:
     """Does the whole real line R*v lie inside G?
 
-    Every descriptor here except FullLine/FullSpace describes a countable
-    group, so in those factors only v = 0 qualifies.
+    Every descriptor here except FullLine describes a countable group, so
+    only v = 0 qualifies in every other factor.
     """
     return _real_line(g, as_vector(g, v))
 
@@ -545,7 +533,7 @@ def _rat_line(g: GroupDescriptor, v: Vector) -> bool:
 
 
 def _real_line(g: GroupDescriptor, v: Vector) -> bool:
-    return all(leaf is not None and (isinstance(leaf, (FullLine, FullSpace))
+    return all(leaf is not None and (isinstance(leaf, FullLine)
                                      or all(c.is_zero() for c in coords))
                for leaf, coords in _split(g, v))
 
@@ -569,7 +557,7 @@ def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
         if not s.is_rational():
             return MembershipVerdict(False)
         return MembershipVerdict(coprime_part(s.as_fraction().denominator, g.m) == 1)
-    if isinstance(g, (FullLine, FullSpace)):
+    if isinstance(g, FullLine):
         return MembershipVerdict(True)
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
@@ -584,7 +572,7 @@ def _leaf_rat_line(g: GroupDescriptor, v: Vector) -> bool:
         if g.coeffs is Domain.INT:
             return v[0].is_zero()
         return _leaf_member(g, v).member
-    if isinstance(g, (FullLine, FullSpace)):
+    if isinstance(g, FullLine):
         return True
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
@@ -612,7 +600,7 @@ def hull_closure(g: GroupDescriptor) -> GroupDescriptor:
             "the divisible hull of Z[1/m] has no closed form here")
     if isinstance(g, Scaled):
         return Scaled(g.factor, hull_closure(g.inner))
-    if isinstance(g, (FullLine, FullSpace)):
+    if isinstance(g, FullLine):
         return g
     if isinstance(g, Product):
         return Product(tuple(hull_closure(f) for f in g.factors))
@@ -636,7 +624,7 @@ def is_divisible(g: GroupDescriptor) -> bool:
         return False
     if isinstance(g, (Scaled, Image)):
         return is_divisible(g.inner)
-    if isinstance(g, (FullLine, FullSpace)):
+    if isinstance(g, FullLine):
         return True
     if isinstance(g, Product):
         return all(is_divisible(f) for f in g.factors)
@@ -676,7 +664,7 @@ def is_cyclic(g: GroupDescriptor) -> bool:
 
 def is_dense(g: GroupDescriptor) -> bool:
     """Density in R^n: non-cyclic in each line, componentwise for products."""
-    if isinstance(g, (FullLine, FullSpace)):
+    if isinstance(g, FullLine):
         return True
     if isinstance(g, Product):
         return all(is_dense(f) for f in g.factors)
@@ -721,7 +709,7 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
             terms.append((d, gen))
         terms.sort(key=lambda t: (0 if t[0] is Domain.INT else 1, t[1].sort_key()))
         return MixedModule(tuple(terms))
-    if isinstance(g, (LaurentRing, FractionRing, FullLine, FullSpace)):
+    if isinstance(g, (LaurentRing, FractionRing, FullLine)):
         return g
     if isinstance(g, Scaled):
         r = g.factor
@@ -733,7 +721,7 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
             return _normalize(Cyclic(r * inner.generator))
         if isinstance(inner, MixedModule):
             return _normalize(MixedModule(tuple((d, r * gen) for d, gen in inner.terms)))
-        if isinstance(inner, (FullLine, FullSpace)):
+        if isinstance(inner, FullLine):
             return inner
         if isinstance(inner, Product):
             return _normalize(Product(tuple(Scaled(r, f) for f in inner.factors)))
@@ -746,8 +734,6 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
         factors = tuple(_normalize(f) for f in g.factors)
         if len(factors) == 1:
             return factors[0]
-        if all(isinstance(f, FullLine) for f in factors):
-            return FullSpace(len(factors))
         return Product(factors)
     if isinstance(g, Image):
         inner = _normalize(g.inner)
@@ -755,8 +741,8 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
         while isinstance(inner, Image):
             a = inner.matrix * a
             inner = _normalize(inner.inner)
-        if isinstance(inner, FullSpace):
-            return inner
+        if inner == Product((FullLine(),) * a.n):
+            return inner        # R^n * A = R^n
         if a.n == 1:
             return _normalize(Scaled(a.rows[0][0], inner))
         if a == identity(a.n):
@@ -768,7 +754,7 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# generators for invariance certificates, bases, containment
+# generators for invariance certificates
 # ---------------------------------------------------------------------------
 
 def invariance_generators(g: GroupDescriptor
@@ -782,8 +768,6 @@ def invariance_generators(g: GroupDescriptor
         return [("int" if d is Domain.INT else "rat", (gen,)) for d, gen in g.terms]
     if isinstance(g, FullLine):
         return [("real", (one(),))]
-    if isinstance(g, FullSpace):
-        return invariance_generators(Product((FullLine(),) * n))
     if isinstance(g, Scaled):
         return [(kind, tuple(g.factor * c for c in vec))
                 for kind, vec in invariance_generators(g.inner)]
@@ -801,40 +785,6 @@ def invariance_generators(g: GroupDescriptor
     raise UnsupportedError(
         f"{kind_name(g)} is not finitely generated as a module; "
         "use the unit-group route")
-
-
-def subgroup_of(g: GroupDescriptor, h: GroupDescriptor) -> bool:
-    """Sufficient-and-necessary containment test via generators (when g is
-    finitely generated in the sense of invariance_generators)."""
-    if dimension(g) != dimension(h):
-        raise DomainError("dimension mismatch")
-    return all(holds(kind, h, vec) for kind, vec in invariance_generators(g))
-
-
-def basis_from_group(g: GroupDescriptor) -> list[Vector]:
-    """n member-vectors with nonzero determinant (needs a dense group)."""
-    if not is_dense(g):
-        raise DescriptorError("basis extraction needs a dense group")
-    n = dimension(g)
-    if isinstance(g, Image):
-        inner = basis_from_group(g.inner)
-        return [vec_mat_mul(v, g.matrix) for v in inner]
-    if isinstance(g, Scaled):
-        inner = basis_from_group(g.inner)
-        return [tuple(g.factor * c for c in v) for v in inner]
-    if isinstance(g, Product):
-        rows = []
-        for i, f in enumerate(g.factors):
-            pick = basis_from_group(f)[0][0]
-            rows.append(tuple(pick if j == i else zero() for j in range(n)))
-        return rows
-    if isinstance(g, FullSpace):
-        return [tuple(one() if i == j else zero() for j in range(n)) for i in range(n)]
-    if isinstance(g, (FullLine, LaurentRing, FractionRing)):
-        return [(one(),)]
-    if isinstance(g, (Cyclic, MixedModule)):
-        return [(g.terms[0][1],)]
-    raise DescriptorError(f"not a group descriptor: {g!r}")
 
 
 def kind_name(g: GroupDescriptor) -> str:

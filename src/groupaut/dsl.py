@@ -35,7 +35,6 @@ from .descriptors import (
     Domain,
     FractionRing,
     FullLine,
-    FullSpace,
     GroupDescriptor,
     Image,
     LaurentRing,
@@ -442,8 +441,6 @@ def group_to_text(g: GroupDescriptor) -> str:
         return " x ".join(parts)
     if isinstance(g, Image):
         return f"image({group_to_text(g.inner)}, {matrix_to_text(g.matrix)})"
-    if isinstance(g, FullSpace):
-        return " x ".join(["R"] * g.n)
     raise TypeError(f"not a group descriptor: {g!r}")
 
 
@@ -481,8 +478,6 @@ def descriptor_to_json(g: GroupDescriptor) -> dict:
     if isinstance(g, Image):
         return {"kind": "image", "inner": descriptor_to_json(g.inner),
                 "matrix": matrix_to_json(g.matrix)}
-    if isinstance(g, FullSpace):
-        return {"kind": "space", "n": g.n}
     raise TypeError(f"not a group descriptor: {g!r}")
 
 
@@ -507,6 +502,4 @@ def descriptor_from_json(d: dict) -> GroupDescriptor:
         return product([descriptor_from_json(f) for f in d["factors"]])
     if kind == "image":
         return image(descriptor_from_json(d["inner"]), matrix_from_json(d["matrix"]))
-    if kind == "space":
-        return FullSpace(d["n"])
     raise ParseError(f"unknown descriptor kind {kind!r}", 0)

@@ -33,7 +33,6 @@ from .descriptors import (
     Domain,
     FractionRing,
     FullLine,
-    FullSpace,
     GroupDescriptor,
     Image,
     LaurentRing,
@@ -118,8 +117,6 @@ def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
     """Deterministic, duplicate-free sample of members with coefficient
     height at most the bound."""
     h = _check_height(height)
-    if isinstance(g, FullSpace):
-        g = Product((FullLine(),) * g.n)
     if isinstance(g, Product):
         columns = [enumerate_members(f, h) for f in g.factors]
         vecs = [tuple(s for part in combo for s in part)
@@ -183,8 +180,6 @@ def candidate_matrices(g: GroupDescriptor, height: int,
     if h > _MATRIX_HEIGHT_CAP:
         raise DomainError(
             f"matrix enumeration is capped at height {_MATRIX_HEIGHT_CAP}")
-    if isinstance(g, FullSpace):
-        g = Product((FullLine(),) * g.n)
     if not isinstance(g, Product):
         raise UnsupportedError(
             "matrix candidates need an explicit product of factors")

@@ -12,8 +12,9 @@ from typing import Iterator
 
 from .autgroup import Certificate, acts_invariantly
 from .descriptors import (
-    FullSpace,
+    FullLine,
     GroupDescriptor,
+    Product,
     dimension,
     is_dense,
     normalize,
@@ -59,10 +60,11 @@ def sl_candidates(n: int) -> Iterator[ExactMatrix]:
 def sl_obstruction_witness(g: GroupDescriptor, budget: int = 64) -> ExactMatrix:
     """First determinant-one matrix on the ladder that G does not absorb.
 
-    Raises DomainError when no witness can exist (the full space, or a group
-    that is not dense, or one dimension where determinant one means the
-    identity map up to sign) and BudgetExceededError when the allotted
-    number of certificate checks runs out before a witness appears.
+    Raises DomainError for a negative budget or when no witness can exist
+    (the full space, or a group that is not dense, or one dimension where
+    determinant one means the identity map up to sign) and
+    BudgetExceededError when the allotted number of certificate checks runs
+    out before a witness appears.
     """
     return _sl_search(g, budget)[0]
 
@@ -74,7 +76,9 @@ def _sl_search(g: GroupDescriptor, budget: int) -> tuple[ExactMatrix, Certificat
     n = dimension(gn)
     if n < 2:
         raise DomainError("an obstruction needs at least two dimensions")
-    if isinstance(gn, FullSpace):
+    if budget < 0:
+        raise DomainError(f"the budget must be at least 0, got {budget}")
+    if gn == Product((FullLine(),) * n):
         raise DomainError("the full space absorbs every invertible matrix")
     if not is_dense(gn):
         raise DomainError("only dense groups are searched")

@@ -4,6 +4,7 @@ These run main() in-process and pin exact bytes for a handful of
 invocations, since downstream scripts diff the output.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +56,61 @@ def test_pinned_output(capsys, argv, code, out):
     assert got_out == out
     assert got_code == code
     assert got_err == ""
+
+
+# R^n is the product of n lines, and a rescaled, sheared or hulled R^n
+# folds back to it: every spelling answers as R^n, byte for byte
+_GLR2 = '{"aut":{"kind":"GLR","n":2}}\n'
+_GLR3 = '{"aut":{"kind":"GLR","n":3}}\n'
+_DENSE, _DIVISIBLE = '{"dense":true}\n', '{"divisible":true}\n'
+_ABSORBS = "error: the full space absorbs every invertible matrix\n"
+R_N_PINNED = [
+    (("aut", "R x R"), 0, _GLR2, ""),
+    (("dim", "R x R"), 0, '{"dim":4}\n', ""),
+    (("dense", "R x R"), 0, _DENSE, ""),
+    (("divisible", "R x R"), 0, _DIVISIBLE, ""),
+    (("aut", "R x R x R"), 0, _GLR3, ""),
+    (("dim", "R x R x R"), 0, '{"dim":9}\n', ""),
+    (("dense", "R x R x R"), 0, _DENSE, ""),
+    (("divisible", "R x R x R"), 0, _DIVISIBLE, ""),
+    (("aut", "sqrt(2)*(R x R)"), 0, _GLR2, ""),
+    (("dim", "sqrt(2)*(R x R)"), 0, '{"dim":4}\n', ""),
+    (("dense", "sqrt(2)*(R x R)"), 0, _DENSE, ""),
+    (("divisible", "sqrt(2)*(R x R)"), 0, _DIVISIBLE, ""),
+    (("aut", "image(R x R, [1,1;0,1])"), 0, _GLR2, ""),
+    (("dim", "image(R x R, [1,1;0,1])"), 0, '{"dim":4}\n', ""),
+    (("dense", "image(R x R, [1,1;0,1])"), 0, _DENSE, ""),
+    (("divisible", "image(R x R, [1,1;0,1])"), 0, _DIVISIBLE, ""),
+    (("aut", "hull(R x R)"), 0, _GLR2, ""),
+    (("dim", "hull(R x R)"), 0, '{"dim":4}\n', ""),
+    (("dense", "hull(R x R)"), 0, _DENSE, ""),
+    (("divisible", "hull(R x R)"), 0, _DIVISIBLE, ""),
+    (("member", "R x R", "(1,sqrt(2))"), 0,
+     '{"member":true,"witness":null}\n', ""),
+    (("aut-member", "R x R", "[1,sqrt(2);0,1]"), 0,
+     '{"aut_member":true}\n', ""),
+    (("sl-witness", "R x R x R"), 1, "", _ABSORBS),
+    (("sl-witness", "image(R x R, [1,1;0,1])"), 1, "", _ABSORBS),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", R_N_PINNED,
+                         ids=[" ".join(a) for a, *_ in R_N_PINNED])
+def test_full_space_output(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_full_space_cross_check_output(capsys):
+    # all 496 candidates are confirmed: pinned by length and digest, not
+    # spelled out
+    code, out, err = run(capsys, "cross-check", "R x R", "--height", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith('{"group":"R x R","height":1,"candidates":496,'
+                          '"confirmed":[[["-1","-1"],["-1","0"]],')
+    assert out.endswith('],"refuted":[],"agreement":true}\n')
+    assert len(out) == 16826
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1221770c10446e763bf43ae26897b93023f0bae5cc028032e9e79f7bbdf10f44"
 
 
 def test_repeated_invocations_are_byte_identical(capsys):

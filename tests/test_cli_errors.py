@@ -78,6 +78,17 @@ def test_perm_demo_above_its_caps_exits_two(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_sl_witness_budget_is_an_input_error():
+    proc = _groupaut("sl-witness", "Q x Q", "--budget", "-1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: the budget must be at least 0, got -1\n"
+    # a budget of 0 is well formed, and runs out before the first check
+    proc = _groupaut("sl-witness", "Q x Q", "--budget", "0")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "witness": None, "reason": "no witness within 0 certificate checks"}
+
+
 def test_perm_demo_at_its_caps_answers():
     proc = _groupaut("perm-demo", "--cycles", f"(0,{PERM_MAX_ENTRY})",
                      "--seq", "1")

@@ -16,7 +16,6 @@ from groupaut.descriptors import (
     Cyclic,
     Domain,
     MixedModule,
-    basis_from_group,
     cyclic,
     cyclic_form,
     hull_closure,
@@ -29,7 +28,6 @@ from groupaut.descriptors import (
     rat_line_member,
     real_line_member,
 )
-from groupaut.errors import DescriptorError
 from groupaut.oracle import enumerate_members
 from groupaut.scalars import (
     ContextKind,
@@ -122,8 +120,6 @@ def test_structure_of_a_cyclic_group(g):
     assert canonical.generator in (g, -g)
     assert canonical == cyclic_form(module)
     assert is_cyclic(c) and not is_dense(c)
-    with pytest.raises(DescriptorError):
-        basis_from_group(c)
 
 
 def test_sign_of_the_cyclic_form(g):

@@ -11,17 +11,16 @@ from groupaut import descriptors as _d
 from groupaut.descriptors import (
     Cyclic,
     Domain,
-    FullSpace,
+    FullLine,
     MixedModule,
     LaurentRing,
-    basis_from_group,
+    Product,
     cyclic,
     cyclic_form,
     dimension,
     divisible_hull,
     fraction_ring,
     full_line,
-    full_space,
     hull_closure,
     image,
     invariance_generators,
@@ -36,7 +35,6 @@ from groupaut.descriptors import (
     rat_line_member,
     real_line_member,
     scaled,
-    subgroup_of,
 )
 from groupaut.dsl import parse_descriptor
 from groupaut.errors import (
@@ -46,7 +44,7 @@ from groupaut.errors import (
     GroupAutError,
     UnsupportedError,
 )
-from groupaut.matrices import matrix
+from groupaut.matrices import matrix, scalar_matrix
 from groupaut.scalars import rational, sqrt_rational, t_monomial
 
 
@@ -56,6 +54,11 @@ T = t_monomial(1)
 
 Q = mixed_module([(Domain.RAT, 1)])
 Z_PLUS_Q_R2 = mixed_module([(Domain.INT, 1), (Domain.RAT, R2)])
+
+
+def _full_space(n):
+    """R^n: its one spelling, the product of n lines."""
+    return product([full_line()] * n)
 
 
 def _rational_module(*gens):
@@ -219,7 +222,7 @@ def test_real_line_member():
     assert real_line_member(p, (0, 1))
     assert real_line_member(p, (0, R2))
     assert not real_line_member(p, (1, 1))
-    assert real_line_member(full_space(2), (1, R2))
+    assert real_line_member(_full_space(2), (1, R2))
     assert not real_line_member(Q, 1)
     assert real_line_member(Q, 0)
 
@@ -234,7 +237,7 @@ def test_is_divisible():
     assert is_divisible(laurent_ring(Domain.RAT))
     assert not is_divisible(fraction_ring(2))
     assert is_divisible(divisible_hull(Z_PLUS_Q_R2))
-    assert is_divisible(full_line()) and is_divisible(full_space(3))
+    assert is_divisible(full_line()) and is_divisible(_full_space(3))
     assert is_divisible(product([Q, Q])) and not is_divisible(product([Q, cyclic(1)]))
     assert is_divisible(scaled(R2, Q))
 
@@ -287,7 +290,7 @@ def test_is_dense():
     assert is_dense(product([Q, Q]))
     assert not is_dense(product([Q, cyclic(1)]))
     assert is_dense(image(product([Q, Q]), matrix([[1, 1], [0, 1]])))
-    assert is_dense(full_space(4))
+    assert is_dense(_full_space(4))
     assert is_dense(laurent_ring(Domain.INT))
 
 
@@ -302,7 +305,10 @@ def test_normalize_folds_scalings():
 
 
 def test_normalize_misc():
-    assert normalize(product([full_line(), full_line()])) == FullSpace(2)
+    plane = _full_space(2)
+    assert normalize(plane) == Product((FullLine(), FullLine()))
+    assert normalize(image(plane, matrix([[1, 1], [0, 1]]))) == plane
+    assert normalize(scaled(R2, plane)) == plane
     assert normalize(product([Q])) == Q
     a = matrix([[1, 1], [0, 1]])
     b = matrix([[1, 0], [1, 1]])
@@ -338,7 +344,7 @@ def test_normalize_idempotent_and_set_preserving():
             assert member(g, v).member == member(n, v).member
 
 
-# -- generators / bases / containment ----------------------------------------
+# -- generators ---------------------------------------------------------------
 
 def test_invariance_generators():
     gens = invariance_generators(product([Q, full_line()]))
@@ -349,28 +355,6 @@ def test_invariance_generators():
         invariance_generators(laurent_ring(Domain.INT))
     with pytest.raises(UnsupportedError):
         invariance_generators(fraction_ring(2))
-
-
-def test_basis_from_group():
-    assert basis_from_group(product([Q, Q])) == \
-        [(rational(1), rational(0)), (rational(0), rational(1))]
-    assert basis_from_group(product([Q, _rational_module(R2)])) == \
-        [(rational(1), rational(0)), (rational(0), R2)]
-    a = matrix([[1, 1], [0, 1]])
-    rows = basis_from_group(image(product([Q, Q]), a))
-    assert rows == [(rational(1), rational(1)), (rational(0), rational(1))]
-    for row in rows:
-        assert member(image(product([Q, Q]), a), row).member
-    with pytest.raises(DescriptorError):
-        basis_from_group(cyclic(1))
-
-
-def test_subgroup_of():
-    assert subgroup_of(cyclic(1), Q)
-    assert subgroup_of(Z_PLUS_Q_R2, _rational_module(1, R2))
-    assert not subgroup_of(_rational_module(1, R2), Z_PLUS_Q_R2)
-    assert subgroup_of(product([Q, Q]), full_space(2))
-    assert not subgroup_of(full_space(2), product([Q, Q]))
 
 
 def test_example_biquad_system_trivial_kernel():
@@ -450,8 +434,6 @@ def _ref_member(g, v):
     if isinstance(g, _d.Image):
         inner = _ref_member(g.inner, _d.vec_mat_mul(v, g.matrix.inverse()))
         return _d.MembershipVerdict(inner.member, inner.witness)
-    if isinstance(g, _d.FullSpace):
-        return _d.MembershipVerdict(True)
     raise AssertionError(g)
 
 
@@ -469,7 +451,7 @@ def _ref_rat_line(g, v):
     if isinstance(g, _d.Scaled):
         quotient = _ref_quotient(g, v)
         return quotient is not None and _ref_rat_line(g.inner, quotient)
-    if isinstance(g, (_d.FullLine, _d.FullSpace)):
+    if isinstance(g, _d.FullLine):
         return True
     if isinstance(g, _d.Product):
         return all(_ref_rat_line(f, (c,)) for f, c in zip(g.factors, v))
@@ -479,7 +461,7 @@ def _ref_rat_line(g, v):
 
 
 def _ref_real_line(g, v):
-    if isinstance(g, (_d.FullLine, _d.FullSpace)):
+    if isinstance(g, _d.FullLine):
         return True
     if isinstance(g, _d.Product):
         return all(_ref_real_line(f, (c,)) for f, c in zip(g.factors, v))
@@ -518,7 +500,7 @@ def _random_group(rng, n, depth):
             return _d.Image(_random_group(rng, 1, depth - 1), rng.choice(_MATRICES_1))
         return _d.Product((_random_group(rng, 1, depth - 1),))
     if pick == 0:
-        return rng.choice([FullSpace(2), _d.Product((rng.choice(_LEAVES),
+        return rng.choice([_full_space(2), _d.Product((rng.choice(_LEAVES),
                                                      rng.choice(_LEAVES)))])
     if pick == 1:
         return _d.Scaled(rng.choice(_FACTORS), _random_group(rng, 2, depth - 1))
@@ -548,6 +530,42 @@ def test_walk_matches_per_node_recursions():
         assert _outcome(real_line_member, g, v) == _outcome(_ref_real_line, g, v), (g, v)
         decided += got[0] == "value"
     assert decided > 300   # most draws are decided, not context clashes
+
+
+def _assert_normal(g):
+    """g keeps to the grammar of normal forms: a leaf; Scaled over a ring;
+    a Product of two or more one-dimensional normal factors; or an Image
+    with a matrix that is not scalar over such a Product, other than R^n."""
+    if isinstance(g, _d.Scaled):
+        assert isinstance(g.inner, (LaurentRing, _d.FractionRing)), g
+    elif isinstance(g, Product):
+        assert len(g.factors) >= 2, g
+        for f in g.factors:
+            assert dimension(f) == 1, g
+            _assert_normal(f)
+    elif isinstance(g, _d.Image):
+        a = g.matrix
+        assert isinstance(g.inner, Product), g      # so never inside an Image
+        assert g.inner != _full_space(a.n), g
+        assert a != scalar_matrix(a.rows[0][0], a.n), g
+        _assert_normal(g.inner)
+    else:
+        assert isinstance(g, (Cyclic, MixedModule, LaurentRing,
+                              _d.FractionRing, FullLine)), g
+
+
+def test_normal_forms_keep_to_the_grammar():
+    rng = random.Random(20261019)
+    normalized = 0
+    for _ in range(600):
+        g = _random_group(rng, rng.choice((1, 2)), 3)
+        try:
+            n = normalize(g)
+        except GroupAutError:
+            continue        # a scaling that joins incompatible towers
+        _assert_normal(n)
+        normalized += 1
+    assert normalized > 300
 
 
 def test_walk_is_lazy_in_coordinate_order():
@@ -677,7 +695,7 @@ HASH_CASES = [
     ("image(Q x Q*sqrt(2), [1,1;0,1])",
      lambda: image(product([_rational_module(1), _rational_module(R2)]),
                    matrix([[1, 1], [0, 1]]))),
-    ("R x R", lambda: full_space(2)),
+    ("R x R", lambda: _full_space(2)),
 ]
 
 
@@ -712,12 +730,12 @@ def test_descriptor_hash_is_kept_and_is_the_dataclass_hash(text, build):
 
 
 def test_replace_does_not_inherit_the_kept_hash():
-    g = full_space(2)
+    g = fraction_ring(2)
     hash(g)
-    wider = dataclasses.replace(g, n=3)
-    assert wider == full_space(3) and hash(wider) == hash((3,))
+    wider = dataclasses.replace(g, m=3)
+    assert wider == fraction_ring(3) and hash(wider) == hash((3,))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        g.n = 3
+        g.m = 3
 
 
 def test_domain_members_are_dict_keys():

@@ -5,7 +5,7 @@ import pytest
 from groupaut.descriptors import (
     Cyclic,
     Domain,
-    FullSpace,
+    FullLine,
     MixedModule,
     Product,
     Scaled,
@@ -80,7 +80,7 @@ def test_parse_print_parse_fixpoint():
 
 
 def test_parse_normalizes():
-    assert parse_descriptor("R x R") == FullSpace(2)
+    assert parse_descriptor("R x R") == Product((FullLine(), FullLine()))
     assert parse_descriptor("Q*2") == parse_descriptor("Q")
     assert parse_descriptor("2*cyclic(3)") == Cyclic(rational(6))
     assert parse_descriptor("hull(cyclic(3))") == parse_descriptor("Q")
@@ -167,6 +167,17 @@ def test_json_revalidates():
                                         {"domain": "Z", "generator": "1"}]})
     with pytest.raises(DescriptorError):
         descriptor_from_json({"kind": "zinv", "m": 1})
+
+
+def test_json_spells_r_n_as_a_product_of_lines():
+    g = parse_descriptor("R x R")
+    blob = descriptor_to_json(g)
+    assert blob == {"kind": "product",
+                    "factors": [{"kind": "line"}, {"kind": "line"}]}
+    assert descriptor_from_json(blob) == g
+    # R^n has no kind of its own, so not even a 0-dimensional one
+    with pytest.raises(ParseError, match="unknown descriptor kind 'space'"):
+        descriptor_from_json({"kind": "space", "n": 0})
 
 
 def test_matrix_json():

@@ -31,7 +31,6 @@ from groupaut.autgroup import (
 )
 from groupaut.descriptors import (
     FullLine,
-    FullSpace,
     Product,
     dimension,
     holds,
@@ -74,8 +73,7 @@ def ref_candidate_scalars(g, h):
 
 
 def ref_candidate_matrices(g, h):
-    factors = (FullLine(),) * g.n if isinstance(g, FullSpace) else g.factors
-    columns = [[v[0] for v in enumerate_members(f, h)] for f in factors]
+    columns = [[v[0] for v in enumerate_members(f, h)] for f in g.factors]
     entries = [[], [], [], []]
     for i in range(2):
         for j in range(2):
@@ -239,9 +237,8 @@ def test_full_space_members_are_those_of_a_product_of_lines(n):
     expected = {tuple(s.sort_key() for part in combo for s in part):
                 tuple(s for part in combo for s in part)
                 for combo in itertools.product(*([line] * n))}
-    got = enumerate_members(FullSpace(n), 1)
+    got = enumerate_members(Product((FullLine(),) * n), 1)
     assert got == [expected[k] for k in sorted(expected)]
-    assert got == enumerate_members(Product((FullLine(),) * n), 1)
 
 
 @pytest.mark.parametrize("text", LINES + PLANES)
