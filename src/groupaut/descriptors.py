@@ -85,6 +85,7 @@ from .scalars import (
     FORMAL_CONTEXT,
     FieldContext,
     RAT_CONTEXT,
+    _number,
     as_scalar,
     context_radicands,
     exact_div,
@@ -337,13 +338,13 @@ def mixed_module(terms: Iterable[tuple[Domain, object]]) -> MixedModule:
         norm.append((d, g))
     if not norm:
         raise DescriptorError("module needs at least one generator")
-    ctx = RAT_CONTEXT
-    for _, g in norm:
-        ctx = join_context(ctx, g.context)   # raises for incompatible mixes
+    # joining the contexts raises for incompatible mixes; a redundant term
+    # lies in the Q-span of the others, so Q-independent rows have none
+    rows = _coordinates(tuple(norm))[3] if len(norm) > 1 else []
+    if len(linalg.fraction_free([list(r) for r in rows], False)[1]) == len(rows):
+        return MixedModule(tuple(norm))
     for i, (d, g) in enumerate(norm):
         rest = norm[:i] + norm[i + 1:]
-        if not rest:
-            continue
         if d is Domain.INT:
             redundant = _module_solve(rest, g) is not None
         else:
@@ -673,20 +674,24 @@ def is_dense(g: GroupDescriptor) -> bool:
     return not is_cyclic(g)
 
 
-def _sign_canonical(s: ExactScalar) -> ExactScalar:
+def _lead(s: ExactScalar) -> int:
+    """The first nonzero numerator of s (of its lowest power of t), or s.den."""
     if s.context.kind is ContextKind.FORMAL:
-        lead = s.coords[0][1]
-    else:
-        lead = next((c for c in s.coords if c != 0), Fraction(0))
-    return -s if lead < 0 else s
+        return s.nums[0][1]
+    return next((n for n in s.nums if n), s.den)
+
+
+def _sign_canonical(s: ExactScalar) -> ExactScalar:
+    """s or -s, whichever leads with a positive numerator."""
+    return -s if _lead(s) < 0 else s
 
 
 def _monic(s: ExactScalar) -> ExactScalar:
+    """s over its leading coordinate lead/den, on ints: in a number field,
+    its numerators over lead."""
     if s.context.kind is ContextKind.FORMAL:
-        lead = s.coords[0][1]
-    else:
-        lead = next((c for c in s.coords if c != 0), Fraction(1))
-    return s * rational(Fraction(1) / lead)
+        return s * _number(RAT_CONTEXT, (s.den,), _lead(s))
+    return _number(s.context, s.nums, _lead(s))
 
 
 # ---------------------------------------------------------------------------

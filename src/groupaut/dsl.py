@@ -18,15 +18,19 @@ groups are accepted everywhere a group is):
 Precedence: '+' binds module terms, scalar prefixes bind one factor, and
 'x' binds loosest.  A bare 'Z' is the cyclic group of the integers; a bare
 'Q' is the one-generator rational module; inside a sum both are sugar for
-'Z*1' / 'Q*1'.
+'Z*1' / 'Q*1'.  A digit is what ``int`` reads, a decimal digit of any
+script; a numeral such as '²' is an unexpected character.
 
-Printing is canonical: parse(print(g)) == g for every normalized g, and
-printed strings re-print to themselves.
+The parser returns the normal form in one pass, on int numerators: each rule
+builds its group normal from normal parts, and only a scalar prefix, an
+image or a hull folds them through ``normalize``.  Printing is canonical:
+parse(print(g)) == g for every normalized g, and printed strings re-print
+to themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -51,11 +55,13 @@ from .descriptors import (
     product,
     scaled,
 )
-from .errors import ParseError
+from .errors import BudgetExceededError, ContextError, ParseError
 from .matrices import ExactMatrix, matrix
 from .scalars import (
     ContextKind,
     ExactScalar,
+    RAT_CONTEXT,
+    _number,
     as_scalar,
     context_radicands,
     rational,
@@ -68,124 +74,111 @@ from .scalars import (
 # tokens
 # ---------------------------------------------------------------------------
 
-_PUNCT = set("()[],;+-*/^")
+_Tok = tuple[str, str, int]      # (kind, text, position)
 
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str      # 'num', 'ident', or the punctuation character itself
-    text: str
-    pos: int
+# a run of decimal digits (exactly what int reads), a run of letters, one
+# punctuation character, which is its own kind, or any other character but
+# a space, which is an error
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<ident>[^\W\d_]+)|[()\[\],;+*/^-]|(?P<bad>\S)")
 
 
 def _tokenize(src: str) -> list[_Tok]:
-    toks = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", src[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < len(src) and src[j].isalpha():
-                j += 1
-            toks.append(_Tok("ident", src[i:j], i))
-            i = j
-            continue
-        if c in _PUNCT:
-            toks.append(_Tok(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Tok("end", "", len(src)))
-    return toks
+    """The (kind, text, position) of each token, then two 'end' tokens, so
+    that peek(1) is defined everywhere.  A kind is 'num', 'ident', or the
+    punctuation character itself."""
+    toks = [(m.lastgroup or m.group(), m.group(), m.start())
+            for m in _TOKEN.finditer(src)]
+    for kind, text, pos in toks:
+        # the letter class also takes numerals that are no digit, as '²'
+        if kind == "bad" or kind == "ident" and not text.isalpha():
+            pos += next(j for j, c in enumerate(text) if not c.isalpha())
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
+    end = ("end", "", len(src))
+    return toks + [end, end]
 
 
 class _Parser:
+    """Each group rule returns its group in normal form."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        # the first ContextError of a fold, raised once the whole text parses
+        self.deferred: Optional[ContextError] = None
 
     def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def take(self) -> _Tok:
         t = self.toks[self.i]
-        if t.kind != "end":
+        if t[0] != "end":
             self.i += 1
         return t
 
     def expect(self, kind: str, what: Optional[str] = None) -> _Tok:
         t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {what or kind!r}, found {t.text or 'end of input'!r}",
-                             t.pos)
+        if t[0] != kind:
+            raise ParseError(f"expected {what or kind!r}, found {t[1] or 'end of input'!r}",
+                             t[2])
         return self.take()
 
     def expect_ident(self, word: str) -> _Tok:
         t = self.peek()
-        if t.kind != "ident" or t.text != word:
-            raise ParseError(f"expected {word!r}, found {t.text or 'end of input'!r}", t.pos)
+        if t[1] != word:
+            raise ParseError(f"expected {word!r}, found {t[1] or 'end of input'!r}", t[2])
         return self.take()
 
     # -- scalars ----------------------------------------------------------
 
-    def _number(self) -> Fraction:
-        t = self.expect("num", "a number")
-        val = Fraction(int(t.text))
-        if self.peek().kind == "/":
-            self.take()
-            den = self.expect("num", "a denominator")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.pos)
-            val = Fraction(val, int(den.text))
-        return val
+    def _fraction(self) -> tuple[int, int]:
+        """The numerator and positive denominator of n or n/d."""
+        num = int(self.expect("num", "a number")[1])
+        if self.peek()[0] != "/":
+            return num, 1
+        self.take()
+        den = self.expect("num", "a denominator")
+        if int(den[1]) == 0:
+            raise ParseError("zero denominator", den[2])
+        return num, int(den[1])
 
     def scalar_factor(self) -> ExactScalar:
-        t = self.peek()
-        if t.kind == "num":
-            return rational(self._number())
-        if t.kind == "ident" and t.text == "sqrt":
+        kind, word, pos = self.peek()
+        if kind == "num":
+            num, den = self._fraction()
+            return _number(RAT_CONTEXT, (num,), den)
+        if word == "sqrt":
             self.take()
             self.expect("(")
-            q = self._number()
+            num, den = self._fraction()
             self.expect(")")
-            if q <= 0:
-                raise ParseError("sqrt needs a positive argument", t.pos)
-            return sqrt_rational(q)
-        if t.kind == "ident" and t.text == "t":
+            if num <= 0:
+                raise ParseError("sqrt needs a positive argument", pos)
+            return sqrt_rational(Fraction(num, den))
+        if word == "t":
             self.take()
             exp = 1
-            if self.peek().kind == "^":
+            if self.peek()[0] == "^":
                 self.take()
                 sign = 1
-                if self.peek().kind == "-":
+                if self.peek()[0] == "-":
                     self.take()
                     sign = -1
-                exp = sign * int(self.expect("num", "an exponent").text)
+                exp = sign * int(self.expect("num", "an exponent")[1])
             return t_monomial(exp)
-        if t.kind == "(":
+        if kind == "(":
             self.take()
             s = self.scalar_expr()
             self.expect(")")
             return s
-        raise ParseError(f"expected a scalar, found {t.text or 'end of input'!r}", t.pos)
+        raise ParseError(f"expected a scalar, found {word or 'end of input'!r}", pos)
 
     def scalar_term(self) -> ExactScalar:
         neg = False
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.take()
             neg = True
         s = self.scalar_factor()
-        while self.peek().kind == "*" and self._starts_scalar_factor_at(1):
+        while self.peek()[0] == "*" and self._starts_scalar_factor_at(1):
             save = self.i
             self.take()
             try:
@@ -197,15 +190,17 @@ class _Parser:
         return -s if neg else s
 
     def _starts_scalar_factor_at(self, ahead: int) -> bool:
-        t = self.peek(ahead)
-        if t.kind in ("num", "("):
-            return True
-        return t.kind == "ident" and t.text in ("sqrt", "t")
+        kind, word, _ = self.peek(ahead)
+        if kind == "(":
+            # a '(' before a word other than sqrt or t opens a group
+            kind, word, _ = self.peek(ahead + 1)
+            return kind != "ident" or word in ("sqrt", "t")
+        return kind == "num" or word in ("sqrt", "t")
 
     def scalar_expr(self) -> ExactScalar:
         s = self.scalar_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
             u = self.scalar_term()
             s = s + u if op == "+" else s - u
         return s
@@ -215,26 +210,37 @@ class _Parser:
     def matrix_literal(self) -> ExactMatrix:
         self.expect("[")
         rows = [self._matrix_row()]
-        while self.peek().kind == ";":
+        while self.peek()[0] == ";":
             self.take()
             rows.append(self._matrix_row())
         self.expect("]")
         if any(len(r) != len(rows) for r in rows):
-            raise ParseError("matrix must be square", self.peek().pos)
+            raise ParseError("matrix must be square", self.peek()[2])
         return matrix(rows)
 
     def _matrix_row(self) -> list[ExactScalar]:
         row = [self.scalar_expr()]
-        while self.peek().kind == ",":
+        while self.peek()[0] == ",":
             self.take()
             row.append(self.scalar_expr())
         return row
 
     # -- groups -----------------------------------------------------------
 
+    def _fold(self, g: GroupDescriptor) -> GroupDescriptor:
+        """normalize(g) for a scalar prefix or an image of normal groups.
+        A ContextError of the fold waits for the end of the parse, behind
+        any error later in the text, where normalizing the whole parse
+        would raise it; g stands in for its normal form meanwhile."""
+        try:
+            return normalize(g)
+        except ContextError as exc:
+            self.deferred = self.deferred or exc
+            return g
+
     def group(self) -> GroupDescriptor:
         factors = [self.summand()]
-        while self.peek().kind == "ident" and self.peek().text == "x":
+        while self.peek()[1] == "x":
             self.take()
             factors.append(self.summand())
         if len(factors) == 1:
@@ -242,10 +248,9 @@ class _Parser:
         return product(factors)
 
     def summand(self) -> GroupDescriptor:
-        t = self.peek()
-        if t.kind == "ident" and t.text in ("Z", "Q"):
+        if self.peek()[1] in ("Z", "Q"):
             terms = [self._module_term()]
-            while self.peek().kind == "+":
+            while self.peek()[0] == "+":
                 self.take()
                 terms.append(self._module_term())
             if len(terms) == 1:
@@ -254,18 +259,18 @@ class _Parser:
                     if dom is Domain.INT:
                         return cyclic(1)
                     return mixed_module([(Domain.RAT, rational(1))])
-                return mixed_module([(dom, gen)])
-            return mixed_module([(d, g) for d, g, _ in terms])
+            # validated in the order typed, so that an error names its place
+            return normalize(mixed_module([(d, g) for d, g, _ in terms]))
         return self.prefixed()
 
     def _module_term(self) -> tuple[Domain, ExactScalar, bool]:
         t = self.peek()
-        if t.kind != "ident" or t.text not in ("Z", "Q"):
-            raise ParseError(f"expected a Z or Q term, found {t.text or 'end of input'!r}",
-                             t.pos)
+        if t[1] not in ("Z", "Q"):
+            raise ParseError(f"expected a Z or Q term, found {t[1] or 'end of input'!r}",
+                             t[2])
         self.take()
-        dom = Domain.INT if t.text == "Z" else Domain.RAT
-        if self.peek().kind == "*":
+        dom = Domain.INT if t[1] == "Z" else Domain.RAT
+        if self.peek()[0] == "*":
             self.take()
             # product-level only: a '+' here separates module terms, so
             # compound generators must be parenthesized
@@ -279,21 +284,21 @@ class _Parser:
                 s = self.scalar_term()
                 self.expect("*")
                 inner = self.prefixed()
-                return scaled(s, inner)
             except ParseError:
                 self.i = save
+            else:
+                return self._fold(scaled(s, inner))
         return self.primary()
 
     def primary(self) -> GroupDescriptor:
-        t = self.peek()
-        if t.kind == "(":
+        kind, word, pos = self.peek()
+        if kind == "(":
             self.take()
             g = self.group()
             self.expect(")")
             return g
-        if t.kind != "ident":
-            raise ParseError(f"expected a group, found {t.text or 'end of input'!r}", t.pos)
-        word = t.text
+        if kind != "ident":
+            raise ParseError(f"expected a group, found {word or 'end of input'!r}", pos)
         if word == "R":
             self.take()
             return FullLine()
@@ -308,36 +313,36 @@ class _Parser:
             self.expect("(")
             g = self.scalar_expr()
             self.expect(")")
-            return cyclic(g)
+            return normalize(cyclic(g))
         if word == "ring":
             self.take()
             self.expect("(")
             dom = self.expect("ident", "Z or Q")
-            if dom.text not in ("Z", "Q"):
-                raise ParseError(f"expected Z or Q, found {dom.text!r}", dom.pos)
+            if dom[1] not in ("Z", "Q"):
+                raise ParseError(f"expected Z or Q, found {dom[1]!r}", dom[2])
             self.expect("[")
             self.expect_ident("t")
             self.expect(",")
             one_tok = self.expect("num", "1")
-            if one_tok.text != "1":
-                raise ParseError("expected '1/t'", one_tok.pos)
+            if one_tok[1] != "1":
+                raise ParseError("expected '1/t'", one_tok[2])
             self.expect("/")
             self.expect_ident("t")
             self.expect("]")
             self.expect(")")
-            return laurent_ring(Domain.INT if dom.text == "Z" else Domain.RAT)
+            return laurent_ring(Domain.INT if dom[1] == "Z" else Domain.RAT)
         if word == "Zinv":
             self.take()
             self.expect("(")
             m = self.expect("num", "an integer >= 2")
             self.expect(")")
-            return fraction_ring(int(m.text))
+            return fraction_ring(int(m[1]))
         if word == "hull":
             self.take()
             self.expect("(")
             g = self.group()
             self.expect(")")
-            return divisible_hull(g)
+            return normalize(divisible_hull(g))
         if word == "image":
             self.take()
             self.expect("(")
@@ -345,16 +350,22 @@ class _Parser:
             self.expect(",")
             a = self.matrix_literal()
             self.expect(")")
-            return image(g, a)
-        raise ParseError(f"expected a group, found {word!r}", t.pos)
+            return self._fold(image(g, a))
+        raise ParseError(f"expected a group, found {word!r}", pos)
 
 
 def _parse_whole(text: str, rule: Callable[[_Parser], object]):
     """Parse text by one grammar rule, which must consume all of it."""
     p = _Parser(text)
-    out = rule(p)
-    if p.peek().kind != "end":
-        raise ParseError(f"unexpected trailing input {p.peek().text!r}", p.peek().pos)
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise BudgetExceededError("nesting too deep to parse") from None
+    kind, word, pos = p.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {word!r}", pos)
+    if p.deferred is not None:
+        raise p.deferred
     return out
 
 
@@ -367,8 +378,9 @@ def parse_matrix(text: str) -> ExactMatrix:
 
 
 def parse_descriptor(text: str) -> GroupDescriptor:
-    """Parse and return the canonical (normalized) descriptor."""
-    return normalize(_parse_whole(text, _Parser.group))
+    """Parse and return the canonical (normalized) descriptor; normalize
+    leaves it as it is."""
+    return _parse_whole(text, _Parser.group)
 
 
 # ---------------------------------------------------------------------------

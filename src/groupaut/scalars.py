@@ -643,14 +643,14 @@ def one() -> ExactScalar:
 
 
 def sqrt_rational(q: Rationalish) -> ExactScalar:
-    """Exact square root of a positive rational, landing in RAT or QUAD."""
+    """Exact square root of a positive rational, landing in RAT or QUAD,
+    built on the ints of ``canonicalize_radical``'s split."""
     q = Fraction(q)
     if q == 0:
         return zero()
     core, mult = canonicalize_radical(q)
-    if core == 1:
-        return rational(mult)
-    return ExactScalar._make(quad_context(core), (0, mult))
+    ctx, surd = (RAT_CONTEXT, ()) if core == 1 else (quad_context(core), (0,))
+    return _number(ctx, surd + (mult.numerator,), mult.denominator)
 
 
 def t_monomial(exp: int, coeff: Rationalish = 1) -> ExactScalar:

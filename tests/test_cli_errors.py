@@ -42,6 +42,10 @@ BAD_INPUT = [
     ("circle-witness", "1", "(1,2,3)"),
     ("perm-demo", "3", "--cycles", "(1,a)"),
     ("perm-demo", "--cycles", "(0,1)", "--seq", "x"),
+    ("aut", "²"),
+    ("aut", "t^²"),
+    ("aut", "Q*sqrt(²)"),
+    ("member", "Q", "²"),
 ]
 
 
@@ -76,6 +80,35 @@ def test_perm_demo_above_its_caps_exits_two(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("budget exceeded: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("depth", [200, 250])
+def test_deep_nesting_answers_or_exits_two(depth):
+    proc = _groupaut("aut", "(" * depth + "Q" + ")" * depth)
+    assert "Traceback" not in proc.stderr
+    if depth == 200:
+        assert (proc.returncode, proc.stdout) == (0, '{"aut":{"kind":"RatStar"}}\n')
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "budget exceeded: nesting too deep to parse\n"
+
+
+@pytest.mark.parametrize("argv, position", [
+    (("aut", "²"), 0),
+    (("aut", "t^²"), 2),
+    (("aut", "Q*sqrt(²)"), 7),
+    (("member", "Q", "²"), 0),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_a_numeral_that_int_cannot_read_is_an_unexpected_character(argv, position):
+    proc = _groupaut(*argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: unexpected character '²' (at position {position})\n"
+
+
+def test_a_decimal_digit_of_another_script_is_a_digit():
+    proc = _groupaut("aut", "Zinv(٣)")
+    assert (proc.returncode, proc.stdout) == \
+        (0, '{"aut":{"kind":"PMPowers","base":"3"}}\n')
 
 
 def test_negative_sl_witness_budget_is_an_input_error():
