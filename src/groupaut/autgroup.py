@@ -61,6 +61,7 @@ from .descriptors import (
     kind_name,
     member,
     normalize,
+    scaled,
 )
 from .errors import (
     BudgetExceededError,
@@ -480,34 +481,59 @@ def acts_invariantly(g: GroupDescriptor, a,
             return Certificate(True)
         else:
             direction = "inverse"
-        try:
-            image = factor * r if direction == "forward" else exact_div(factor, r)
-        except ContextError:
-            image = None    # outside the tower, so outside G
-        return _replayed(g, (factor,), None if image is None else (image,),
-                         direction)
+        return scalar_replayed(g, (factor,), r, direction)
 
     checks = {} if _checks is None else _checks
     gens = run_generators(checks, g)
     for direction in ("forward", "inverse"):
         # the inverse is formed only after the forward pass succeeds; a
         # candidate refuted forward may not even be invertible in the tower
-        m = mat if direction == "forward" else mat.inverse()
-        if failing := failing_generator(checks, gens, m.rows):
+        m, over = mat, g
+        if direction == "inverse":
+            try:
+                m = mat.inverse()
+            except DomainError:
+                # A^-1 = adj A / det A leaves the tower, but v * A^-1 is in
+                # G exactly when v * adj A is in det A * G, whose FullLine
+                # leaves hold the coordinates that det A does not divide
+                m, d = mat.adjugate()
+                over = normalize(scaled(d, g))
+        if over is g:
+            failing = failing_generator(checks, gens, m.rows)
+        else:
+            failing = next((gen for gen in gens if not holds(
+                gen[0], over, vec_mat_mul(gen[1], m))), None)
+        if failing:
             kind, vec = failing[:2]
             if kind != "int":
                 witness = _rat_witness if kind == "rat" else _real_witness
-                vec = witness(g, vec, m)
-            return _replayed(g, vec, vec_mat_mul(vec, m), direction)
+                vec = witness(over, vec, m)
+            return _replayed(g, vec, vec_mat_mul(vec, m), direction, over)
     return Certificate(True)
 
 
+def scalar_replayed(g: GroupDescriptor, w: Vector, r: ExactScalar,
+                    direction: str) -> Certificate:
+    """``_replayed`` for the scalar r on a one-dimensional G: the image is
+    w * r, or w / r by exact division, since 1/r need not be in the tower
+    where w / r is.  An image outside the tower is outside G, as the one
+    group that holds it, R, refutes nothing."""
+    try:
+        q = w[0] * r if direction == "forward" else exact_div(w[0], r)
+    except ContextError:
+        q = None
+    return _replayed(g, w, None if q is None else (q,), direction)
+
+
 def _replayed(g: GroupDescriptor, w: Vector, image: Optional[Vector],
-              direction: str) -> Certificate:
+              direction: str, over: Optional[GroupDescriptor] = None
+              ) -> Certificate:
     """The refutation (w, direction) once it replays: w is in G and its
     image under A or A^-1 is not.  An image outside the scalar tower (None)
-    is outside G."""
-    if _member(g, w).member and (image is None or not _member(g, image).member):
+    is outside G.  With ``over`` = det A * G, the image is w * adj A, which
+    is in ``over`` exactly when w * A^-1 is in G."""
+    over = g if over is None else over
+    if _member(g, w).member and (image is None or not _member(over, image).member):
         return Certificate(False, w, direction)
     from .dsl import group_to_text
     raise ConsistencyError(

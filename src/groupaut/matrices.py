@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm, prod
-from operator import floordiv
 from typing import Iterable, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, SingularMatrixError
@@ -91,21 +90,19 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         n = self.n
         if n > 2:
-            m = [list(row) + [one() if i == j else zero() for j in range(n)]
-                 for i, row in enumerate(self.rows)]
-            ints = self.is_rational()
-            if ints:
-                _, m = _cleared(m)      # [D*A | D] for the row scalings D
-            _, cols, m, p = fraction_free(m, jordan=True, square=True,
-                                          div=floordiv if ints else _divide)
+            if not self.is_rational():
+                b, p = self.adjugate()
+                pinv = p.invert()   # DomainError for a non-monomial Laurent p
+                return ExactMatrix(tuple(tuple(x * pinv for x in row)
+                                         for row in b.rows))
+            # [D*A | D] for the row scalings D
+            _, m = _cleared(_augmented(self.rows))
+            _, cols, m, p = fraction_free(m, jordan=True, square=True)
             if len(cols) < n:
                 raise SingularMatrixError("matrix has determinant 0")
             # the left block is now p * I, so the right one is p * A^-1
-            if ints:
-                return ExactMatrix(tuple(vector(Fraction(x, p) for x in row[n:])
-                                         for row in m))
-            pinv = p.invert()   # DomainError for a non-monomial Laurent p
-            return ExactMatrix(tuple(tuple(x * pinv for x in row[n:]) for row in m))
+            return ExactMatrix(tuple(vector(Fraction(x, p) for x in row[n:])
+                                     for row in m))
         d = self.det()
         if d.is_zero():
             raise SingularMatrixError("matrix has determinant 0")
@@ -115,6 +112,25 @@ class ExactMatrix:
         (a, b), (c, e) = self.rows
         return ExactMatrix(((_product(e, dinv), _product(b, neg)),
                             (_product(c, neg), _product(a, dinv))))
+
+    def adjugate(self) -> tuple["ExactMatrix", ExactScalar]:
+        """(B, p) with A^-1 = B / p: adj A and det A, up to one common
+        sign.  Both lie in the tower even where A^-1 does not, as when
+        det A is a Laurent polynomial but not a monomial."""
+        n, rows = self.n, self.rows
+        if n > 2:
+            _, cols, m, p = fraction_free(_augmented(rows), jordan=True,
+                                          square=True, div=_divide)
+            if len(cols) < n:
+                raise SingularMatrixError("matrix has determinant 0")
+            return ExactMatrix(tuple(tuple(row[n:]) for row in m)), p
+        p = self.det()
+        if p.is_zero():
+            raise SingularMatrixError("matrix has determinant 0")
+        if n == 1:
+            return ExactMatrix(((_ONE,),)), p
+        (a, b), (c, e) = rows
+        return ExactMatrix(((e, -b), (-c, a))), p
 
     def is_rational(self) -> bool:
         return all(x.is_rational() for row in self.rows for x in row)
@@ -202,6 +218,13 @@ def _reciprocals(d: ExactScalar) -> tuple[ExactScalar, ExactScalar]:
     """1/d and -1/d; DomainError when d has no inverse in the tower."""
     dinv = d.invert()
     return dinv, -dinv
+
+
+def _augmented(rows) -> list[list]:
+    """[A | I] as lists, for a Gauss-Jordan inverse."""
+    n = len(rows)
+    return [list(row) + [_ONE if i == j else zero() for j in range(n)]
+            for i, row in enumerate(rows)]
 
 
 def _cleared(rows) -> tuple[list[int], list[list[int]]]:

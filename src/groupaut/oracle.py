@@ -9,7 +9,16 @@ compares the two answers.
 
 Ratios are formed on integer numerators: a scalar is built only for a
 ratio inside the height bound, and most fall outside it.  Over numerators
-closed under negation, x / (-y) = (-x) / y, so y and -y are not both used.
+closed under negation, x / (-y) = (-x) / y = -(x / y), so y and -y are not
+both used, nor x and -x: each ratio is formed for one sign and negated.
+
+Every subgroup G satisfies G = -G, so a scalar c is in the invariance
+group exactly when -c is, and a member w refutes c exactly when it refutes
+-c: w * (-c) = -(w * c), and membership does not depend on sign.  In one
+dimension each pair c, -c is certified once; the other candidate takes its
+verdict, and a refutation with its witness and direction, replayed again
+before it is reported.
+
 A run asks each generator check once per coordinate block of G and matrix
 entries it reads: the row filter of ``candidate_matrices`` and every
 certificate share the run's memo (``autgroup.failing_generator``).  A
@@ -27,7 +36,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .autgroup import (acts_invariantly, admits, aut_group,
-                       failing_generator, run_generators)
+                       failing_generator, run_generators, scalar_replayed)
 from .descriptors import (
     Cyclic,
     Domain,
@@ -50,11 +59,11 @@ from .errors import (
 from .matrices import ExactMatrix, Vector, vec_mat_mul
 from .scalars import (
     ExactScalar,
+    _laurent,
     one,
     products_within,
     rational,
     sqrt_rational,
-    t_monomial,
     zero,
 )
 
@@ -87,18 +96,17 @@ def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
             choices.append([gen * rational(c) for c in coeffs])
         return [sum(combo, zero()) for combo in itertools.product(*choices)]
     if isinstance(g, LaurentRing):
-        coeffs = [Fraction(k) for k in range(-h, h + 1) if k != 0] \
-            if g.coeffs is Domain.INT else [q for q in _fractions(h) if q != 0]
+        # each member is built straight from its int terms: c1 t^k1 + c2 t^k2
+        # with c = p/q is (p1 q2 t^k1 + p2 q1 t^k2) / (q1 q2)
+        coeffs = [(k, 1) for k in range(-h, h + 1) if k] \
+            if g.coeffs is Domain.INT \
+            else [(q.numerator, q.denominator) for q in _fractions(h) if q]
         exps = range(-h, h + 1)
         out = [zero()]
-        for k in exps:
-            for c in coeffs:
-                out.append(t_monomial(k) * rational(c))
+        out += [_laurent(((k, p),), q) for k in exps for p, q in coeffs]
         for k1, k2 in itertools.combinations(exps, 2):
-            for c1 in coeffs:
-                for c2 in coeffs:
-                    out.append(t_monomial(k1) * rational(c1)
-                               + t_monomial(k2) * rational(c2))
+            out += [_laurent(((k1, p1 * q2), (k2, p2 * q1)), q1 * q2)
+                    for p1, q1 in coeffs for p2, q2 in coeffs]
         return out
     if isinstance(g, FractionRing):
         out = {Fraction(z, g.m ** j) for z in range(-h, h + 1)
@@ -143,7 +151,9 @@ def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
     numerators and nonzero y in denominators.  They are formed on integer
     numerators, and a scalar is built only for a ratio inside the bound
     (scalars.products_within).  When the numerators are closed under
-    negation, a y whose negative came earlier adds no ratio."""
+    negation, so are the ratios, and height does not depend on sign: a y
+    whose negative came earlier adds no ratio, only the first x of each
+    pair x, -x is used, and each ratio brings its negative."""
     closed = set(numerators).issuperset(-x for x in numerators)
     inverses, taken = [], set()
     for y in denominators:
@@ -154,7 +164,17 @@ def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
         except DomainError:
             continue        # not a unit of the representation tower
         taken.add(y)
-    return {r.sort_key(): r for r in products_within(numerators, inverses, h)}
+    if closed:
+        half: dict = {}
+        for x in numerators:
+            if -x not in half:
+                half[x] = None
+        numerators = list(half)
+    found = {}
+    for r in products_within(numerators, inverses, h):
+        for s in ((r, -r) if closed else (r,)):
+            found[s.sort_key()] = s
+    return found
 
 
 def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:
@@ -254,8 +274,17 @@ def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:
             "the brute-force referee handles one or two dimensions")
     confirmed = []
     refuted = []
+    certs: dict = {}        # n = 1: the certificate of each scalar so far
     for c in candidates:
-        cert = acts_invariantly(g, c, checks)
+        cert = certs.get(-c) if n == 1 else None
+        if cert is None:
+            cert = acts_invariantly(g, c, checks)
+        elif not cert.verdict:
+            # w * c = -(w * (-c)) and G = -G: -c's witness refutes c too
+            cert = scalar_replayed(g, cert.failing_generator, c,
+                                   cert.direction)
+        if n == 1:
+            certs[c] = cert
         if cert.verdict:
             confirmed.append(c)
         else:

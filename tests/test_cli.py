@@ -315,3 +315,22 @@ def test_aut_member_refutes_in_the_formal_tower(capsys, group, a):
     cert = acts_invariantly(parse_descriptor(group), parse_matrix(a))
     witness = [scalar_to_text(x) for x in cert.failing_generator]
     assert _replays(group, a, witness, cert.direction)
+
+
+# Phi(R^n) = GL(n, R), so a matrix whose inverse leaves the scalar tower (a
+# Laurent determinant that is not a monomial) is still decided: the inverse
+# pass reads A^-1 as adj A / det A
+INVERSE_OUTSIDE_THE_TOWER = [
+    (("aut-member", "R", "1+t"), 0, '{"aut_member":true}\n'),
+    (("aut-member", "R x R", "[t,1;1,t]"), 0, '{"aut_member":true}\n'),
+    (("aut-member", "R x R", "1+t"), 0, '{"aut_member":true}\n'),
+    (("aut-member", "R x R", "[1+t,0;0,1]"), 0, '{"aut_member":true}\n'),
+    (("aut-member", "Z x R", "[1,1;0,1+t]"), 0, '{"aut_member":true}\n'),
+    (("aut-member", "Z x R", "[2,0;0,1+t]"), 0, '{"aut_member":false}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,code,out", INVERSE_OUTSIDE_THE_TOWER,
+                         ids=[" ".join(a) for a, _, _ in INVERSE_OUTSIDE_THE_TOWER])
+def test_an_inverse_outside_the_tower_is_answered(capsys, argv, code, out):
+    assert run(capsys, *argv) == (code, out, "")

@@ -13,20 +13,55 @@ from collections import Counter
 from fractions import Fraction
 
 from groupaut import autgroup
-from groupaut.autgroup import acts_invariantly
+from groupaut.autgroup import (
+    Certificate,
+    _rat_witness,
+    _real_witness,
+    _replayed,
+    _ring_core,
+    acts_invariantly,
+    failing_generator,
+    is_unit,
+    run_generators,
+)
 from groupaut.descriptors import (
     GroupDescriptor,
+    Image,
+    Product,
     _member,
     dimension,
+    full_line,
     invariance_generators,
     member,
+    normalize,
     rat_line_member,
+    real_line_member,
 )
 from groupaut.dsl import parse_descriptor
-from groupaut.errors import ConsistencyError, ContextError, GroupAutError
-from groupaut.matrices import ExactMatrix, Vector, identity, matrix, vec_mat_mul
+from groupaut.errors import (
+    ConsistencyError,
+    ContextError,
+    DomainError,
+    GroupAutError,
+    SingularMatrixError,
+)
+from groupaut.matrices import (
+    ExactMatrix,
+    Vector,
+    identity,
+    matrix,
+    scalar_matrix,
+    vec_mat_mul,
+)
 from groupaut.oracle import enumerate_members
-from groupaut.scalars import exact_div, factorize, rational, sqrt_rational, t_monomial
+from groupaut.scalars import (
+    as_scalar,
+    exact_div,
+    factorize,
+    rational,
+    sqrt_rational,
+    t_monomial,
+)
 
 from test_descriptors import _FACTORS, _MATRICES_2, _random_group
 
@@ -192,3 +227,119 @@ def test_refutations_replay_through_member_alone():
             assert image is None or not member(g, image).member, (g, a, w)
             refuted[direction] += 1
     assert refuted["forward"] > 150 and refuted["inverse"] > 30
+
+
+# --- the inverse pass where A^-1 leaves the tower ------------------------------
+
+def _old_acts_invariantly(g, a, _checks=None):
+    # autgroup.acts_invariantly as it was while the inverse pass formed A^-1
+    # in the tower, copied verbatim; it raises DomainError where A^-1 has a
+    # Laurent denominator that is not a monomial
+    n = dimension(g)
+    if isinstance(a, ExactMatrix):
+        mat = a
+        if mat.n != n:
+            raise DomainError(f"matrix size {mat.n} does not fit dimension {n}")
+    else:
+        mat = scalar_matrix(as_scalar(a), n)
+
+    ring, factor = _ring_core(g)
+    if ring is not None:
+        r = mat.rows[0][0]
+        if r.is_zero():
+            raise SingularMatrixError("zero scalar cannot act invariantly")
+        # factor is a member of G = factor * ring; its images under r and
+        # 1/r witness the two failure modes
+        if not _member(ring, (r,)).member:
+            direction = "forward"
+        elif is_unit(ring, r):
+            return Certificate(True)
+        else:
+            direction = "inverse"
+        try:
+            image = factor * r if direction == "forward" else exact_div(factor, r)
+        except ContextError:
+            image = None    # outside the tower, so outside G
+        return _replayed(g, (factor,), None if image is None else (image,),
+                         direction)
+
+    checks = {} if _checks is None else _checks
+    gens = run_generators(checks, g)
+    for direction in ("forward", "inverse"):
+        # the inverse is formed only after the forward pass succeeds; a
+        # candidate refuted forward may not even be invertible in the tower
+        m = mat if direction == "forward" else mat.inverse()
+        if failing := failing_generator(checks, gens, m.rows):
+            kind, vec = failing[:2]
+            if kind != "int":
+                witness = _rat_witness if kind == "rat" else _real_witness
+                vec = witness(g, vec, m)
+            return _replayed(g, vec, vec_mat_mul(vec, m), direction)
+    return Certificate(True)
+
+
+def _quotient_in(g, u: Vector, d) -> bool:
+    """Is u / d in G?  By member alone, on the normal form: an Image's
+    matrix folds into u, and a coordinate that d does not divide is outside
+    the tower, so it lies only in a line R."""
+    g = normalize(g)
+    if isinstance(g, Image):
+        g, u = g.inner, vec_mat_mul(u, g.matrix.inverse())
+    factors = g.factors if isinstance(g, Product) else (g,)
+    for f, c in zip(factors, u):
+        try:
+            x = exact_div(c, d)
+        except ContextError:
+            x = None
+        if not (real_line_member(f, 1) if x is None else member(f, x).member):
+            return False
+    return True
+
+
+_ONE_PLUS_T = 1 + T
+_OUTSIDE_1 = [matrix([[_ONE_PLUS_T]]), matrix([[_ONE_PLUS_T * T]])]
+_OUTSIDE_2 = [matrix([[_ONE_PLUS_T, 0], [0, 1]]), matrix([[1, 0], [0, _ONE_PLUS_T]]),
+              matrix([[T, 1], [1, T]]), matrix([[2, 0], [0, _ONE_PLUS_T]]),
+              matrix([[_ONE_PLUS_T, 1], [0, 2]]), matrix([[1, 0], [1, _ONE_PLUS_T]]),
+              matrix([[3, 1], [0, _ONE_PLUS_T]]), matrix([[_ONE_PLUS_T, 0], [0, 2]]),
+              scalar_matrix(_ONE_PLUS_T, 2)]
+
+
+def test_an_inverse_outside_the_tower_is_decided_on_the_adjugate():
+    # A^-1 has the denominator 1+t; the inverse pass used to raise there.
+    # Every answer the old certificate gave stays, and every new refutation
+    # replays through member alone.  Half the planes have a line R as a
+    # factor, where 1+t can act
+    rng = random.Random(20261021)
+    new = Counter()
+    for _ in range(3000):
+        n = rng.choice((1, 2))
+        g = _random_group(rng, n, 3)
+        if n == 2 and rng.randrange(2):
+            g = Product(tuple(rng.sample([_random_group(rng, 1, 2), full_line()], 2)))
+        a = rng.choice(_OUTSIDE_1 if n == 1 else _OUTSIDE_2)
+        try:
+            old = _old_acts_invariantly(g, a)
+        except GroupAutError as exc:
+            old = exc
+        try:
+            cert = acts_invariantly(g, a)
+        except GroupAutError as exc:
+            # nothing that answered stops answering; an internal error is
+            # one the old certificate met first (the forward real-line
+            # search of ROADMAP item 3)
+            assert isinstance(old, GroupAutError), (g, a, old)
+            if isinstance(exc, ConsistencyError):
+                assert repr(exc) == repr(old), (g, a)
+            continue
+        if not isinstance(old, GroupAutError):
+            assert cert == old, (g, a)
+            continue
+        assert isinstance(old, DomainError) and "monomials" in str(old), (g, a, old)
+        new[cert.verdict] += 1
+        if not cert.verdict:
+            w = cert.failing_generator
+            assert cert.direction == "inverse" and member(g, w).member, (g, a, w)
+            adj, d = a.adjugate()
+            assert not _quotient_in(g, vec_mat_mul(w, adj), d), (g, a, w)
+    assert new[True] > 250 and new[False] > 15, new
