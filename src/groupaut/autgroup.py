@@ -287,9 +287,9 @@ def contains(d: AutDescriptor, a) -> bool:
         if a.n != n:
             return False
         if isinstance(d, GLQ):
-            return a.is_rational() and not a.det().is_zero()
+            return a.is_rational() and not a.is_singular()
         if isinstance(d, GLR):
-            return not a.det().is_zero()
+            return not a.is_singular()
         if isinstance(d, BlockTriangular):
             return block_triangular_member(d.p, d.q, a)
         if isinstance(d, PatternQuad):
@@ -481,23 +481,14 @@ def acts_invariantly(g: GroupDescriptor, a,
             return Certificate(True)
         else:
             direction = "inverse"
-        return scalar_replayed(g, (factor,), r, direction)
+        return replayed(g, (factor,), r, direction)
 
     checks = {} if _checks is None else _checks
     gens = run_generators(checks, g)
     for direction in ("forward", "inverse"):
         # the inverse is formed only after the forward pass succeeds; a
         # candidate refuted forward may not even be invertible in the tower
-        m, over = mat, g
-        if direction == "inverse":
-            try:
-                m = mat.inverse()
-            except DomainError:
-                # A^-1 = adj A / det A leaves the tower, but v * A^-1 is in
-                # G exactly when v * adj A is in det A * G, whose FullLine
-                # leaves hold the coordinates that det A does not divide
-                m, d = mat.adjugate()
-                over = normalize(scaled(d, g))
+        m, over = (mat, g) if direction == "forward" else _inverse_pass(g, mat)
         if over is g:
             failing = failing_generator(checks, gens, m.rows)
         else:
@@ -512,14 +503,48 @@ def acts_invariantly(g: GroupDescriptor, a,
     return Certificate(True)
 
 
-def scalar_replayed(g: GroupDescriptor, w: Vector, r: ExactScalar,
-                    direction: str) -> Certificate:
-    """``_replayed`` for the scalar r on a one-dimensional G: the image is
-    w * r, or w / r by exact division, since 1/r need not be in the tower
-    where w / r is.  An image outside the tower is outside G, as the one
-    group that holds it, R, refutes nothing."""
+def _inverse_pass(g: GroupDescriptor, a: ExactMatrix
+                  ) -> tuple[ExactMatrix, GroupDescriptor]:
+    """(M, H) with v * A^-1 in G exactly when v * M is in H: (A^-1, G) where
+    A^-1 is in the tower.  Otherwise A^-1 = B / d for (B, d) = (adj A,
+    det A), and M = B, H = d * G, whose FullLine leaves hold the
+    coordinates that d does not divide.  A product is checked factor by
+    factor: where d divides a column of B, that column of M is the column
+    of A^-1 and its factor stays unscaled, so that the factor's context
+    need not join d's."""
     try:
-        q = w[0] * r if direction == "forward" else exact_div(w[0], r)
+        return a.inverse(), g
+    except DomainError:
+        b, d = a.adjugate()
+    if not isinstance(g, Product):
+        return b, normalize(scaled(d, g))
+    columns, factors = [], []
+    for column, f in zip(zip(*b.rows), g.factors):
+        try:
+            quotients = [exact_div(x, d) for x in column]
+        except ContextError:
+            quotients = [None]
+        if None in quotients:
+            columns.append(column)
+            factors.append(normalize(scaled(d, f)))
+        else:
+            columns.append(quotients)
+            factors.append(f)
+    return ExactMatrix(tuple(zip(*columns))), Product(tuple(factors))
+
+
+def replayed(g: GroupDescriptor, w: Vector, a, direction: str) -> Certificate:
+    """``_replayed`` for the candidate a, a matrix or a scalar on a
+    one-dimensional G: the image is w * a, or w * a^-1 as the inverse pass
+    of a certificate reads it (``_inverse_pass``).  For a scalar it is w / a
+    by exact division, since 1/a need not be in the tower where w / a is,
+    and an image outside the tower is outside G, as the one group that
+    holds it, R, refutes nothing."""
+    if isinstance(a, ExactMatrix):
+        m, over = (a, g) if direction == "forward" else _inverse_pass(g, a)
+        return _replayed(g, w, vec_mat_mul(w, m), direction, over)
+    try:
+        q = w[0] * a if direction == "forward" else exact_div(w[0], a)
     except ContextError:
         q = None
     return _replayed(g, w, None if q is None else (q,), direction)

@@ -405,7 +405,7 @@ def image(inner: GroupDescriptor, a: ExactMatrix) -> Image:
             f"matrix size {a.n} does not match group dimension {dimension(inner)}")
     try:
         if a.is_rational():
-            if a.det().is_zero():
+            if a.is_singular():
                 raise SingularMatrixError("matrix has determinant 0")
         else:
             # a unit determinant does not put A^-1 in the tower: the inverse

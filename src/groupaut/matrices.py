@@ -82,6 +82,17 @@ class ExactMatrix:
     def det(self) -> ExactScalar:
         return _det(self)
 
+    def is_singular(self) -> bool:
+        """det A = 0; up to 2 x 2 without forming det A, as ad = bc on the
+        memoized entry products (equal values are equal scalars)."""
+        rows = self.rows
+        if len(rows) == 1:
+            return rows[0][0].is_zero()
+        if len(rows) == 2:
+            (a, b), (c, e) = rows
+            return _product(a, e) == _product(b, c)
+        return self.det().is_zero()
+
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -285,7 +296,7 @@ def block_triangular_member(p: int, q: int, m: ExactMatrix) -> bool:
         raise DomainError(f"block dimensions ({p},{q}) do not match size {m.n}")
     top_left = ExactMatrix(tuple(tuple(m.rows[i][j] for j in range(p))
                                  for i in range(p)))
-    if not top_left.is_rational() or top_left.det().is_zero():
+    if not top_left.is_rational() or top_left.is_singular():
         return False
     for i in range(p, p + q):
         for j in range(p):
@@ -293,7 +304,7 @@ def block_triangular_member(p: int, q: int, m: ExactMatrix) -> bool:
                 return False
     bottom_right = ExactMatrix(tuple(tuple(m.rows[i][j] for j in range(p, p + q))
                                      for i in range(p, p + q)))
-    return not bottom_right.det().is_zero()
+    return not bottom_right.is_singular()
 
 
 def pattern_quad_member(x: ExactScalar, m: ExactMatrix) -> bool:
@@ -313,7 +324,7 @@ def pattern_quad_member(x: ExactScalar, m: ExactMatrix) -> bool:
     for off in (m.rows[0][1], m.rows[1][0]):
         if not _product(off, xinv).is_rational():
             return False
-    return not m.det().is_zero()
+    return not m.is_singular()
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,16 @@ both used, nor x and -x: each ratio is formed for one sign and negated.
 
 Every subgroup G satisfies G = -G, so a scalar c is in the invariance
 group exactly when -c is, and a member w refutes c exactly when it refutes
--c: w * (-c) = -(w * c), and membership does not depend on sign.  In one
-dimension each pair c, -c is certified once; the other candidate takes its
-verdict, and a refutation with its witness and direction, replayed again
-before it is reported.
+-c: w * (-c) = -(w * c), and membership does not depend on sign.  On a
+plane G = G1 x G2 each factor is symmetric, so every sign diagonal D is in
+the invariance group, and A is in it exactly when D A D' is.  Each
+generator of a product lies on one coordinate, so w * D A D' is w * A
+with its coordinates' signs changed (and so is w * (D A D')^-1): the first
+failing generator and its direction are the same across the class, and
+the witness searches do not read signs.  Each sign class (c, -c in one
+dimension, up to 8 matrices in two) is certified once; its other members
+take the verdict, and a refutation with its witness and direction,
+replayed on the member's own image before it is reported.
 
 A run asks each generator check once per coordinate block of G and matrix
 entries it reads: the row filter of ``candidate_matrices`` and every
@@ -36,7 +42,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .autgroup import (acts_invariantly, admits, aut_group,
-                       failing_generator, run_generators, scalar_replayed)
+                       failing_generator, replayed, run_generators)
 from .descriptors import (
     Cyclic,
     Domain,
@@ -58,6 +64,7 @@ from .errors import (
 )
 from .matrices import ExactMatrix, Vector, vec_mat_mul
 from .scalars import (
+    ContextKind,
     ExactScalar,
     _laurent,
     one,
@@ -234,7 +241,7 @@ def candidate_matrices(g: GroupDescriptor, height: int,
     out = []
     for r0, r1 in itertools.product(rows[0], rows[1]):
         m = ExactMatrix((r0, r1))
-        if not m.det().is_zero():
+        if not m.is_singular():
             out.append(m)
     return out
 
@@ -260,6 +267,29 @@ class OracleReport:
     agreement: Optional[bool] = None
 
 
+def _unsigned(signs: dict, x: ExactScalar) -> tuple:
+    """signs[x] = (x up to sign, the sign of x): the sign of its first
+    nonzero numerator, and 0 at zero."""
+    nums = x.nums
+    first = nums[0][1] if x.context.kind is ContextKind.FORMAL \
+        else nums[0] or next((n for n in nums if n), 0)
+    got = signs[x] = (-x, -1) if first < 0 else (x, 1 if first else 0)
+    return got
+
+
+def _sign_class(signs: dict, c):
+    """The key of c's class {D c D'} over sign diagonals D and D', with
+    ``signs`` the run's memo of ``_unsigned``: a scalar up to sign, or a
+    2 x 2 matrix's entries up to sign and the product of their signs, which
+    D c D' keeps when no entry is zero (and which is 0 when one is, as a
+    zero entry lets every sign pattern through)."""
+    if not isinstance(c, ExactMatrix):
+        return (signs.get(c) or _unsigned(signs, c))[0]
+    (a, sa), (b, sb), (x, sx), (e, se) = [
+        signs.get(y) or _unsigned(signs, y) for y in c.rows[0] + c.rows[1]]
+    return a, b, x, e, sa * sb * sx * se
+
+
 def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:
     """Classify every bounded-height candidate by certificate alone."""
     h = _check_height(height)
@@ -274,17 +304,16 @@ def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:
             "the brute-force referee handles one or two dimensions")
     confirmed = []
     refuted = []
-    certs: dict = {}        # n = 1: the certificate of each scalar so far
+    signs: dict = {}        # each entry up to sign, and its sign
+    certs: dict = {}        # the certificate of each sign class so far
     for c in candidates:
-        cert = certs.get(-c) if n == 1 else None
+        key = _sign_class(signs, c)
+        cert = certs.get(key)
         if cert is None:
-            cert = acts_invariantly(g, c, checks)
+            cert = certs[key] = acts_invariantly(g, c, checks)
         elif not cert.verdict:
-            # w * c = -(w * (-c)) and G = -G: -c's witness refutes c too
-            cert = scalar_replayed(g, cert.failing_generator, c,
-                                   cert.direction)
-        if n == 1:
-            certs[c] = cert
+            # the class's witness refutes c too, in the same direction
+            cert = replayed(g, cert.failing_generator, c, cert.direction)
         if cert.verdict:
             confirmed.append(c)
         else:

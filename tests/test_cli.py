@@ -113,6 +113,49 @@ def test_full_space_cross_check_output(capsys):
         "1221770c10446e763bf43ae26897b93023f0bae5cc028032e9e79f7bbdf10f44"
 
 
+# plane reports with refutations as well as confirmations, pinned by exit
+# code, length, prefix and digest
+PLANE_CROSS_CHECKS = [
+    (("Q x Q", "1"), 0, 1217,
+     '{"group":"Q x Q","height":1,"candidates":48,',
+     "2a4b0eb569e98a9d9a3492dd8ece928ea7b402bbbfa22aeff3783bab53a2f733"),
+    (("Q x Q", "2"), 0, 54403,
+     '{"group":"Q x Q","height":2,"candidates":2080,',
+     "12bf5852c6613069c27ab72b8c2d878c033394fe0db240943bce13803d6a8a48"),
+    (("Z x Z", "1"), 2, 1664,
+     '{"group":"Z x Z","height":1,"candidates":48,',
+     "e165f7d2b21e95cd0bf9f446fc5eb110891ff258b73c2a09e9912a27b9fdae97"),
+    (("Z x Z", "2"), 2, 33785,
+     '{"group":"Z x Z","height":2,"candidates":496,',
+     "c21de0d5ac326a6194d516a46f8a2c7af2ac1111ac8c57993d1447eaa740c904"),
+    (("(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))", "1"), 2, 1696,
+     '{"group":"(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))","height":1,'
+     '"candidates":48,',
+     "d20feb310c558c016061522f3eca5828c1452e36720d6c336496a41248cca097"),
+    (("(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))", "2"), 2, 33817,
+     '{"group":"(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))","height":2,'
+     '"candidates":496,',
+     "17f58444d35c12c4d6ddc08b69eb2f957ea62ee465fce6417361c32612cb1275"),
+    (("(Q + Q*t) x Q", "1"), 2, 975,
+     '{"group":"(Q*1 + Q*t) x Q","height":1,"candidates":36,',
+     "1127e75302ec2e38738dd63f1f866773e4138eeaea12512a38f7b902dd47c41c"),
+    (("(Q + Q*t) x Q", "2"), 2, 50513,
+     '{"group":"(Q*1 + Q*t) x Q","height":2,"candidates":1764,',
+     "c8f77c747d792c4c921329145cc01b6b82b2bb70cfdf090bafed821382e0ba3b"),
+]
+
+
+@pytest.mark.parametrize("args,code,length,prefix,digest", PLANE_CROSS_CHECKS,
+                         ids=[" h".join(a) for a, *_ in PLANE_CROSS_CHECKS])
+def test_plane_cross_check_output(capsys, args, code, length, prefix, digest):
+    group, height = args
+    got, out, err = run(capsys, "cross-check", group, "--height", height)
+    assert (got, err) == (code, "")
+    assert out.startswith(prefix)
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_repeated_invocations_are_byte_identical(capsys):
     first = run(capsys, "cross-check", "Q", "--height", "3")
     second = run(capsys, "cross-check", "Q", "--height", "3")
@@ -327,6 +370,10 @@ INVERSE_OUTSIDE_THE_TOWER = [
     (("aut-member", "R x R", "[1+t,0;0,1]"), 0, '{"aut_member":true}\n'),
     (("aut-member", "Z x R", "[1,1;0,1+t]"), 0, '{"aut_member":true}\n'),
     (("aut-member", "Z x R", "[2,0;0,1+t]"), 0, '{"aut_member":false}\n'),
+    # det A = 1+t divides the second column of adj A, so the surd factor is
+    # read on A^-1's column (0, 1) and never meets 1+t
+    (("aut-member", "R x (Q + Q*sqrt(2))", "[1+t,0;0,1]"), 0,
+     '{"aut_member":true}\n'),
 ]
 
 

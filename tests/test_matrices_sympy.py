@@ -15,13 +15,15 @@ from fractions import Fraction
 import pytest
 
 from groupaut.errors import SingularMatrixError
-from groupaut.matrices import ExactMatrix
+from groupaut.matrices import ExactMatrix, matrix
 from groupaut.scalars import (
     ExactScalar,
     biquad_context,
     context_radicands,
     quad_context,
     rational,
+    sqrt_rational,
+    t_monomial,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -36,7 +38,11 @@ def _q(rng):
 
 
 def _entry(rng, kind, d, e):
-    """A seeded value of the field named by kind, drawn from its subfields."""
+    """A seeded value of the field named by kind, drawn from its subfields,
+    or a Laurent polynomial of up to three terms."""
+    if kind == "laurent":
+        return sum((_q(rng) * t_monomial(rng.randint(-2, 2))
+                    for _ in range(rng.randint(1, 3))), rational(0))
     which = rng.randrange(5 if kind == "biquad" else 2 if kind == "quad" else 1)
     if which == 0:
         return rational(_q(rng))
@@ -93,3 +99,27 @@ def test_det_and_inverse_match_sympy(kind, d, e):
             assert [[elem(x) for x in row] for row in got.rows] \
                 == inv.to_list(), a
     assert singular > 0
+
+
+# is_singular() reads det A = 0 off ad = bc up to 2 x 2 and off det() beyond
+@pytest.mark.parametrize("kind,d,e", _FIELDS + (("laurent", 0, 0),))
+def test_is_singular_is_a_zero_determinant(kind, d, e):
+    rng = random.Random(f"singular-{kind}-{d}-{e}")
+    singular = {n: 0 for n in (1, 2, 3, 4)}
+    for n in singular:
+        for _ in range(30):
+            a = _matrix(rng, n, kind, d, e)
+            if rng.random() < 0.15:
+                # a zero row, which the size-1 draws need to be singular
+                a = ExactMatrix((tuple(x * 0 for x in a.rows[0]),) + a.rows[1:])
+            assert a.is_singular() == a.det().is_zero(), a
+            singular[n] += a.is_singular()
+    assert all(singular.values()), singular
+
+
+def test_is_singular_compares_products_across_contexts():
+    r2, r3 = sqrt_rational(2), sqrt_rational(3)
+    # sqrt(2) * sqrt(3) = sqrt(6) * 1 = sqrt(6), each product in its own field
+    assert matrix([[r2, r2 * r3], [1, r3]]).is_singular()
+    assert not matrix([[r2, r2 * r3], [1, -r3]]).is_singular()
+    assert not matrix([[r2, r3], [1, r2]]).is_singular()
