@@ -48,6 +48,7 @@ from .descriptors import (
     Scaled,
     _coordinates,
     _divisor,
+    _lead,
     _member,
     _split,
     _module_rat_line,
@@ -89,7 +90,6 @@ from .scalars import (
     factorize,
     iter_factors,
     one,
-    ratio,
     rational,
     sqrt_rational,
     t_monomial,
@@ -207,11 +207,7 @@ def rat_times_pm_powers(base) -> RatTimesPMPowers:
 
 def _unit_base(base) -> ExactScalar:
     s = as_scalar(base)
-    if s.context.kind is ContextKind.FORMAL:
-        if len(s.coords) == 1 and s.coords[0] == (1, Fraction(1)):
-            return s
-        raise DomainError(f"power base must be t or an integer >= 2, got {s!r}")
-    if s.is_integer() and s.as_fraction() >= 2:
+    if s == t_monomial(1) or (s.is_integer() and s.nums[0] >= 2):
         return s
     raise DomainError(f"power base must be t or an integer >= 2, got {s!r}")
 
@@ -311,13 +307,11 @@ def contains(d: AutDescriptor, a) -> bool:
             return False
         return s.is_rational() or (s.context.kind is ContextKind.QUAD
                                    and s.context.d == d.d)
+    # only a rational or a Laurent monomial q*t^k has one numerator
     if isinstance(d, PMPowers):
         if d.base.context.kind is ContextKind.FORMAL:
-            if s.is_rational():
-                return abs(s.as_fraction()) == 1
-            return (s.context.kind is ContextKind.FORMAL
-                    and len(s.coords) == 1
-                    and abs(s.coords[0][1]) == 1)
+            return bool(s) and len(s.nums) == 1 and s.den == 1 \
+                and abs(_lead(s)) == 1
         if not s.is_rational() or s.is_zero():
             return False
         f = abs(s.as_fraction())
@@ -326,9 +320,7 @@ def contains(d: AutDescriptor, a) -> bool:
             return _is_power_of(f.numerator, base)
         return f.numerator == 1 and _is_power_of(f.denominator, base)
     if isinstance(d, RatTimesPMPowers):
-        if s.is_rational():
-            return not s.is_zero()
-        return (s.context.kind is ContextKind.FORMAL and len(s.coords) == 1)
+        return bool(s) and len(s.nums) == 1
     raise DomainError(f"not an invariance-group descriptor: {d!r}")
 
 
@@ -607,7 +599,7 @@ def _module_rule(m: Union[Cyclic, MixedModule]) -> Optional[AutDescriptor]:
     lattice = cyclic_form(MixedModule(tuple((Domain.INT, r) for r in reduced)))
     if lattice is None:
         return None
-    x = ratio(q, lattice.generator)
+    x = exact_div(q, lattice.generator)
     if x is not None and not x.is_rational() and (x * x).is_rational():
         return PlusMinusOne()       # Z + Q*x with x a pure root is rigid
     return None
@@ -675,9 +667,7 @@ def _aut_rules(g: GroupDescriptor) -> AutResult:
         return Bounds((PlusMinusOne(),))
     if isinstance(g, Product):
         return _product_rule(g)
-    if isinstance(g, Image):
-        return _image_rule(g)
-    return Bounds((PlusMinusOne(),))
+    return _image_rule(g)
 
 
 def _image_rule(g: Image) -> AutResult:
@@ -754,13 +744,9 @@ def is_unit(ring: GroupDescriptor, r) -> bool:
     if r.is_zero():
         return False
     if isinstance(core, LaurentRing):
-        if r.is_rational():
-            q = r.as_fraction()
-            return abs(q) == 1 if core.coeffs is Domain.INT else q != 0
-        if len(r.coords) != 1:
-            return False
-        coeff = r.coords[0][1]
-        return abs(coeff) == 1 if core.coeffs is Domain.INT else True
+        # one term q*t^k; a member of Z[t,1/t] has den 1, so there q = +-1
+        return len(r.nums) == 1 \
+            and (core.coeffs is Domain.RAT or abs(_lead(r)) == 1)
     # Z[1/m]: units are the rationals supported on the primes of m
     f = abs(r.as_fraction())
     return coprime_part(f.numerator, core.m) == 1 \

@@ -209,11 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="groupaut",
         description="invariance groups of closed-form subgroups of R^n")
-    style = parser.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true", default=True,
-                       help="compact JSON output (default)")
-    style.add_argument("--pretty", action="store_true",
-                       help="indented JSON output")
+    parser.add_argument("--pretty", action="store_true",
+                        help="indented JSON output (compact by default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

@@ -77,8 +77,8 @@ from .errors import (
     SingularMatrixError,
     UnsupportedError,
 )
-from .matrices import (ExactMatrix, Vector, frozen_dataclass, identity,
-                       scalar_matrix, vec_mat_mul, vector)
+from .matrices import (ExactMatrix, Vector, frozen_dataclass, scalar_matrix,
+                       vec_mat_mul, vector)
 from .scalars import (
     ContextKind,
     ExactScalar,
@@ -548,11 +548,9 @@ def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
         return MembershipVerdict(w is not None, w)
     if isinstance(g, LaurentRing):
         s = v[0]
-        ctx = join_context(s.context, FORMAL_CONTEXT)   # rejects surd contexts
-        coeffs = [c for _, c in s._embedded(ctx)]
-        if g.coeffs is Domain.INT:
-            return MembershipVerdict(all(c.denominator == 1 for c in coeffs))
-        return MembershipVerdict(True)
+        join_context(s.context, FORMAL_CONTEXT)     # rejects surd contexts
+        # in lowest terms, every coefficient is an integer exactly when den is 1
+        return MembershipVerdict(g.coeffs is Domain.RAT or s.den == 1)
     if isinstance(g, FractionRing):
         s = v[0]
         if not s.is_rational():
@@ -563,7 +561,6 @@ def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
 
-@lru_cache(maxsize=65536)
 def _leaf_rat_line(g: GroupDescriptor, v: Vector) -> bool:
     if isinstance(g, FractionRing):
         return v[0].is_zero()
@@ -699,7 +696,11 @@ def _monic(s: ExactScalar) -> ExactScalar:
 # ---------------------------------------------------------------------------
 
 def normalize(g: GroupDescriptor) -> GroupDescriptor:
-    """The canonical form of g, stable after one pass."""
+    """The canonical form of g, stable after one pass: a leaf; Scaled over
+    a ring, or over a module whose products with the factor share no
+    field; a Product of two or more one-dimensional normal factors; or an
+    Image of such a Product, other than R^n, under a matrix that is not
+    scalar."""
     return _normalize(g)
 
 
@@ -725,7 +726,12 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
         if isinstance(inner, Cyclic):
             return _normalize(Cyclic(r * inner.generator))
         if isinstance(inner, MixedModule):
-            return _normalize(MixedModule(tuple((d, r * gen) for d, gen in inner.terms)))
+            folded = _normalize(MixedModule(tuple((d, r * gen) for d, gen in inner.terms)))
+            try:
+                _coordinates(folded.terms)
+            except ContextError:    # the products share no field
+                return Scaled(_sign_canonical(r), inner)
+            return folded
         if isinstance(inner, FullLine):
             return inner
         if isinstance(inner, Product):
@@ -750,8 +756,6 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
             return inner        # R^n * A = R^n
         if a.n == 1:
             return _normalize(Scaled(a.rows[0][0], inner))
-        if a == identity(a.n):
-            return inner
         if a == scalar_matrix(a.rows[0][0], a.n):
             return _normalize(Scaled(a.rows[0][0], inner))
         return Image(inner, a)

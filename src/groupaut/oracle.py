@@ -54,6 +54,8 @@ from .descriptors import (
     MixedModule,
     Product,
     Scaled,
+    _lead,
+    _sign_canonical,
     dimension,
 )
 from .errors import (
@@ -64,7 +66,6 @@ from .errors import (
 )
 from .matrices import ExactMatrix, Vector, vec_mat_mul
 from .scalars import (
-    ContextKind,
     ExactScalar,
     _laurent,
     one,
@@ -88,10 +89,6 @@ def _check_height(h: int) -> int:
 def _fractions(h: int) -> list[Fraction]:
     return sorted({Fraction(p, q) for p in range(-h, h + 1)
                    for q in range(1, h + 1)})
-
-
-# max |numerator|, denominator and |exponent| over the coordinates
-scalar_height = ExactScalar.height.fget
 
 
 def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
@@ -267,26 +264,23 @@ class OracleReport:
     agreement: Optional[bool] = None
 
 
-def _unsigned(signs: dict, x: ExactScalar) -> tuple:
-    """signs[x] = (x up to sign, the sign of x): the sign of its first
-    nonzero numerator, and 0 at zero."""
-    nums = x.nums
-    first = nums[0][1] if x.context.kind is ContextKind.FORMAL \
-        else nums[0] or next((n for n in nums if n), 0)
-    got = signs[x] = (-x, -1) if first < 0 else (x, 1 if first else 0)
-    return got
-
-
 def _sign_class(signs: dict, c):
-    """The key of c's class {D c D'} over sign diagonals D and D', with
-    ``signs`` the run's memo of ``_unsigned``: a scalar up to sign, or a
-    2 x 2 matrix's entries up to sign and the product of their signs, which
-    D c D' keeps when no entry is zero (and which is 0 when one is, as a
-    zero entry lets every sign pattern through)."""
+    """The key of c's class {D c D'} over sign diagonals D and D': a scalar
+    up to sign, or a 2 x 2 matrix's entries up to sign and the product of
+    their signs, which D c D' keeps when no entry is zero (and which is 0
+    when one is, as a zero entry lets every sign pattern through).  The
+    run's memo ``signs`` keeps each entry up to sign with its sign, the
+    sign of its first nonzero numerator."""
     if not isinstance(c, ExactMatrix):
-        return (signs.get(c) or _unsigned(signs, c))[0]
-    (a, sa), (b, sb), (x, sx), (e, se) = [
-        signs.get(y) or _unsigned(signs, y) for y in c.rows[0] + c.rows[1]]
+        return _sign_canonical(c)
+    got = []
+    for y in c.rows[0] + c.rows[1]:
+        pair = signs.get(y)
+        if pair is None:
+            lead = _lead(y) if y else 0
+            pair = signs[y] = (-y, -1) if lead < 0 else (y, 1 if lead else 0)
+        got.append(pair)
+    (a, sa), (b, sb), (x, sx), (e, se) = got
     return a, b, x, e, sa * sb * sx * se
 
 

@@ -218,11 +218,10 @@ def join_context(a: FieldContext, b: FieldContext) -> FieldContext:
         raise ContextError(f"cannot join {a!r} with {b!r}")
     rads = {r for r in context_radicands(a) if r != 1}
     rads |= {r for r in context_radicands(b) if r != 1}
-    # each pair inside one biquadratic field multiplies into the set, so a
-    # join exists exactly when at most three radicands close up
+    # two different fields have at least two radicands between them; each
+    # pair inside one biquadratic field multiplies into the set, so a join
+    # exists exactly when at most three radicands close up
     small = sorted(rads)
-    if len(small) == 1:
-        return quad_context(small[0])
     ctx = biquad_context(small[0], small[1])
     if rads <= set(context_radicands(ctx)):
         return ctx
@@ -656,26 +655,6 @@ def sqrt_rational(q: Rationalish) -> ExactScalar:
 def t_monomial(exp: int, coeff: Rationalish = 1) -> ExactScalar:
     """The Laurent monomial coeff * t^exp."""
     return ExactScalar._make(FORMAL_CONTEXT, ((exp, coeff),))
-
-
-def invert(a: ExactScalar) -> ExactScalar:
-    return as_scalar(a).invert()
-
-
-def ratio(a, b) -> Optional[ExactScalar]:
-    """a / b when b is invertible in the tower; None when undefined.
-
-    b == 0 is an error; a non-monomial Laurent denominator is "undefined"
-    rather than an error because callers enumerate over candidate
-    denominators.
-    """
-    a, b = as_scalar(a), as_scalar(b)
-    if b.is_zero():
-        raise DomainError("ratio by zero")
-    try:
-        return a * b.invert()
-    except DomainError:
-        return None
 
 
 def exact_div(a: ExactScalar, b: ExactScalar) -> Optional[ExactScalar]:

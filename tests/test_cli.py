@@ -23,6 +23,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_NO_COMMON_FIELD = "sqrt(5)*(Q + Q*sqrt(2) + Q*sqrt(3))"
+
 # exact bytes, not just parsed equality
 PINNED = [
     (("aut", "Q + Q*sqrt(2)"), 0, '{"aut":{"kind":"FieldUnits","d":2}}\n'),
@@ -46,6 +48,15 @@ PINNED = [
     (("circle-witness", "25", "(6,0)"), 0,
      '{"points":[["3","4"],["3","-4"]],"sum":["6","0"]}\n'),
     (("perm-demo", "4"), 0, '{"k":4,"injective":true}\n'),
+    # sqrt(5) times these generators would need a field of degree 8, so the
+    # factor stays outside the module
+    (("member", _NO_COMMON_FIELD, "sqrt(10)"), 0,
+     '{"member":true,"witness":["0","1","0"]}\n'),
+    (("member", _NO_COMMON_FIELD, "sqrt(30)"), 0,
+     '{"member":false,"witness":null}\n'),
+    (("aut-member", _NO_COMMON_FIELD, "sqrt(2)"), 0, '{"aut_member":false}\n'),
+    (("aut-member", _NO_COMMON_FIELD, "2"), 0, '{"aut_member":true}\n'),
+    (("aut", _NO_COMMON_FIELD), 2, '{"bounds":{"lower":["PM1"]}}\n'),
 ]
 
 
@@ -374,6 +385,10 @@ INVERSE_OUTSIDE_THE_TOWER = [
     # read on A^-1's column (0, 1) and never meets 1+t
     (("aut-member", "R x (Q + Q*sqrt(2))", "[1+t,0;0,1]"), 0,
      '{"aut_member":true}\n'),
+    # det A = 1+t divides neither column of adj A: not 1, and -sqrt(2) not
+    # even in the tower (a ContextError), so both factors are read on adj A
+    # over (1+t) * R, which is R again
+    (("aut-member", "R x R", "[1+t,sqrt(2);0,1]"), 0, '{"aut_member":true}\n'),
 ]
 
 

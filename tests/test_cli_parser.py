@@ -1,6 +1,8 @@
 """The argparse parser is configuration: ``cli.main`` builds it once per
 process, on its first call, and reuses it."""
 
+import pytest
+
 from groupaut import cli
 
 
@@ -36,3 +38,15 @@ def test_reused_parser_keeps_options_per_call(capsys, monkeypatch):
     assert cli.main(["cross-check", "Z"]) == 0
     default = capsys.readouterr().out
     assert '"height":1' in low and '"height":3' in default
+
+
+def test_json_is_not_an_option(capsys, monkeypatch):
+    # output is compact JSON unless --pretty asks for indentation
+    monkeypatch.setattr(cli, "_PARSER", None)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--json", "aut", "Q"])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: groupaut [-h] [--pretty]")
+    assert "unrecognized arguments: --json" in captured.err

@@ -11,13 +11,14 @@ the memo is cold or warm.
 
 import random
 from collections import Counter
+from typing import Optional
 
 from groupaut import matrices
 from groupaut.dsl import parse_descriptor, parse_scalar
 from groupaut.errors import ContextError, DomainError, SingularMatrixError
 from groupaut.matrices import ExactMatrix
 from groupaut.oracle import cross_check
-from groupaut.scalars import ExactScalar, as_scalar, ratio, zero
+from groupaut.scalars import ExactScalar, as_scalar, zero
 
 from test_autgroup import _clear_package_caches
 from test_rational_det import TOWER
@@ -29,6 +30,22 @@ RATIONALS = [s for s in TOWER if parse_scalar(s).is_rational()]
 # ---------------------------------------------------------------------------
 # reference copies of the closed forms without the memo
 # ---------------------------------------------------------------------------
+
+def ratio(a, b) -> Optional[ExactScalar]:
+    """a / b when b is invertible in the tower; None when undefined.
+
+    b == 0 is an error; a non-monomial Laurent denominator is "undefined"
+    rather than an error because callers enumerate over candidate
+    denominators.
+    """
+    a, b = as_scalar(a), as_scalar(b)
+    if b.is_zero():
+        raise DomainError("ratio by zero")
+    try:
+        return a * b.invert()
+    except DomainError:
+        return None
+
 
 def _ref_det(a: ExactMatrix) -> ExactScalar:
     rows = a.rows

@@ -36,7 +36,7 @@ from groupaut.descriptors import (
     real_line_member,
     scaled,
 )
-from groupaut.dsl import parse_descriptor
+from groupaut.dsl import parse_descriptor, parse_matrix
 from groupaut.errors import (
     ContextError,
     DescriptorError,
@@ -533,10 +533,15 @@ def test_walk_matches_per_node_recursions():
 
 
 def _assert_normal(g):
-    """g keeps to the grammar of normal forms: a leaf; Scaled over a ring;
-    a Product of two or more one-dimensional normal factors; or an Image
+    """g keeps to the grammar of normal forms: a leaf; Scaled over a ring,
+    or over a module whose products with the factor share no field; a
+    Product of two or more one-dimensional normal factors; or an Image
     with a matrix that is not scalar over such a Product, other than R^n."""
-    if isinstance(g, _d.Scaled):
+    if isinstance(g, _d.Scaled) and isinstance(g.inner, MixedModule):
+        _assert_normal(g.inner)
+        with pytest.raises(ContextError):
+            _d._coordinates(tuple((d, g.factor * x) for d, x in g.inner.terms))
+    elif isinstance(g, _d.Scaled):
         assert isinstance(g.inner, (LaurentRing, _d.FractionRing)), g
     elif isinstance(g, Product):
         assert len(g.factors) >= 2, g
@@ -566,6 +571,17 @@ def test_normal_forms_keep_to_the_grammar():
         _assert_normal(n)
         normalized += 1
     assert normalized > 300
+
+
+@pytest.mark.parametrize("inner,a,want", [
+    ("Q x Z", "[1,0;0,1]", "Q x Z"),
+    ("Q x Z", "[2,0;0,2]", "Q x cyclic(2)"),
+    ("ring(Z[t,1/t]) x R", "[1,0;0,1]", "ring(Z[t,1/t]) x R"),
+])
+def test_an_image_under_a_scalar_matrix_is_its_rescaled_group(inner, a, want):
+    g = normalize(_d.Image(parse_descriptor(inner), parse_matrix(a)))
+    assert g == parse_descriptor(want)
+    assert parse_descriptor(f"image({inner}, {a})") == g
 
 
 def test_walk_is_lazy_in_coordinate_order():
@@ -744,3 +760,20 @@ def test_domain_members_are_dict_keys():
     assert hash(Domain.INT) == hash(Domain("Z")) != hash(Domain.RAT)
     assert hash(Domain.RAT) == object.__hash__(Domain.RAT)     # by identity
     assert {laurent_ring(Domain.INT): 1}[parse_descriptor("ring(Z[t,1/t])")] == 1
+
+
+def test_a_scaled_module_whose_products_share_no_field_stays_scaled():
+    inner = parse_descriptor("Q + Q*sqrt(2) + Q*sqrt(3)")
+    r5 = sqrt_rational(5)
+    g = normalize(scaled(r5, inner))
+    assert g == _d.Scaled(r5, inner)
+    _assert_normal(g)
+    assert normalize(g) == g == normalize(scaled(-r5, inner))
+    assert member(g, (sqrt_rational(10),)) == \
+        _d.MembershipVerdict(True, (0, 1, 0))
+    # products that share a field still fold into the module
+    assert normalize(scaled(R2, parse_descriptor("Q + Q*sqrt(3)"))) == \
+        parse_descriptor("Q*sqrt(2) + Q*sqrt(6)")
+    # and a product that cannot form raises, as before
+    with pytest.raises(ContextError):
+        normalize(scaled(T, inner))

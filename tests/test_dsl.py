@@ -194,3 +194,15 @@ def test_structured_results_match_manual_construction():
     got = parse_descriptor("Z*1 + Q*sqrt(2)")
     assert isinstance(got, MixedModule)
     assert got.terms[0] == (Domain.INT, rational(1))
+
+
+def test_a_scaled_module_without_a_common_field_round_trips():
+    # sqrt(5) times these generators would need a field of degree 8, so the
+    # factor stays outside the module, in text and in JSON
+    g = parse_descriptor("sqrt(5)*(Q + Q*sqrt(2) + Q*sqrt(3))")
+    printed = group_to_text(g)
+    assert printed == "sqrt(5)*(Q*1 + Q*sqrt(2) + Q*sqrt(3))"
+    again = parse_descriptor(printed)
+    assert again == g
+    assert group_to_text(again) == printed
+    assert descriptor_from_json(descriptor_to_json(g)) == g

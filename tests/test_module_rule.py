@@ -39,25 +39,41 @@ from groupaut.descriptors import (
     mixed_module,
     normalize,
 )
-from groupaut.errors import DescriptorError
+from groupaut.errors import DescriptorError, DomainError
 from groupaut.oracle import cross_check
 from groupaut.scalars import (
     FORMAL_CONTEXT,
     RAT_CONTEXT,
     ContextKind,
     ExactScalar,
+    as_scalar,
     biquad_context,
     context_radicands,
     join_context,
     one,
     quad_context,
-    ratio,
     rational,
     sqrt_rational,
 )
 
 
 # --- reference copies of the former routines, verbatim ---------------------
+
+def ratio(a, b) -> Optional[ExactScalar]:
+    """a / b when b is invertible in the tower; None when undefined.
+
+    b == 0 is an error; a non-monomial Laurent denominator is "undefined"
+    rather than an error because callers enumerate over candidate
+    denominators.
+    """
+    a, b = as_scalar(a), as_scalar(b)
+    if b.is_zero():
+        raise DomainError("ratio by zero")
+    try:
+        return a * b.invert()
+    except DomainError:
+        return None
+
 
 def ref_coordinate_rows(scalars):
     ctx = RAT_CONTEXT

@@ -18,7 +18,6 @@ from groupaut.oracle import (
     finite_permutation_action,
     injectivity_demo,
     report_to_json,
-    scalar_height,
 )
 from groupaut.scalars import one, rational, sqrt_rational
 
@@ -42,7 +41,7 @@ def test_candidate_scalars_reach_units():
     assert any(s == rational(1) + sqrt_rational(2) for s in cands)
     assert one() in cands and rational(-1) in cands
     assert all(not s.is_zero() for s in cands)
-    assert all(scalar_height(s) <= 2 for s in cands)
+    assert all(s.height <= 2 for s in cands)
 
 
 def test_enumerate_members_is_deterministic_and_sound():

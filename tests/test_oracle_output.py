@@ -45,7 +45,6 @@ from groupaut.oracle import (
     candidate_scalars,
     cross_check,
     enumerate_members,
-    scalar_height,
 )
 from groupaut.scalars import one, rational, sqrt_rational, t_monomial
 
@@ -64,7 +63,7 @@ def ref_candidate_scalars(g, h):
             continue
         for x in members:
             r = x * inv
-            if scalar_height(r) > h:
+            if r.height > h:
                 continue
             found.setdefault(r.sort_key(), r)
     for s in (one(), rational(-1)):
@@ -87,7 +86,7 @@ def ref_candidate_matrices(g, h):
                     continue
                 for y in columns[j]:
                     r = y * inv
-                    if scalar_height(r) > h:
+                    if r.height > h:
                         continue
                     found.setdefault(r.sort_key(), r)
             entries[2 * i + j] = [found[k] for k in sorted(found)]

@@ -15,10 +15,8 @@ from groupaut.scalars import (
     canonicalize_radical,
     context_radicands,
     exact_div,
-    invert,
     join_context,
     quad_context,
-    ratio,
     rational,
     sqrt_rational,
     squarefree_decomposition,
@@ -152,20 +150,10 @@ def test_formal_arithmetic():
 
 
 def test_formal_inverse_rules():
-    assert invert(t_monomial(3, 2)) == t_monomial(-3, Fraction(1, 2))
     with pytest.raises(DomainError):
         (1 + t_monomial(1)).invert()
     with pytest.raises(DomainError):
         rational(0).invert()
-
-
-def test_ratio():
-    t = t_monomial(1)
-    assert ratio(1 + t, t) == t_monomial(-1) + 1
-    assert ratio(rational(1), 1 + t) is None
-    assert ratio(sqrt_rational(2), sqrt_rational(8)) == rational(Fraction(1, 2))
-    with pytest.raises(DomainError):
-        ratio(rational(1), rational(0))
 
 
 def test_exact_div_laurent():
