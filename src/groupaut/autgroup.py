@@ -320,7 +320,9 @@ def contains(d: AutDescriptor, a) -> bool:
             return _is_power_of(f.numerator, base)
         return f.numerator == 1 and _is_power_of(f.denominator, base)
     if isinstance(d, RatTimesPMPowers):
-        return bool(s) and len(s.nums) == 1
+        # Q^x * p^k is Q^x for an integer base p; only the base t adds q*t^k
+        return bool(s) and len(s.nums) == 1 and (
+            s.is_rational() or d.base.context.kind is ContextKind.FORMAL)
     raise DomainError(f"not an invariance-group descriptor: {d!r}")
 
 
@@ -634,7 +636,10 @@ def _product_rule(p: Product) -> AutResult:
 
 
 def _product_fallback(factors) -> Bounds:
-    if len(factors) >= 2 and all(f == factors[0] for f in factors[1:]):
+    # Cyclic(g) and Z*g are one set, so a module factor is its terms
+    keys = [f.terms if isinstance(f, (Cyclic, MixedModule)) else f
+            for f in factors]
+    if len(keys) >= 2 and all(k == keys[0] for k in keys[1:]):
         # identical coordinates: integer recombination stays inside
         return Bounds((EZLowerBound(len(factors)), PlusMinusOne()))
     return Bounds((PlusMinusOne(),))

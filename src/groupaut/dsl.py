@@ -1,4 +1,4 @@
-"""Text and JSON forms of groups, scalars and matrices.
+"""Text forms of groups, scalars and matrices, and the JSON form of a matrix.
 
 Grammar (a documented superset of the README sketch; parentheses around
 groups are accepted everywhere a group is):
@@ -457,7 +457,7 @@ def group_to_text(g: GroupDescriptor) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON forms (stable field order, scalars as canonical strings)
+# JSON form of a matrix (scalars as canonical strings)
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(a: ExactMatrix) -> list[list[str]]:
@@ -466,52 +466,3 @@ def matrix_to_json(a: ExactMatrix) -> list[list[str]]:
 
 def matrix_from_json(rows: list[list[str]]) -> ExactMatrix:
     return matrix([[parse_scalar(x) for x in row] for row in rows])
-
-
-def descriptor_to_json(g: GroupDescriptor) -> dict:
-    if isinstance(g, Cyclic):
-        return {"kind": "cyclic", "generator": scalar_to_text(g.generator)}
-    if isinstance(g, MixedModule):
-        return {"kind": "module",
-                "terms": [{"domain": d.value, "generator": scalar_to_text(gen)}
-                          for d, gen in g.terms]}
-    if isinstance(g, LaurentRing):
-        return {"kind": "laurent", "coeffs": g.coeffs.value}
-    if isinstance(g, FractionRing):
-        return {"kind": "zinv", "m": g.m}
-    if isinstance(g, Scaled):
-        return {"kind": "scaled", "factor": scalar_to_text(g.factor),
-                "inner": descriptor_to_json(g.inner)}
-    if isinstance(g, FullLine):
-        return {"kind": "line"}
-    if isinstance(g, Product):
-        return {"kind": "product",
-                "factors": [descriptor_to_json(f) for f in g.factors]}
-    if isinstance(g, Image):
-        return {"kind": "image", "inner": descriptor_to_json(g.inner),
-                "matrix": matrix_to_json(g.matrix)}
-    raise TypeError(f"not a group descriptor: {g!r}")
-
-
-def descriptor_from_json(d: dict) -> GroupDescriptor:
-    kind = d.get("kind")
-    if kind == "cyclic":
-        return cyclic(parse_scalar(d["generator"]))
-    if kind == "module":
-        return mixed_module([(Domain(t["domain"]), parse_scalar(t["generator"]))
-                             for t in d["terms"]])
-    if kind == "laurent":
-        return laurent_ring(Domain(d["coeffs"]))
-    if kind == "zinv":
-        return fraction_ring(d["m"])
-    if kind == "hull":
-        return divisible_hull(descriptor_from_json(d["inner"]))
-    if kind == "scaled":
-        return scaled(parse_scalar(d["factor"]), descriptor_from_json(d["inner"]))
-    if kind == "line":
-        return FullLine()
-    if kind == "product":
-        return product([descriptor_from_json(f) for f in d["factors"]])
-    if kind == "image":
-        return image(descriptor_from_json(d["inner"]), matrix_from_json(d["matrix"]))
-    raise ParseError(f"unknown descriptor kind {kind!r}", 0)

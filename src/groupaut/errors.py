@@ -45,5 +45,4 @@ class ParseError(GroupAutError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.bare_message = message
         self.position = position

@@ -20,8 +20,7 @@ basis; in the FORMAL context they are (exponent, numerator) pairs in
 ascending exponent order with no zero numerator.  Scalars auto-minimize on
 construction: a biquadratic value whose surd coordinates vanish comes out as
 a plain rational, so equality and hashing compare tuples of ints.
-No decision anywhere relies on floating point or on ordering real numbers;
-:meth:`ExactScalar.approx` exists for display only.
+No decision anywhere relies on floating point or on ordering real numbers.
 
 Addition, multiplication and inversion each take one integer path per
 context kind.  Each field has one context object (``quad_context`` and
@@ -463,13 +462,6 @@ class ExactScalar:
         """Max of |numerator|, denominator and |exponent| over the
         coordinates, each coordinate in its own lowest terms."""
         return nums_height(self.context, self.nums, self.den)
-
-    def approx(self) -> Optional[float]:
-        """Double-precision embedding, for display only (None for formal t)."""
-        if self.context.kind is ContextKind.FORMAL:
-            return None
-        rad = context_radicands(self.context)
-        return float(sum(float(c) * rad[i] ** 0.5 for i, c in enumerate(self.coords)))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -32,7 +32,7 @@ from groupaut.autgroup import (
     realize_Ax,
 )
 from groupaut.descriptors import image, is_divisible, member
-from groupaut.dsl import parse_descriptor, parse_matrix, parse_scalar
+from groupaut.dsl import parse_descriptor, parse_matrix, parse_scalar, scalar_to_text
 from groupaut.errors import (
     ConsistencyError,
     DomainError,
@@ -130,6 +130,36 @@ def test_scaling_is_invisible():
                 (factor, text)
 
 
+def _rank_one_generator(rng):
+    """A rational, surd or t multiple, of either sign."""
+    q = Fraction(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice((1, -1))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rational(q)
+    if kind == 1:
+        return q * sqrt_rational(rng.choice((2, 3, 5)))
+    return t_monomial(rng.randint(-2, 2), q)
+
+
+def test_a_rank_one_module_answers_alike_however_it_is_spelled():
+    # cyclic(g), Z*g, cyclic(-g) and Z*(-g) are one set, and Phi depends
+    # only on the set, so every respelling of a product answers alike
+    rng = random.Random(2210)
+    spellings = ("cyclic({})", "Z*({})", "cyclic(-({}))", "Z*(-({}))")
+    identical = 0
+    for _ in range(200):
+        pool = [_rank_one_generator(rng) for _ in range(2)]
+        gens = [rng.choice(pool) * rng.choice((1, -1))
+                for _ in range(rng.choice((2, 3)))]
+        texts = [scalar_to_text(g) for g in gens]
+        want = aut_group(P(" x ".join(f"cyclic({x})" for x in texts)))
+        identical += EZLowerBound(len(gens)) in want.lower
+        for _ in range(4):
+            spelled = " x ".join(rng.choice(spellings).format(x) for x in texts)
+            assert aut_group(P(spelled)) == want, spelled
+    assert identical > 50
+
+
 def test_image_rule_transfers():
     shear = M("[1,1;0,1]")
     assert aut_group(image(P("Q x Q"), shear)) == Exact(GLQ(2))
@@ -170,6 +200,10 @@ def test_contains_power_descriptors():
     qat = rat_times_pm_powers(T)
     assert contains(qat, S("2/3*t^-1")) and contains(qat, S("5"))
     assert not contains(qat, S("1 + t")) and not contains(qat, rational(0))
+    # Q^x * 2^k is Q^x, which holds no t
+    q2 = rat_times_pm_powers(2)
+    assert contains(q2, S("-3/2")) and not contains(q2, rational(0))
+    assert not contains(q2, T) and not contains(q2, R2)
 
 
 def test_contains_matrix_descriptors():

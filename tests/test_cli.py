@@ -57,6 +57,14 @@ PINNED = [
     (("aut-member", _NO_COMMON_FIELD, "sqrt(2)"), 0, '{"aut_member":false}\n'),
     (("aut-member", _NO_COMMON_FIELD, "2"), 0, '{"aut_member":true}\n'),
     (("aut", _NO_COMMON_FIELD), 2, '{"bounds":{"lower":["PM1"]}}\n'),
+    # Z, Z*g and cyclic(g) spell one set, so identical factors answer alike
+    # whichever spelling each one uses
+    (("aut", "Z x Z"), 2, '{"bounds":{"lower":["EZ(2)","PM1"]}}\n'),
+    (("aut", "Z x Z*1"), 2, '{"bounds":{"lower":["EZ(2)","PM1"]}}\n'),
+    (("aut", "cyclic(2) x Z*2"), 2, '{"bounds":{"lower":["EZ(2)","PM1"]}}\n'),
+    (("aut", "image(Z x Z*1, [1,1;0,1])"), 2,
+     '{"bounds":{"lower":["EZ(2)","PM1"]}}\n'),
+    (("aut", "Z*1 x Z*1 x Z"), 2, '{"bounds":{"lower":["EZ(3)","PM1"]}}\n'),
 ]
 
 

@@ -193,12 +193,6 @@ def test_height():
     assert (rational(10) + sqrt_rational(2)).height == 10
 
 
-def test_approx_display_only():
-    x = 1 + sqrt_rational(2)
-    assert abs(x.approx() - 2.41421356) < 1e-6
-    assert t_monomial(1).approx() is None
-
-
 def test_powers():
     x = 1 + sqrt_rational(2)
     assert x ** 0 == rational(1)

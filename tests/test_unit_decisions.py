@@ -95,7 +95,10 @@ def _ref_unit_base(base) -> ExactScalar:
 
 
 def _ref_contains_powers(d, a) -> bool:
-    """The one-dimensional tail of ``contains``, for the two power kinds."""
+    """The one-dimensional tail of ``contains``, for the two power kinds.
+
+    Verbatim but for one fix: the earlier code let ``RatTimesPMPowers``
+    over an integer base hold q*t^k too."""
     if isinstance(a, ExactMatrix):
         s = a.rows[0][0]
         if a != scalar_matrix(s, a.n):
@@ -119,7 +122,9 @@ def _ref_contains_powers(d, a) -> bool:
     if isinstance(d, RatTimesPMPowers):
         if s.is_rational():
             return not s.is_zero()
-        return (s.context.kind is ContextKind.FORMAL and len(s.coords) == 1)
+        # Q^x * p^k is Q^x for an integer base p: only the base t adds q*t^k
+        return (d.base.context.kind is ContextKind.FORMAL
+                and s.context.kind is ContextKind.FORMAL and len(s.coords) == 1)
     raise AssertionError(d)
 
 
