@@ -370,12 +370,12 @@ def fraction_ring(m: int) -> FractionRing:
 
 
 def divisible_hull(inner: GroupDescriptor) -> GroupDescriptor:
-    """The divisible hull of inner, in closed form.
+    """The divisible hull of inner, in closed form and in normal form.
 
     The hull is taken of the normalized group, whose generator order
     decides which Q-basis of a module survives.
     """
-    return hull_closure(normalize(inner))
+    return normalize(hull_closure(normalize(inner)))
 
 
 def scaled(r, inner: GroupDescriptor) -> Scaled:

@@ -342,7 +342,7 @@ class _Parser:
             self.expect("(")
             g = self.group()
             self.expect(")")
-            return normalize(divisible_hull(g))
+            return divisible_hull(g)
         if word == "image":
             self.take()
             self.expect("(")

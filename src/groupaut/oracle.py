@@ -9,8 +9,9 @@ compares the two answers.
 
 Ratios are formed on integer numerators: a scalar is built only for a
 ratio inside the height bound, and most fall outside it.  Over numerators
-closed under negation, x / (-y) = (-x) / y = -(x / y), so y and -y are not
-both used, nor x and -x: each ratio is formed for one sign and negated.
+closed under negation, x / (-y) = (-x) / y = -(x / y), so only the x of
+positive lead are used, and a y of negative lead only when -y is not also
+a denominator: each ratio is formed for one sign and negated.
 
 Every subgroup G satisfies G = -G, so a scalar c is in the invariance
 group exactly when -c is, and a member w refutes c exactly when it refutes
@@ -66,6 +67,7 @@ from .errors import (
 )
 from .matrices import ExactMatrix, Vector, vec_mat_mul
 from .scalars import (
+    ContextKind,
     ExactScalar,
     _laurent,
     one,
@@ -152,28 +154,30 @@ def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
 def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
             h: int) -> dict:
     """The ratios x / y of height at most h, keyed by sort_key, over x in
-    numerators and nonzero y in denominators.  They are formed on integer
+    numerators and y in denominators that are units of the representation
+    tower (nonzero, and a monomial in Q[t,1/t]).  They are formed on integer
     numerators, and a scalar is built only for a ratio inside the bound
     (scalars.products_within).  When the numerators are closed under
-    negation, so are the ratios, and height does not depend on sign: a y
-    whose negative came earlier adds no ratio, only the first x of each
-    pair x, -x is used, and each ratio brings its negative."""
-    closed = set(numerators).issuperset(-x for x in numerators)
-    inverses, taken = [], set()
-    for y in denominators:
-        if y.is_zero() or (closed and -y in taken):
-            continue
-        try:
-            inverses.append(y.invert())
-        except DomainError:
-            continue        # not a unit of the representation tower
-        taken.add(y)
+    negation, so are the ratios, and height does not depend on sign: only
+    the x of positive lead (descriptors._lead) are used, a y of negative
+    lead adds no ratio when -y is a denominator too, and each ratio brings
+    its negative."""
+    have = set(numerators)
+    negative = [x for x in have if _lead(x) < 0]
+    # negation is one to one from these into the nonzero x of positive lead
+    # (zero leads with its denominator, 1): the set is closed when every
+    # image is in it and the two counts agree
+    closed = 2 * len(negative) + (zero() in have) == len(have) \
+        and all(-x in have for x in negative)
     if closed:
-        half: dict = {}
-        for x in numerators:
-            if -x not in half:
-                half[x] = None
-        numerators = list(half)
+        numerators = [x for x in numerators if _lead(x) > 0]
+        dens = set(denominators)
+    inverses = []
+    for y in denominators:
+        if not y or (y.context.kind is ContextKind.FORMAL and len(y.nums) > 1):
+            continue        # not a unit of the representation tower
+        if not (closed and _lead(y) < 0 and -y in dens):
+            inverses.append(y.invert())
     found = {}
     for r in products_within(numerators, inverses, h):
         for s in ((r, -r) if closed else (r,)):

@@ -27,9 +27,12 @@ context kind.  Each field has one context object (``quad_context`` and
 ``biquad_context`` intern them), so operands in the same context are
 recognised by identity; operands of two different contexts are lifted into
 their join (:func:`join_context`), where a rational is a vector with zero
-surd coordinates.  Quadratic and biquadratic inverses use the conjugate,
-not a linear solve.  Scalars are immutable, so each caches its hash on
-first use.
+surd coordinates.  The join of each pair of distinct contexts, and where
+each basis element of one context takes its numerator from a value of
+another, are worked out once per pair in two ``lru_cache``s, which are
+cleared with the package's other caches, so a lift is a read of a tuple of
+indices.  Quadratic and biquadratic inverses use the conjugate, not a
+linear solve.  Scalars are immutable, so each caches its hash on first use.
 """
 
 from __future__ import annotations
@@ -126,6 +129,11 @@ class FieldContext:
     d: Optional[int] = None
     e: Optional[int] = None
 
+    def __hash__(self) -> int:
+        # equal contexts share d and e; hashing the kind would go through
+        # the Python-level Enum.__hash__
+        return hash((self.d, self.e))
+
     def __repr__(self) -> str:
         if self.kind is ContextKind.RAT:
             return "Q"
@@ -209,11 +217,19 @@ def _biquad_products(d: int, e: int) -> tuple[int, ...]:
 
 def join_context(a: FieldContext, b: FieldContext) -> FieldContext:
     """Smallest supported context containing both, or raise ContextError."""
-    if a is b or b.kind is ContextKind.RAT:
+    if a is b or b.kind is _RAT:
         return a
-    if a.kind is ContextKind.RAT or a == b:
+    if a.kind is _RAT:
         return b
-    if ContextKind.FORMAL in (a.kind, b.kind):
+    return _join(a, b)
+
+
+@lru_cache(maxsize=None)
+def _join(a: FieldContext, b: FieldContext) -> FieldContext:
+    """join_context of two contexts that are neither RAT nor one object."""
+    if a == b:
+        return b
+    if _FORMAL in (a.kind, b.kind):
         raise ContextError(f"cannot join {a!r} with {b!r}")
     rads = {r for r in context_radicands(a) if r != 1}
     rads |= {r for r in context_radicands(b) if r != 1}
@@ -225,6 +241,24 @@ def join_context(a: FieldContext, b: FieldContext) -> FieldContext:
     if rads <= set(context_radicands(ctx)):
         return ctx
     raise ContextError(f"joining {a!r} and {b!r} needs a field of degree > 4")
+
+
+@lru_cache(maxsize=None)
+def _embedding(sc: FieldContext, ctx: FieldContext) -> Optional[tuple]:
+    """For each basis element of ctx, the index of its numerator in a value
+    of sc, -1 where it is zero; None when sc and ctx are one context, and
+    () for the rationals in the FORMAL context.  Raises ContextError when
+    ctx does not contain sc."""
+    if sc == ctx:
+        return None
+    if sc.kind is _RAT and ctx.kind is _FORMAL:
+        return ()
+    if _FORMAL in (sc.kind, ctx.kind) \
+            or not set(context_radicands(sc)) <= set(context_radicands(ctx)):
+        raise ContextError(f"cannot embed {sc!r} into {ctx!r}")
+    src = context_radicands(sc)
+    return tuple([src.index(r) if r in src else -1
+                  for r in context_radicands(ctx)])
 
 
 def _number(ctx: FieldContext, nums: tuple, den: int) -> "ExactScalar":
@@ -285,17 +319,24 @@ def lowest_terms(ctx: FieldContext, nums: tuple, den: int) -> tuple[tuple, int]:
     return tuple([n // g for n in nums]), den // g
 
 
-def nums_height(ctx: FieldContext, nums: tuple, den: int) -> int:
-    """Max of |numerator|, denominator and |exponent| over the coordinates
-    of nums / den over the basis of ctx, each in its own lowest terms."""
-    h = 0
+def _within(ctx: FieldContext, nums: tuple, den: int, h: int) -> bool:
+    """Whether nums / den over the basis of ctx has height at most h (see
+    ExactScalar.height), tested on ints: a gcd is taken only for a
+    coordinate whose numerator or den is above h, and the first coordinate
+    found above the bound ends the test."""
     if ctx.kind is _FORMAL:
-        h = max([abs(k) for k, _ in nums], default=0)
+        # the exponents ascend
+        if nums and (nums[0][0] < -h or nums[-1][0] > h):
+            return False
         nums = [n for _, n in nums]
     for n in nums:
-        g = gcd(n, den)
-        h = max(h, abs(n) // g, den // g)
-    return h
+        if n < 0:
+            n = -n
+        if (n > h or den > h) and n:
+            g = gcd(n, den)
+            if n > h * g or den > h * g:
+                return False
+    return True
 
 
 def nums_product(ctx: FieldContext, a: tuple, b: tuple) -> tuple:
@@ -318,6 +359,12 @@ def nums_product(ctx: FieldContext, a: tuple, b: tuple) -> tuple:
                 a0 * b1 + a1 * b0 + r * (a2 * b3 + a3 * b2),
                 a0 * b2 + a2 * b0 + q * (a1 * b3 + a3 * b1),
                 a0 * b3 + a3 * b0 + p * (a1 * b2 + a2 * b1))
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # by a monomial: the exponents shift and stay apart
+        (k2, n2), = b
+        return tuple([(k + k2, n * n2) for k, n in a])
     acc: dict[int, int] = {}
     for k1, n1 in a:
         for k2, n2 in b:
@@ -344,7 +391,7 @@ def products_within(xs: list, ys: list, h: int) -> list["ExactScalar"]:
             b, db, keys = y._lift(ctx), y.den, seen.setdefault(ctx, set())
             for a, da in lifted:
                 nums, den = nums_product(ctx, a, b), da * db
-                if nums_height(ctx, nums, den) > h:
+                if not _within(ctx, nums, den, h):
                     continue
                 key = lowest_terms(ctx, nums, den)
                 if key not in keys:
@@ -355,8 +402,6 @@ def products_within(xs: list, ys: list, h: int) -> list["ExactScalar"]:
 
 
 _KIND_RANK = {ContextKind.RAT: 0, ContextKind.QUAD: 1, ContextKind.BIQUAD: 2}
-# the surd numerators of a rational lifted into a larger number field
-_NO_SURDS = {ContextKind.QUAD: (0,), ContextKind.BIQUAD: (0, 0, 0)}
 
 
 class ExactScalar:
@@ -461,7 +506,14 @@ class ExactScalar:
     def height(self) -> int:
         """Max of |numerator|, denominator and |exponent| over the
         coordinates, each coordinate in its own lowest terms."""
-        return nums_height(self.context, self.nums, self.den)
+        nums, den, h = self.nums, self.den, 0
+        if self.context.kind is _FORMAL:
+            h = max([abs(k) for k, _ in nums], default=0)
+            nums = [n for _, n in nums]
+        for n in nums:
+            g = gcd(n, den)
+            h = max(h, abs(n) // g, den // g)
+        return h
 
     # -- arithmetic --------------------------------------------------------
 
@@ -469,17 +521,15 @@ class ExactScalar:
         """The numerators of self over the basis of ctx, a context that
         contains it; the denominator stays self.den."""
         sc, nums = self.context, self.nums
-        if sc is ctx or sc == ctx:
+        if sc is ctx:
             return nums
-        if sc.kind is _RAT:
-            if ctx.kind is not _FORMAL:
-                return nums + _NO_SURDS[ctx.kind]
+        where = _embedding(sc, ctx)
+        if where is None:
+            return nums
+        if not where:
             return ((0, nums[0]),) if nums[0] else ()
-        if _FORMAL in (sc.kind, ctx.kind) \
-                or not set(context_radicands(sc)) <= set(context_radicands(ctx)):
-            raise ContextError(f"cannot embed {sc!r} into {ctx!r}")
-        at = dict(zip(context_radicands(sc), nums))
-        return tuple(at.get(r, 0) for r in context_radicands(ctx))
+        nums += (0,)            # index -1 reads this zero
+        return tuple([nums[i] for i in where])
 
     def _embedded(self, ctx: FieldContext) -> tuple:
         """The coordinates of self over the basis of ctx, as Fractions."""

@@ -1,0 +1,181 @@
+"""The ratio kernel: the height bound tested on ints, and ``oracle._ratios``
+halving by leading sign.
+
+``_old_nums_height`` and ``_old_ratios`` are ``scalars.nums_height`` and
+``oracle._ratios`` as they were when every product's height was computed in
+full and the ratios were halved by negating scalars, their bodies copied
+verbatim.  ``scalars._within`` must agree with the height on every small
+numerator tuple, and ``_ratios`` must give the same dict, or the same
+error, on member lists of every kind of the oracle corpus.
+"""
+
+import itertools
+import random
+import time
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from groupaut.dsl import parse_descriptor
+from groupaut.errors import DomainError, GroupAutError
+from groupaut.oracle import _ratios, enumerate_members
+from groupaut.scalars import (
+    FORMAL_CONTEXT,
+    RAT_CONTEXT,
+    ContextKind,
+    ExactScalar,
+    _within,
+    biquad_context,
+    products_within,
+    quad_context,
+    rational,
+)
+
+_FORMAL = ContextKind.FORMAL
+
+
+# --- the routes as they were, verbatim ----------------------------------------
+
+def _old_nums_height(ctx, nums: tuple, den: int) -> int:
+    """Max of |numerator|, denominator and |exponent| over the coordinates
+    of nums / den over the basis of ctx, each in its own lowest terms."""
+    h = 0
+    if ctx.kind is _FORMAL:
+        h = max([abs(k) for k, _ in nums], default=0)
+        nums = [n for _, n in nums]
+    for n in nums:
+        g = gcd(n, den)
+        h = max(h, abs(n) // g, den // g)
+    return h
+
+
+def _old_ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
+                h: int) -> dict:
+    """The ratios x / y of height at most h, keyed by sort_key, over x in
+    numerators and nonzero y in denominators.  They are formed on integer
+    numerators, and a scalar is built only for a ratio inside the bound
+    (scalars.products_within).  When the numerators are closed under
+    negation, so are the ratios, and height does not depend on sign: a y
+    whose negative came earlier adds no ratio, only the first x of each
+    pair x, -x is used, and each ratio brings its negative."""
+    closed = set(numerators).issuperset(-x for x in numerators)
+    inverses, taken = [], set()
+    for y in denominators:
+        if y.is_zero() or (closed and -y in taken):
+            continue
+        try:
+            inverses.append(y.invert())
+        except DomainError:
+            continue        # not a unit of the representation tower
+        taken.add(y)
+    if closed:
+        half: dict = {}
+        for x in numerators:
+            if -x not in half:
+                half[x] = None
+        numerators = list(half)
+    found = {}
+    for r in products_within(numerators, inverses, h):
+        for s in ((r, -r) if closed else (r,)):
+            found[s.sort_key()] = s
+    return found
+
+
+# --- the height bound on ints -------------------------------------------------
+
+def _agrees(ctx, nums, den):
+    height = _old_nums_height(ctx, nums, den)
+    return all(_within(ctx, nums, den, h) == (height <= h) for h in (1, 2, 3))
+
+
+def test_the_int_bound_agrees_with_the_height():
+    start = time.process_time()
+    entries = range(-12, 13)
+    dens = range(1, 13)
+    for n in entries:
+        assert all(_agrees(RAT_CONTEXT, (n,), den) for den in dens), n
+    q = quad_context(2)
+    for nums in itertools.product(entries, repeat=2):
+        assert all(_agrees(q, nums, den) for den in dens), nums
+    rng = random.Random(20261019)
+    b = biquad_context(2, 3)
+    for _ in range(20_000):
+        nums = tuple(rng.randint(-12, 12) for _ in range(4))
+        assert _agrees(b, nums, rng.choice(dens)), nums
+    for _ in range(20_000):
+        exps = sorted(rng.sample(range(-4, 5), rng.randint(0, 4)))
+        nums = tuple((k, rng.choice([n for n in entries if n])) for k in exps)
+        assert _agrees(FORMAL_CONTEXT, nums, rng.choice(dens)), nums
+    assert time.process_time() - start < 2
+
+
+# --- _ratios against the route that negated scalars ---------------------------
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except GroupAutError as exc:
+        return ("raises", type(exc), str(exc))
+
+
+def _kinds(rng):
+    """One group of each kind of the one-dimensional oracle corpus
+    (``perfbench/corpus.py``'s ``line_groups``), with drawn radicands."""
+    d, e = rng.sample((2, 3, 5, 6, 7), 2)
+    return [f"Z*1 + Q*sqrt({d})", f"Z*sqrt({d}) + Q*sqrt({e})",
+            f"Q + Q*sqrt({d})", f"Q*sqrt({d}) + Q*sqrt({e})", "Q + Q*t",
+            "ring(Z[t,1/t])", f"hull(Z*1 + Z*sqrt({e}))",
+            f"Zinv({rng.choice((2, 3, 5, 6, 7, 10))})", "R"]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_ratios_match_the_route_that_negated_scalars(h):
+    rng = random.Random(20261020 + h)
+    texts = _kinds(rng)
+    members = {t: [v[0] for v in enumerate_members(parse_descriptor(t), h)]
+               for t in texts}
+    for t in texts:
+        # as candidate_scalars asks, and as candidate_matrices asks
+        nonzero = [s for s in members[t] if s]
+        lists = [(nonzero, nonzero), (members[t], members[t])]
+        # sublists in member order, which need not be closed under negation
+        for _ in range(3):
+            lists.append((_sample(rng, members[t]), _sample(rng, members[t])))
+        # and across two kinds, as a plane of two factors asks; some of
+        # these have no common field and raise
+        other = members[rng.choice(texts)]
+        lists.append((members[t], other))
+        lists.append((_sample(rng, other), _sample(rng, members[t])))
+        for nums, dens in lists:
+            assert _outcome(_ratios, nums, dens, h) == \
+                _outcome(_old_ratios, nums, dens, h), (t, h)
+
+
+def _sample(rng, xs):
+    keep = rng.uniform(0.2, 0.9)
+    return [x for x in xs if rng.random() < keep]
+
+
+def _r(*qs):
+    return [rational(q) for q in qs]
+
+
+@pytest.mark.parametrize("dens", [(-2,), (-2, 3), (2, -2), (-2, -2, 2)])
+def test_a_y_of_negative_lead_is_skipped_only_beside_its_negative(dens):
+    # the numerators are closed under negation and the denominators need not
+    # be: 1/-2 and -1/-2 must still be found when 2 is not a denominator
+    got = _ratios(_r(-1, 1), _r(*dens), 2)
+    assert got == _old_ratios(_r(-1, 1), _r(*dens), 2)
+    assert {s.as_fraction() for s in got.values()} >= \
+        {Fraction(1, 2), Fraction(-1, 2)}
+
+
+def test_a_laurent_non_unit_adds_no_ratio():
+    t = parse_descriptor("t*ring(Z[t,1/t])")
+    members = [v[0] for v in enumerate_members(t, 1)]
+    binomials = [s for s in members if s.context is FORMAL_CONTEXT
+                 and len(s.nums) == 2]
+    assert binomials
+    assert _ratios(members, binomials, 3) == {}
+    assert _ratios(members, members, 1) == _old_ratios(members, members, 1)
