@@ -26,6 +26,12 @@ dimension, up to 8 matrices in two) is certified once; its other members
 take the verdict, and a refutation with its witness and direction,
 replayed on the member's own image before it is reported.
 
+The sign class is also the unit of the plane's other steps: each kept
+entry carries its number up to sign and its sign, so a key is read off the
+entries, singularity is decided once per class (``_matrix_classes``), and
+the closed form is asked once per class and is-scalar flag
+(``cross_check``).
+
 A run asks each generator check once per coordinate block of G and matrix
 entries it reads: the row filter of ``candidate_matrices`` and every
 certificate share the run's memo (``autgroup.failing_generator``).  A
@@ -65,7 +71,7 @@ from .errors import (
     DomainError,
     UnsupportedError,
 )
-from .matrices import ExactMatrix, Vector, vec_mat_mul
+from .matrices import ExactMatrix, Vector, _product, vec_mat_mul
 from .scalars import (
     ContextKind,
     ExactScalar,
@@ -74,6 +80,7 @@ from .scalars import (
     products_within,
     rational,
     sqrt_rational,
+    t_monomial,
     zero,
 )
 
@@ -119,12 +126,30 @@ def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
                for j in range(h + 1)}
         return [rational(q) for q in sorted(out)]
     if isinstance(g, FullLine):
-        rats = _fractions(h)
-        return [rational(q) for q in rats] \
-            + [sqrt_rational(2) * rational(q) for q in rats if q != 0]
+        return _line(h, sqrt_rational(2))
     if isinstance(g, Scaled):
         return [g.factor * s for s in _scalars_1d(g.inner, h)]
     raise UnsupportedError(f"no enumeration for {type(g).__name__}")
+
+
+def _line(h: int, unit: ExactScalar) -> list[ExactScalar]:
+    """R sampled as q and unit * q over the rationals q of height h."""
+    rats = _fractions(h)
+    return [rational(q) for q in rats] \
+        + [unit * rational(q) for q in rats if q != 0]
+
+
+def _factor_members(g: Product, h: int) -> list[list[Vector]]:
+    """The members of each factor of g.  A real line is sampled by sqrt(2),
+    but by t beside a factor in the formal tower, with which sqrt(2)
+    shares no field."""
+    columns = [enumerate_members(f, h) for f in g.factors]
+    if any(s.context.kind is ContextKind.FORMAL
+           for column in columns for v in column for s in v):
+        columns = [[(s,) for s in _line(h, t_monomial(1))]
+                   if isinstance(f, FullLine) else column
+                   for f, column in zip(g.factors, columns)]
+    return columns
 
 
 def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
@@ -132,7 +157,7 @@ def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
     height at most the bound."""
     h = _check_height(height)
     if isinstance(g, Product):
-        columns = [enumerate_members(f, h) for f in g.factors]
+        columns = _factor_members(g, h)
         vecs = [tuple(s for part in combo for s in part)
                 for combo in itertools.product(*columns)]
     elif isinstance(g, Image):
@@ -200,11 +225,24 @@ def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:
 _MATRIX_HEIGHT_CAP = 3
 
 
-def candidate_matrices(g: GroupDescriptor, height: int,
-                       _checks: Optional[dict] = None) -> list[ExactMatrix]:
-    """Entrywise candidates for a two-factor product: entry (i, j) must be
-    a ratio of a member of factor j by a nonzero member of factor i."""
-    h = _check_height(height)
+def _signed(ids: dict, y: ExactScalar) -> tuple[ExactScalar, int, int]:
+    """(y, the number of y up to sign in ``ids``, the sign of y's lead)."""
+    lead = _lead(y) if y else 0
+    return y, ids.setdefault(-y if lead < 0 else y, len(ids)), \
+        (lead > 0) - (lead < 0)
+
+
+def _matrix_classes(g: GroupDescriptor, h: int, checks: dict):
+    """(key, is scalar, A) for each candidate of ``candidate_matrices``, in
+    its order.  The key names A's class {D A D'} over sign diagonals D and
+    D': A's entries up to sign (by their numbers in the run), and the
+    product of their signs, which D A D' keeps when no entry is zero (and
+    which is 0 when one is, as a zero entry lets every sign pattern
+    through).  A is scalar when b = x = 0 and a = e.
+
+    Singularity is decided once per class: with A, B, X, E the entries
+    up to sign and s their signs, ae - bx = s_a s_e (AE - s_a s_b s_x s_e
+    BX), and where an entry is zero, one of the two terms is zero."""
     if h > _MATRIX_HEIGHT_CAP:
         raise DomainError(
             f"matrix enumeration is capped at height {_MATRIX_HEIGHT_CAP}")
@@ -214,7 +252,7 @@ def candidate_matrices(g: GroupDescriptor, height: int,
     if len(g.factors) != 2:
         raise UnsupportedError("matrix enumeration is capped at two factors")
 
-    columns = [[v[0] for v in enumerate_members(f, h)] for f in g.factors]
+    columns = [[v[0] for v in column] for column in _factor_members(g, h)]
     entries: list[list[ExactScalar]] = [[], [], [], []]
     for i in range(2):
         for j in range(2):
@@ -226,25 +264,42 @@ def candidate_matrices(g: GroupDescriptor, height: int,
     # passes exactly when each entry passes its column's block of the
     # certificate's check, asked here on the matrix with e everywhere.  The
     # run's memo then answers each forward half.
-    checks = {} if _checks is None else _checks
     gens = run_generators(checks, g)
-    rows: list[list[tuple[ExactScalar, ExactScalar]]] = []
+    ids: dict = {}          # each entry up to sign, numbered from 0
+    rows = []
     for i in range(2):
         on_row = tuple(gen for gen in gens if i in gen[2])
-        kept = [[e for e in entries[2 * i + j]
+        kept = [[_signed(ids, e) for e in entries[2 * i + j]
                  if failing_generator(checks, on_row, ((e, e), (e, e)), j)
                  is None]
                 for j in range(2)]
-        rows.append(list(itertools.product(*kept)))
+        # each row tuple is shared by the candidates that hold it
+        rows.append([((a, b), ua, ub, sa, sb) for (a, ua, sa), (b, ub, sb)
+                     in itertools.product(*kept)])
     if len(rows[0]) * len(rows[1]) > 400_000:
         raise DomainError(
             "matrix candidate set too large; lower the height bound")
-    out = []
-    for r0, r1 in itertools.product(rows[0], rows[1]):
-        m = ExactMatrix((r0, r1))
-        if not m.is_singular():
-            out.append(m)
-    return out
+    unsigned = list(ids)
+    singular: dict = {}     # whether each class is singular
+    for (r0, ua, ub, sa, sb), (r1, ux, ue, sx, se) \
+            in itertools.product(rows[0], rows[1]):
+        key = ua, ub, ux, ue, sa * sb * sx * se
+        degenerate = singular.get(key)
+        if degenerate is None:
+            ae = _product(unsigned[ua], unsigned[ue])
+            bx = _product(unsigned[ub], unsigned[ux])
+            degenerate = singular[key] = ae == (-bx if key[4] < 0 else bx)
+        if not degenerate:
+            yield key, sb == sx == 0 and r0[0] == r1[1], ExactMatrix((r0, r1))
+
+
+def candidate_matrices(g: GroupDescriptor, height: int,
+                       _checks: Optional[dict] = None) -> list[ExactMatrix]:
+    """Entrywise candidates for a two-factor product: entry (i, j) must be
+    a ratio of a member of factor j by a nonzero member of factor i."""
+    h = _check_height(height)
+    checks = {} if _checks is None else _checks
+    return [a for _, _, a in _matrix_classes(g, h, checks)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,44 +323,26 @@ class OracleReport:
     agreement: Optional[bool] = None
 
 
-def _sign_class(signs: dict, c):
-    """The key of c's class {D c D'} over sign diagonals D and D': a scalar
-    up to sign, or a 2 x 2 matrix's entries up to sign and the product of
-    their signs, which D c D' keeps when no entry is zero (and which is 0
-    when one is, as a zero entry lets every sign pattern through).  The
-    run's memo ``signs`` keeps each entry up to sign with its sign, the
-    sign of its first nonzero numerator."""
-    if not isinstance(c, ExactMatrix):
-        return _sign_canonical(c)
-    got = []
-    for y in c.rows[0] + c.rows[1]:
-        pair = signs.get(y)
-        if pair is None:
-            lead = _lead(y) if y else 0
-            pair = signs[y] = (-y, -1) if lead < 0 else (y, 1 if lead else 0)
-        got.append(pair)
-    (a, sa), (b, sb), (x, sx), (e, se) = got
-    return a, b, x, e, sa * sb * sx * se
-
-
-def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:
-    """Classify every bounded-height candidate by certificate alone."""
+def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, dict]:
+    """The report of ``brute_force_aut``, and for each (sign class, is
+    scalar) pair its first candidate and their verdict, in candidate order.
+    A scalar's class is {c, -c}, keyed by c up to sign."""
     h = _check_height(height)
     n = dimension(g)
     checks: dict = {}       # the run's generator checks, each asked once
     if n == 1:
-        candidates: list = candidate_scalars(g, h)
+        classes = ((_sign_canonical(c), True, c)
+                   for c in candidate_scalars(g, h))
     elif n == 2:
-        candidates = candidate_matrices(g, h, checks)
+        classes = _matrix_classes(g, h, checks)
     else:
         raise UnsupportedError(
             "the brute-force referee handles one or two dimensions")
     confirmed = []
     refuted = []
-    signs: dict = {}        # each entry up to sign, and its sign
     certs: dict = {}        # the certificate of each sign class so far
-    for c in candidates:
-        key = _sign_class(signs, c)
+    firsts: dict = {}       # (key, is scalar) -> (first candidate, verdict)
+    for key, scalar, c in classes:
         cert = certs.get(key)
         if cert is None:
             cert = certs[key] = acts_invariantly(g, c, checks)
@@ -317,20 +354,38 @@ def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:
         else:
             refuted.append(Refutation(c, cert.failing_generator,
                                       cert.direction))
-    return OracleReport(g, h, len(candidates), tuple(confirmed),
-                        tuple(refuted))
+        if (key, scalar) not in firsts:
+            firsts[key, scalar] = c, cert.verdict
+    report = OracleReport(g, h, len(confirmed) + len(refuted),
+                          tuple(confirmed), tuple(refuted))
+    return report, firsts
+
+
+def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:
+    """Classify every bounded-height candidate by certificate alone."""
+    return _referee(g, height)[0]
 
 
 def cross_check(g: GroupDescriptor, height: int = 3) -> OracleReport:
     """Brute-force report with the agreement flag filled in: every
-    candidate verdict must fit the closed form or bounds (``admits``)."""
-    report = brute_force_aut(g, height)
+    candidate verdict must fit the closed form or bounds (``admits``).
+
+    ``admits`` is asked once per sign class and is-scalar flag, on the
+    pair's first candidate.  That is exact, as ``contains`` is constant on
+    each pair.  Every
+    matrix-kind descriptor (GLQ, GLR, BlockTriangular, PatternQuad, EZ)
+    is invariant under A -> D A D': sign changes keep rationality,
+    integrality, zero entries, the rational pattern and det A up to sign.
+    Every scalar-kind descriptor (PM1, Qx, FieldUnits, PMPowers,
+    RatTimesPMPowers) is a group that holds -1 and no non-scalar matrix,
+    so it holds c I exactly when it holds -c I, and rejects the rest of
+    the class.  The class's members share one verdict (see the module
+    docstring), so each pair's verdict stands for all its candidates."""
+    report, firsts = _referee(g, height)
     result = aut_group(g)
     try:
-        for r in report.refuted:
-            admits(result, r.candidate, False)
-        for c in report.confirmed:
-            admits(result, c, True)
+        for c, verdict in firsts.values():
+            admits(result, c, verdict)
     except ConsistencyError:
         return replace(report, agreement=False)
     return replace(report, agreement=True)

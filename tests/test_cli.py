@@ -161,6 +161,10 @@ PLANE_CROSS_CHECKS = [
     (("(Q + Q*t) x Q", "2"), 2, 50513,
      '{"group":"(Q*1 + Q*t) x Q","height":2,"candidates":1764,',
      "c8f77c747d792c4c921329145cc01b6b82b2bb70cfdf090bafed821382e0ba3b"),
+    # a real line beside a Laurent factor is sampled as q and t*q
+    (("R x Q*t", "1"), 2, 1627,
+     '{"group":"R x Q*t","height":1,"candidates":60,',
+     "1eb833610618932f885ee3197668281bc2e44ee11e1a132dae20cc6529321c48"),
 ]
 
 

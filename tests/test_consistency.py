@@ -100,10 +100,12 @@ WRONG = [Exact(RatStar()), Exact(PlusMinusOne()), Exact(FieldUnits(2)),
 def test_admits_matches_the_two_former_rules(monkeypatch, text):
     g = P(text)
     height = 2 if dimension(g) == 1 else 1
-    report = brute_force_aut(g, height)
+    referee = oracle._referee(g, height)
+    report = referee[0]
     verdicts = [(c, True) for c in report.confirmed] \
         + [(r.candidate, False) for r in report.refuted]
-    monkeypatch.setattr(oracle, "brute_force_aut", lambda *_: report)
+    # cross_check classifies through _referee: reuse this run's classes
+    monkeypatch.setattr(oracle, "_referee", lambda *_: referee)
     outcomes = set()
     for result in [aut_group(g)] + WRONG:
         for a, verdict in verdicts:

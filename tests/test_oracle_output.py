@@ -46,7 +46,8 @@ from groupaut.oracle import (
     cross_check,
     enumerate_members,
 )
-from groupaut.scalars import one, rational, sqrt_rational, t_monomial
+from groupaut.scalars import (ContextKind, one, rational, sqrt_rational,
+                              t_monomial)
 
 P = parse_descriptor
 
@@ -71,8 +72,17 @@ def ref_candidate_scalars(g, h):
     return [found[k] for k in sorted(found)]
 
 
+def factor_members(g, h):
+    """Each factor's members as the product g samples them: the
+    coordinates of g's members.  (Beside a factor in the formal tower, a
+    real line is sampled by t, not by sqrt(2).)"""
+    members = enumerate_members(g, h)
+    return [list({v[i].sort_key(): v[i] for v in members}.values())
+            for i in range(len(g.factors))]
+
+
 def ref_candidate_matrices(g, h):
-    columns = [[v[0] for v in enumerate_members(f, h)] for f in g.factors]
+    columns = factor_members(g, h)
     entries = [[], [], [], []]
     for i in range(2):
         for j in range(2):
@@ -210,8 +220,7 @@ def test_candidates_at_one_height_match_reference(text, h):
         assert candidate_matrices(g, h) == ref_candidate_matrices(g, h)
 
 
-@pytest.mark.parametrize("text", ["(Q + Q*t) x R",
-                                  "(Q*sqrt(2) + Q*sqrt(3)) x Q*sqrt(5)"])
+@pytest.mark.parametrize("text", ["(Q*sqrt(2) + Q*sqrt(3)) x Q*sqrt(5)"])
 def test_cross_tower_entries_raise_like_the_reference(text):
     g = P(text)
     with pytest.raises(ContextError) as expected:
@@ -219,6 +228,30 @@ def test_cross_tower_entries_raise_like_the_reference(text):
     with pytest.raises(ContextError) as got:
         candidate_matrices(g, 1)
     assert str(got.value) == str(expected.value)
+
+
+# sampled by sqrt(2), R has no ratio with t in any field
+LAURENT_PLANES = {"R x Q*t": 60, "Q*t x R": 60, "R x (Q + Q*t)": 84,
+                  "(Q + Q*t) x R": 84}
+
+
+@pytest.mark.parametrize("text", LAURENT_PLANES)
+def test_a_real_line_beside_a_laurent_factor_is_sampled_by_t(text):
+    g = P(text)
+    assert candidate_matrices(g, 1) == ref_candidate_matrices(g, 1)
+    t = t_monomial(1)
+    for f, column in zip(g.factors, oracle._factor_members(g, 1)):
+        if isinstance(f, FullLine):
+            assert {v[0] for v in column} == {
+                rational(q) * u for q in (-1, 0, 1) for u in (one(), t)}
+    report = cross_check(g, 1)
+    assert report.candidates == LAURENT_PLANES[text]
+    assert report.agreement is True
+    assert report == replace(brute_force_aut(g, 1), agreement=True)
+    # every entry is rational or Laurent: none reads sqrt(2)
+    for a in report.confirmed + tuple(r.candidate for r in report.refuted):
+        assert all(y.is_rational() or y.context.kind is ContextKind.FORMAL
+                   for row in a.rows for y in row)
 
 
 def test_quadratic_ratios_are_the_known_values():

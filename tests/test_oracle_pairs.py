@@ -41,7 +41,7 @@ from groupaut.scalars import (ExactScalar, one, products_within, rational,
                               t_monomial, zero)
 
 from test_descriptors import _random_group
-from test_oracle_output import PLANES
+from test_oracle_output import PLANES, factor_members
 
 
 # --- the routes that used both signs, verbatim --------------------------------
@@ -195,9 +195,10 @@ def test_one_certificate_per_pair_and_one_replay_per_refutation(
 # --- the plane referee: one certificate per sign class {D A D'} ----------------
 #
 # ``_old_candidate_matrices`` is ``candidate_matrices`` as it was while it
-# tested each candidate by forming its determinant, copied verbatim; the
-# reference report is ``_old_brute_force_aut``, which certifies every
-# candidate afresh.
+# tested each candidate by forming its determinant, copied verbatim but for
+# its columns, which are the factors' members as the product samples them
+# (``factor_members``); the reference report is ``_old_brute_force_aut``,
+# which certifies every candidate afresh.
 
 def _old_candidate_matrices(g, height, _checks=None):
     h = _check_height(height)
@@ -210,7 +211,7 @@ def _old_candidate_matrices(g, height, _checks=None):
     if len(g.factors) != 2:
         raise UnsupportedError("matrix enumeration is capped at two factors")
 
-    columns = [[v[0] for v in enumerate_members(f, h)] for f in g.factors]
+    columns = factor_members(g, h)
     entries: list[list[ExactScalar]] = [[], [], [], []]
     for i in range(2):
         for j in range(2):
