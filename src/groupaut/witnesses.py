@@ -3,11 +3,12 @@
 A dense subgroup of R^n that is preserved by all of SL(n) must already be
 the whole space, so every proper dense group admits an obstruction witness:
 a matrix of determinant one that fails invariance.  The search below walks
-a fixed ladder of shears (and, in the plane, a few rational rotations), so
-the witness returned for a given group never changes between runs.
+a fixed ladder of shears (and, in the plane, a few rational rotations), built
+as read, so a group's witness never changes; its candidates share one memo.
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 from .autgroup import Certificate, acts_invariantly
@@ -24,18 +25,17 @@ from .matrices import ExactMatrix, matrix, shear
 from .scalars import ExactScalar, rational, sqrt_rational, t_monomial
 
 
-def _lambda_ladder() -> list[ExactScalar]:
-    out = [rational(1), rational(Fraction(1, 2)),
-           sqrt_rational(2), sqrt_rational(3), t_monomial(1)]
-    seen = {Fraction(1), Fraction(1, 2)}
-    heights = sorted(
-        {Fraction(a, b) for a in range(1, 9) for b in range(1, 9)},
-        key=lambda q: (max(q.numerator, q.denominator), q.denominator, q))
-    for q in heights:
-        if q not in seen:
-            seen.add(q)
-            out.append(rational(q))
-    return out
+def _lambda_ladder() -> Iterator[ExactScalar]:
+    """Shear coefficients, built as they are read: 1, 1/2, sqrt(2), sqrt(3),
+    t, then each reduced a/b with 1 <= a, b <= 8 save 1 and 1/2, ordered by
+    max(a, b), then b, then a/b (a = max(a, b) until b reaches it)."""
+    yield from (rational(1), rational(Fraction(1, 2)),
+                sqrt_rational(2), sqrt_rational(3), t_monomial(1))
+    for m in range(2, 9):
+        for b in range(1, m + 1):
+            for a in range(1 if b == m else m, m + 1):
+                if gcd(a, b) == 1 and (a, b) != (1, 2):
+                    yield rational(Fraction(a, b))
 
 
 _ROTATIONS = (
@@ -48,10 +48,8 @@ _ROTATIONS = (
 def sl_candidates(n: int) -> Iterator[ExactMatrix]:
     """Deterministic stream of determinant-one candidates."""
     for lam in _lambda_ladder():
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    yield shear(n, i, j, lam)
+        yield from (shear(n, i, j, lam)
+                    for i in range(n) for j in range(n) if i != j)
     if n == 2:
         for rows in _ROTATIONS:
             yield matrix(rows)
@@ -71,7 +69,9 @@ def sl_obstruction_witness(g: GroupDescriptor, budget: int = 64) -> ExactMatrix:
 
 def _sl_search(g: GroupDescriptor, budget: int) -> tuple[ExactMatrix, Certificate]:
     """The witness of ``sl_obstruction_witness`` with the refutation that
-    certified it, checked on the normalized group."""
+    certified it, on the normalized group, all candidates sharing one check
+    memo as ``oracle._referee`` does.  A check not known to hold forms the
+    whole image, so a candidate outside the tower still raises ContextError."""
     gn = normalize(g)
     n = dimension(gn)
     if n < 2:
@@ -82,17 +82,17 @@ def _sl_search(g: GroupDescriptor, budget: int) -> tuple[ExactMatrix, Certificat
         raise DomainError("the full space absorbs every invertible matrix")
     if not is_dense(gn):
         raise DomainError("only dense groups are searched")
-    checks = 0
+    certified, checks = 0, {}    # certificates made; the generator checks
     for cand in sl_candidates(n):
-        if checks >= budget:
+        if certified >= budget:
             raise BudgetExceededError(
                 f"no witness within {budget} certificate checks")
         try:
-            cert = acts_invariantly(gn, cand)
+            cert = acts_invariantly(gn, cand, checks)
         except ContextError:
             continue      # candidate scalar lives in an incompatible tower
-        checks += 1
+        certified += 1
         if not cert.verdict:
             return cand, cert
     raise BudgetExceededError(
-        f"candidate ladder exhausted after {checks} checks")
+        f"candidate ladder exhausted after {certified} checks")
