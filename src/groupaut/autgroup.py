@@ -7,7 +7,8 @@ with r*G = G.  Two independent routes decide membership:
 * a small table of closed forms (``aut_group``), each row carrying a
   decidable predicate (``contains``), and
 * generator certificates (``acts_invariantly``), which check the finitely
-  many generating lines of G against A and its inverse directly.
+  many generating lines of G against A directly, and against A^-1 as well
+  when G has an integer generator.
 
 ``aut_member`` runs both routes and raises ConsistencyError if they ever
 disagree.  When no table row applies, the engine answers with explicit
@@ -395,11 +396,12 @@ def _ring_core(g: GroupDescriptor) -> tuple[Optional[GroupDescriptor], ExactScal
 
 def run_generators(checks: dict, g: GroupDescriptor) -> tuple:
     """invariance_generators(g) as (kind, vec, support, position, blocks),
-    kept in ``checks``.  G is checked one block of coordinates at a time:
-    a Product has one block per factor, any other group one block of all
-    its coordinates.  Each block is (index, group, columns, pick): pick
-    takes the entries of M, row by row, to those that the block of vec * M
-    reads (vec is nonzero, so there is at least one)."""
+    kept in ``checks``; whether any has kind "int" is kept under (g, "int").
+    G is checked one block of coordinates at a time: a Product has one
+    block per factor, any other group one block of all its coordinates.
+    Each block is (index, group, columns, pick): pick takes the entries of
+    M, row by row, to those that the block of vec * M reads (vec is
+    nonzero, so there is at least one)."""
     if g not in checks:
         blocks = [(b, f, (b,)) for b, f in enumerate(g.factors)] \
             if isinstance(g, Product) else [(0, g, tuple(range(dimension(g))))]
@@ -411,6 +413,7 @@ def run_generators(checks: dict, g: GroupDescriptor) -> tuple:
                  itemgetter(*[i * len(vec) + j for i in support for j in cols]))
                 for b, group, cols in blocks)))
         checks[g] = tuple(gens)
+        checks[g, "int"] = any(kind == "int" for kind, *_ in gens)
     return checks[g]
 
 
@@ -446,7 +449,14 @@ def failing_generator(checks: dict, gens: tuple, rows,
 
 def acts_invariantly(g: GroupDescriptor, a,
                      _checks: Optional[dict] = None) -> Certificate:
-    """Certificate for G*a = G via generator checks (both directions).
+    """Certificate for G*a = G via generator checks: G*A inside G (the
+    forward pass), then G*A^-1 inside G (the inverse pass).
+
+    The inverse pass runs only when G has an "int" generator or A is
+    singular.  Otherwise G is a sum of Q-lines and R-lines, and G*A inside
+    G with A invertible is all of G*A = G: the largest real subspace U of G
+    has U*A = U by dimension, and A induces an injective Q-linear map of
+    the finite-dimensional space G/U to itself, which is onto.
 
     ``_checks`` is the memo of one ``brute_force_aut`` run over G, which
     keeps the verdict of every generator check it has asked, held or failed
@@ -480,6 +490,9 @@ def acts_invariantly(g: GroupDescriptor, a,
     checks = {} if _checks is None else _checks
     gens = run_generators(checks, g)
     for direction in ("forward", "inverse"):
+        if direction == "inverse" and not checks[g, "int"] \
+                and not mat.is_singular():
+            return Certificate(True)    # G*A inside G is all, as above
         # the inverse is formed only after the forward pass succeeds; a
         # candidate refuted forward may not even be invertible in the tower
         m, over = (mat, g) if direction == "forward" else _inverse_pass(g, mat)

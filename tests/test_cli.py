@@ -408,3 +408,21 @@ INVERSE_OUTSIDE_THE_TOWER = [
                          ids=[" ".join(a) for a, _, _ in INVERSE_OUTSIDE_THE_TOWER])
 def test_an_inverse_outside_the_tower_is_answered(capsys, argv, code, out):
     assert run(capsys, *argv) == (code, out, "")
+
+
+# R x R has no integer generator, so an invertible A that keeps it is
+# confirmed on the forward pass: A^-1, which would join sqrt(2) with t, is
+# never formed.  Where the forward pass itself joins them, the query still
+# ends in the context error
+MIXED_TOWERS = [
+    (("aut-member", "R x R", "[-1,sqrt(2);1+sqrt(2),t]"), 0,
+     '{"aut_member":true}\n', ""),
+    (("aut-member", "R x (Q + Q*sqrt(2))", "[1,0;t,1]"), 1, "",
+     "error: cannot join Q(sqrt2) with Q[t,1/t]\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", MIXED_TOWERS,
+                         ids=[" ".join(a) for a, *_ in MIXED_TOWERS])
+def test_mixed_towers_on_a_divisible_plane(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)

@@ -101,11 +101,13 @@ def _old_lambda_ladder():
 
 
 class _Forgetful(dict):
-    """A generator-check memo that keeps each group's generators but no
-    verdict, so every check is asked afresh, whatever its key."""
+    """A generator-check memo that keeps what it holds per group (its
+    generators, and whether one has kind "int") but no verdict, so every
+    check is asked afresh, whatever its key."""
 
     def __setitem__(self, key, value):
-        if not isinstance(key, tuple):
+        # a verdict is kept under (position, block, entries)
+        if not (isinstance(key, tuple) and isinstance(key[0], int)):
             super().__setitem__(key, value)
 
 
