@@ -37,7 +37,6 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from .descriptors import (
-    Cyclic,
     Domain,
     FractionRing,
     FullLine,
@@ -370,7 +369,7 @@ def _leaf_probes(g: GroupDescriptor, vec: Vector, mat: ExactMatrix):
     vec has a surd, which t does not join."""
     roots, top, low = set(), 0, 0
     for leaf, coords in _split(g, vec_mat_mul(vec, mat)):
-        if isinstance(leaf, (Cyclic, MixedModule)):
+        if isinstance(leaf, MixedModule):
             ctx, columns = _coordinates(leaf.terms)[:2]    # columns: exponents
             if columns is None:
                 roots.update(context_radicands(ctx))
@@ -577,7 +576,7 @@ def _replayed(g: GroupDescriptor, w: Vector, image: Optional[Vector],
 # the rule table
 # ---------------------------------------------------------------------------
 
-def _module_rule(m: Union[Cyclic, MixedModule]) -> Optional[AutDescriptor]:
+def _module_rule(m: MixedModule) -> Optional[AutDescriptor]:
     slots = [d for d, _ in m.terms]
     rat_gens = [g for d, g in m.terms if d is Domain.RAT]
 
@@ -614,7 +613,7 @@ def _module_rule(m: Union[Cyclic, MixedModule]) -> Optional[AutDescriptor]:
     lattice = cyclic_form(MixedModule(tuple((Domain.INT, r) for r in reduced)))
     if lattice is None:
         return None
-    x = exact_div(q, lattice.generator)
+    x = exact_div(q, lattice.terms[0][1])
     if x is not None and not x.is_rational() and (x * x).is_rational():
         return PlusMinusOne()       # Z + Q*x with x a pure root is rigid
     return None
@@ -649,10 +648,7 @@ def _product_rule(p: Product) -> AutResult:
 
 
 def _product_fallback(factors) -> Bounds:
-    # Cyclic(g) and Z*g are one set, so a module factor is its terms
-    keys = [f.terms if isinstance(f, (Cyclic, MixedModule)) else f
-            for f in factors]
-    if len(keys) >= 2 and all(k == keys[0] for k in keys[1:]):
+    if len(factors) >= 2 and all(f == factors[0] for f in factors[1:]):
         # identical coordinates: integer recombination stays inside
         return Bounds((EZLowerBound(len(factors)), PlusMinusOne()))
     return Bounds((PlusMinusOne(),))
@@ -678,7 +674,7 @@ def _aut_rules(g: GroupDescriptor) -> AutResult:
         if len(primes) == 1 and g.m == primes[0]:
             return Exact(pm_powers(primes[0]))
         return Bounds(tuple(pm_powers(p) for p in primes))
-    if isinstance(g, (Cyclic, MixedModule)):
+    if isinstance(g, MixedModule):
         rule = _module_rule(g)
         if rule is not None:
             return Exact(rule)
@@ -821,19 +817,6 @@ def realize_Ax(m: int) -> Realizability:
     if contains(pm_powers(m), rational(p)):
         raise ConsistencyError(f"divisor {p} cannot be a power of {m}")
     return Realizability(m, None, p)
-
-
-def conjugation_transfer(g: GroupDescriptor, a: ExactMatrix,
-                         b: ExactMatrix) -> bool:
-    """Check B against G*A and A*B*A^-1 against G; the verdicts must agree
-    (acting after a coordinate change is conjugate to acting before it)."""
-    from .descriptors import image
-    left = acts_invariantly(image(g, a), b).verdict
-    right = acts_invariantly(g, a * b * a.inverse()).verdict
-    if left != right:
-        raise ConsistencyError(
-            "conjugation transfer failed: the two routes disagree")
-    return left
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def _cmd_cyclic(args) -> tuple[dict, int]:
     if form is None:
         return {"cyclic": False, "generator": None}, DECIDED
     return {"cyclic": True,
-            "generator": scalar_to_text(form.generator)}, DECIDED
+            "generator": scalar_to_text(form.terms[0][1])}, DECIDED
 
 
 def _cmd_dim(args) -> tuple[dict, int]:

@@ -1,16 +1,13 @@
 """Closed-form descriptions of subgroups of R^n and their decision procedures.
 
-A descriptor is a small immutable AST.  The one-dimensional building blocks
-are Cyclic, MixedModule (finitely many generators, each carrying a Z or Q
-coefficient domain), the two Laurent rings, FractionRing (Z[1/m]), Scaled
-and FullLine; higher dimensions come from Product and Image under an
-invertible matrix.  R^n is the Product of n FullLine factors.  A divisible
-hull is not a node: ``divisible_hull`` folds it into one of these forms
-when it is built.
-
-Cyclic is the one-term Z-module: its ``terms`` are ``((Domain.INT, g),)``,
-and every decision reads it through the module code.  It stays a type of
-its own because ``cyclic(g)`` prints differently from ``Z*g``.
+A descriptor is a small immutable AST of seven kinds.  The one-dimensional
+building blocks are MixedModule (finitely many generators, each carrying a
+Z or Q coefficient domain), LaurentRing (Z[t,1/t] or Q[t,1/t]),
+FractionRing (Z[1/m]), Scaled and FullLine; higher dimensions come from
+Product and Image under an invertible matrix.  A cyclic group Z*g is the
+one-term module ``((Domain.INT, g),)``, and R^n is the Product of n
+FullLine factors.  A divisible hull is not a node: ``divisible_hull``
+folds it into one of these forms when it is built.
 
 Everything here is decided exactly.  Three questions are asked of a vector
 v, and ``holds(kind, g, v)`` picks one by its check kind:
@@ -19,11 +16,11 @@ v, and ``holds(kind, g, v)`` picks one by its check kind:
   over Q and checks integrality on the Z-slots (with a Hermite-style
   integer solve, so generator families like 2Z + 3Z that are Q-dependent
   but not redundant still work);
-* "rat", ``rat_line_member``: does Q*v lie in G?  For a MixedModule this
-  holds exactly when v lies in the Q-span of the Q-slot generators: the
-  image of v in the quotient by that span lives in a finitely generated
-  Z-module, which has no nonzero divisible elements;
-* "real", ``real_line_member``: does R*v lie in G?  Every proper
+* "rat", ``holds("rat", g, v)``: does Q*v lie in G?  For a MixedModule
+  this holds exactly when v lies in the Q-span of the Q-slot generators:
+  the image of v in the quotient by that span lives in a finitely
+  generated Z-module, which has no nonzero divisible elements;
+* "real", ``holds("real", g, v)``: does R*v lie in G?  Every proper
   one-dimensional descriptor forces v = 0 there, FullLine absorbs anything.
 
 All three share one walk, ``_split``, which carries v through the Scaled,
@@ -103,15 +100,6 @@ class Domain(Enum):
 
 
 @frozen_dataclass
-class Cyclic:
-    generator: ExactScalar
-
-    @property
-    def terms(self) -> tuple[tuple[Domain, ExactScalar], ...]:
-        return ((Domain.INT, self.generator),)
-
-
-@frozen_dataclass
 class MixedModule:
     terms: tuple[tuple[Domain, ExactScalar], ...]
 
@@ -148,8 +136,8 @@ class Image:
     matrix: ExactMatrix
 
 
-GroupDescriptor = Union[Cyclic, MixedModule, LaurentRing, FractionRing,
-                        Scaled, FullLine, Product, Image]
+GroupDescriptor = Union[MixedModule, LaurentRing, FractionRing, Scaled,
+                        FullLine, Product, Image]
 
 
 @dataclass(frozen=True)
@@ -285,7 +273,7 @@ def _divisor(g: GroupDescriptor, v: Vector) -> int:
     leaves.  FullLine adds nothing, and a ring has no generator checks."""
     k = 0
     for leaf, (c, *_) in _split(g, v):
-        if isinstance(leaf, (Cyclic, MixedModule)):
+        if isinstance(leaf, MixedModule):
             _, lcd, _, ann, form, _ = _lattice(leaf.terms)
             x = _numerators(_coordinates(leaf.terms), c)
             t = [_dot(a, x) * lcd // c.den for a in ann]    # as _module_solve's
@@ -314,11 +302,12 @@ def coprime_part(k: int, m: int) -> int:
 # validating factories
 # ---------------------------------------------------------------------------
 
-def cyclic(g) -> Cyclic:
+def cyclic(g) -> MixedModule:
+    """Z*g, the one-term Z-module."""
     g = as_scalar(g)
     if g.is_zero():
         raise DescriptorError("cyclic generator must be nonzero")
-    return Cyclic(g)
+    return MixedModule(((Domain.INT, g),))
 
 
 def mixed_module(terms: Iterable[tuple[Domain, object]]) -> MixedModule:
@@ -418,7 +407,7 @@ def image(inner: GroupDescriptor, a: ExactMatrix) -> Image:
 
 
 def dimension(g: GroupDescriptor) -> int:
-    if isinstance(g, (Cyclic, MixedModule, LaurentRing, FractionRing, FullLine)):
+    if isinstance(g, (MixedModule, LaurentRing, FractionRing, FullLine)):
         return 1
     if isinstance(g, Scaled):
         return dimension(g.inner)
@@ -447,20 +436,6 @@ def as_vector(g: GroupDescriptor, v) -> Vector:
 def member(g: GroupDescriptor, v) -> MembershipVerdict:
     """Exact membership v in G, with a coefficient witness where meaningful."""
     return _member(g, as_vector(g, v))
-
-
-def rat_line_member(g: GroupDescriptor, v) -> bool:
-    """Does the whole rational line Q*v lie inside G?"""
-    return _rat_line(g, as_vector(g, v))
-
-
-def real_line_member(g: GroupDescriptor, v) -> bool:
-    """Does the whole real line R*v lie inside G?
-
-    Every descriptor here except FullLine describes a countable group, so
-    only v = 0 qualifies in every other factor.
-    """
-    return _real_line(g, as_vector(g, v))
 
 
 def holds(kind: str, g: GroupDescriptor, v: Vector) -> bool:
@@ -541,7 +516,7 @@ def _real_line(g: GroupDescriptor, v: Vector) -> bool:
 
 @lru_cache(maxsize=65536)
 def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
-    if isinstance(g, (Cyclic, MixedModule)):
+    if isinstance(g, MixedModule):
         # zero lies in every group: every coefficient of its combination is 0
         w = (Fraction(0),) * len(g.terms) if v[0].is_zero() \
             else _module_solve(g.terms, v[0])
@@ -564,7 +539,7 @@ def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
 def _leaf_rat_line(g: GroupDescriptor, v: Vector) -> bool:
     if isinstance(g, FractionRing):
         return v[0].is_zero()
-    if isinstance(g, (Cyclic, MixedModule)):
+    if isinstance(g, MixedModule):
         return _module_rat_line(g.terms, v[0])
     if isinstance(g, LaurentRing):
         if g.coeffs is Domain.INT:
@@ -582,7 +557,7 @@ def _leaf_rat_line(g: GroupDescriptor, v: Vector) -> bool:
 def hull_closure(g: GroupDescriptor) -> GroupDescriptor:
     """The divisible hull of g in closed form (always exists here except
     over Z[1/m])."""
-    if isinstance(g, (Cyclic, MixedModule)):
+    if isinstance(g, MixedModule):
         # promote every slot to Q, keeping only generators that enlarge the
         # Q-span (promotion can make previously independent families
         # dependent, e.g. 2Z + 3Z)
@@ -612,7 +587,7 @@ def hull_closure(g: GroupDescriptor) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 
 def is_divisible(g: GroupDescriptor) -> bool:
-    if isinstance(g, (Cyclic, MixedModule)):
+    if isinstance(g, MixedModule):
         # divisible exactly when each Z-slot lies in the Q-span of the Q-slots
         return all(_module_rat_line(g.terms, gen)
                    for d, gen in g.terms if d is Domain.INT)
@@ -629,8 +604,8 @@ def is_divisible(g: GroupDescriptor) -> bool:
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
 
-def cyclic_form(g: GroupDescriptor) -> Optional[Cyclic]:
-    """A Cyclic descriptor with the same members, when one exists (1-D)."""
+def cyclic_form(g: GroupDescriptor) -> Optional[MixedModule]:
+    """A one-term Z-module with the same members, when one exists (1-D)."""
     if dimension(g) != 1:
         raise UnsupportedError("cyclicity is a one-dimensional notion here")
     if isinstance(g, (Scaled, Image)):
@@ -638,8 +613,8 @@ def cyclic_form(g: GroupDescriptor) -> Optional[Cyclic]:
         if inner is None:
             return None
         factor = g.factor if isinstance(g, Scaled) else g.matrix.rows[0][0]
-        return Cyclic(_sign_canonical(factor * inner.generator))
-    if isinstance(g, (Cyclic, MixedModule)):
+        return cyclic(_sign_canonical(factor * inner.terms[0][1]))
+    if isinstance(g, MixedModule):
         if any(d is Domain.RAT for d, _ in g.terms):
             return None
         lead = g.terms[0][1]
@@ -652,7 +627,7 @@ def cyclic_form(g: GroupDescriptor) -> Optional[Cyclic]:
         denom = lcm(*(r.denominator for r in ratios))
         nums = [r.numerator * (denom // r.denominator) for r in ratios]
         step = Fraction(gcd(*nums), denom)
-        return Cyclic(_sign_canonical(rational(step) * lead))
+        return cyclic(_sign_canonical(rational(step) * lead))
     return None
 
 
@@ -706,8 +681,6 @@ def normalize(g: GroupDescriptor) -> GroupDescriptor:
 
 @lru_cache(maxsize=4096)
 def _normalize(g: GroupDescriptor) -> GroupDescriptor:
-    if isinstance(g, Cyclic):
-        return Cyclic(_sign_canonical(g.generator))
     if isinstance(g, MixedModule):
         terms = []
         for d, gen in g.terms:
@@ -723,8 +696,6 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
         while isinstance(inner, Scaled):
             r = r * inner.factor
             inner = _normalize(inner.inner)
-        if isinstance(inner, Cyclic):
-            return _normalize(Cyclic(r * inner.generator))
         if isinstance(inner, MixedModule):
             folded = _normalize(MixedModule(tuple((d, r * gen) for d, gen in inner.terms)))
             try:
@@ -773,7 +744,7 @@ def invariance_generators(g: GroupDescriptor
     "real" needs the real line.  Rings are not finitely generated this way
     and raise UnsupportedError (they go through the unit-group route)."""
     n = dimension(g)
-    if isinstance(g, (Cyclic, MixedModule)):
+    if isinstance(g, MixedModule):
         return [("int" if d is Domain.INT else "rat", (gen,)) for d, gen in g.terms]
     if isinstance(g, FullLine):
         return [("real", (one(),))]

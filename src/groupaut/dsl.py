@@ -16,10 +16,11 @@ groups are accepted everywhere a group is):
                t, t^k (k possibly negative), parenthesized scalars
 
 Precedence: '+' binds module terms, scalar prefixes bind one factor, and
-'x' binds loosest.  A bare 'Z' is the cyclic group of the integers; a bare
-'Q' is the one-generator rational module; inside a sum both are sugar for
-'Z*1' / 'Q*1'.  A digit is what ``int`` reads, a decimal digit of any
-script; a numeral such as '²' is an unexpected character.
+'x' binds loosest.  A bare 'Z' is sugar for 'Z*1' and a bare 'Q' for
+'Q*1'.  A cyclic group is the one-term Z-module: 'Z', 'Z*1' and
+'cyclic(1)' are one group, printed 'Z', and 'cyclic(g)' prints as 'Z*g'
+(so 'cyclic(2)' as 'Z*2').  A digit is what ``int`` reads, a decimal
+digit of any script; a numeral such as '²' is an unexpected character.
 
 The parser returns the normal form in one pass, on int numerators: each rule
 builds its group normal from normal parts, and only a scalar prefix, an
@@ -35,7 +36,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .descriptors import (
-    Cyclic,
     Domain,
     FractionRing,
     FullLine,
@@ -253,17 +253,11 @@ class _Parser:
             while self.peek()[0] == "+":
                 self.take()
                 terms.append(self._module_term())
-            if len(terms) == 1:
-                dom, gen, explicit = terms[0]
-                if not explicit:
-                    if dom is Domain.INT:
-                        return cyclic(1)
-                    return mixed_module([(Domain.RAT, rational(1))])
             # validated in the order typed, so that an error names its place
-            return normalize(mixed_module([(d, g) for d, g, _ in terms]))
+            return normalize(mixed_module(terms))
         return self.prefixed()
 
-    def _module_term(self) -> tuple[Domain, ExactScalar, bool]:
+    def _module_term(self) -> tuple[Domain, ExactScalar]:
         t = self.peek()
         if t[1] not in ("Z", "Q"):
             raise ParseError(f"expected a Z or Q term, found {t[1] or 'end of input'!r}",
@@ -274,8 +268,8 @@ class _Parser:
             self.take()
             # product-level only: a '+' here separates module terms, so
             # compound generators must be parenthesized
-            return dom, self.scalar_term(), True
-        return dom, rational(1), False
+            return dom, self.scalar_term()
+        return dom, rational(1)
 
     def prefixed(self) -> GroupDescriptor:
         if self._starts_scalar_factor_at(0):
@@ -302,12 +296,9 @@ class _Parser:
         if word == "R":
             self.take()
             return FullLine()
-        if word == "Z":
+        if word in ("Z", "Q"):
             self.take()
-            return cyclic(1)
-        if word == "Q":
-            self.take()
-            return mixed_module([(Domain.RAT, rational(1))])
+            return MixedModule(((Domain(word), rational(1)),))
         if word == "cyclic":
             self.take()
             self.expect("(")
@@ -421,13 +412,9 @@ def matrix_to_text(a: ExactMatrix) -> str:
 
 
 def group_to_text(g: GroupDescriptor) -> str:
-    if isinstance(g, Cyclic):
-        if g.generator == rational(1):
-            return "Z"
-        return f"cyclic({scalar_to_text(g.generator)})"
     if isinstance(g, MixedModule):
-        if g.terms == ((Domain.RAT, rational(1)),):
-            return "Q"
+        if len(g.terms) == 1 and g.terms[0][1] == rational(1):
+            return g.terms[0][0].value      # Z or Q
         return " + ".join(f"{d.value}*{_scalar_in_term(gen)}" for d, gen in g.terms)
     if isinstance(g, LaurentRing):
         return f"ring({g.coeffs.value}[t,1/t])"
@@ -438,7 +425,8 @@ def group_to_text(g: GroupDescriptor) -> str:
         if "+" in txt[1:] or "-" in txt[1:] or txt.startswith("-"):
             txt = f"({txt})"
         inner = group_to_text(g.inner)
-        if isinstance(g.inner, (MixedModule, Product, Scaled)) and inner not in ("Q",):
+        if isinstance(g.inner, (MixedModule, Product, Scaled)) \
+                and inner not in ("Q", "Z"):
             inner = f"({inner})"
         return f"{txt}*{inner}"
     if isinstance(g, FullLine):

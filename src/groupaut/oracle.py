@@ -51,7 +51,6 @@ from typing import Optional, Sequence, Union
 from .autgroup import (acts_invariantly, admits, aut_group,
                        failing_generator, replayed, run_generators)
 from .descriptors import (
-    Cyclic,
     Domain,
     FractionRing,
     FullLine,
@@ -101,7 +100,7 @@ def _fractions(h: int) -> list[Fraction]:
 
 
 def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
-    if isinstance(g, (Cyclic, MixedModule)):
+    if isinstance(g, MixedModule):
         choices = []
         for domain, gen in g.terms:
             coeffs = [Fraction(k) for k in range(-h, h + 1)] \

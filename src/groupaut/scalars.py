@@ -621,20 +621,6 @@ class ExactScalar:
         return _number(ctx, nums_product(ctx, conj, (n0 * den, -n1 * den, 0, 0)),
                        n0 * n0 - n1 * n1 * ctx.d)
 
-    def __pow__(self, n: int) -> "ExactScalar":
-        if not isinstance(n, int):
-            raise DomainError("only integer powers are supported")
-        if n < 0:
-            return self.invert() ** (-n)
-        out = one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- ordering key for deterministic enumeration ------------------------
 
     def sort_key(self) -> tuple:

@@ -380,7 +380,7 @@ def test_16_property_sweep():
 
         # acting after a rational coordinate change is the same as acting
         # on the conjugated matrix
-        from groupaut.autgroup import conjugation_transfer
+        from test_autgroup import conjugation_transfer
         pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                 Fraction(1, 2)]
         for text in ("Q x Q", "Q x R"):

@@ -21,7 +21,6 @@ from groupaut.autgroup import (
     aut_group,
     aut_member,
     cardinality_class,
-    conjugation_transfer,
     contains,
     descriptor_code,
     descriptor_json,
@@ -563,6 +562,17 @@ def test_realize_rejects_bad_base():
 # ---------------------------------------------------------------------------
 # conjugation, cardinality, dimension
 # ---------------------------------------------------------------------------
+
+def conjugation_transfer(g, a, b) -> bool:
+    """Check B against G*A and A*B*A^-1 against G; the verdicts must agree
+    (acting after a coordinate change is conjugate to acting before it)."""
+    left = acts_invariantly(image(g, a), b).verdict
+    right = acts_invariantly(g, a * b * a.inverse()).verdict
+    if left != right:
+        raise ConsistencyError(
+            "conjugation transfer failed: the two routes disagree")
+    return left
+
 
 def test_conjugation_transfer():
     rng = random.Random(77)

@@ -65,6 +65,12 @@ PINNED = [
     (("aut", "image(Z x Z*1, [1,1;0,1])"), 2,
      '{"bounds":{"lower":["EZ(2)","PM1"]}}\n'),
     (("aut", "Z*1 x Z*1 x Z"), 2, '{"bounds":{"lower":["EZ(3)","PM1"]}}\n'),
+    # a cyclic group prints as the one-term Z-module: Z*2, and Z for Z*1
+    (("cross-check", "cyclic(2) x Z", "--height", "1"), 2,
+     '{"group":"Z*2 x Z","height":1,"candidates":4,"confirmed":'
+     '[[["-1","0"],["0","-1"]],[["-1","0"],["0","1"]],'
+     '[["1","0"],["0","-1"]],[["1","0"],["0","1"]]],'
+     '"refuted":[],"agreement":true}\n'),
 ]
 
 

@@ -1,4 +1,4 @@
-"""``Cyclic`` is read as the one-term Z-module ``((Domain.INT, g),)``.
+"""``cyclic(g)`` is the one-term Z-module ``((Domain.INT, g),)``.
 
 For seeded generators g over every scalar context (RAT, QUAD, BIQUAD,
 FORMAL), each decision on ``cyclic(g)`` is compared with the answer worked
@@ -13,7 +13,6 @@ import pytest
 
 from groupaut.autgroup import Exact, PlusMinusOne, aut_group
 from groupaut.descriptors import (
-    Cyclic,
     Domain,
     MixedModule,
     cyclic,
@@ -25,9 +24,8 @@ from groupaut.descriptors import (
     is_divisible,
     member,
     mixed_module,
-    rat_line_member,
-    real_line_member,
 )
+from groupaut.dsl import group_to_text, parse_descriptor, parse_scalar
 from groupaut.oracle import enumerate_members
 from groupaut.scalars import (
     ContextKind,
@@ -37,6 +35,8 @@ from groupaut.scalars import (
     t_monomial,
     zero,
 )
+
+from test_descriptors import rat_line_member, real_line_member
 
 
 def _q(rng):
@@ -110,22 +110,22 @@ def test_structure_of_a_cyclic_group(g):
     c = cyclic(g)
     module = mixed_module([(Domain.INT, g)])
     assert c.terms == ((Domain.INT, g),)
+    assert c == module
     assert hull_closure(c) == MixedModule(((Domain.RAT, g),))
     assert hull_closure(c) == hull_closure(module)
     assert not is_divisible(c)
     assert invariance_generators(c) == [("int", (g,))]
     assert invariance_generators(c) == invariance_generators(module)
     canonical = cyclic_form(c)
-    assert type(canonical) is Cyclic
-    assert canonical.generator in (g, -g)
+    assert canonical in (cyclic(g), cyclic(-g))
     assert canonical == cyclic_form(module)
     assert is_cyclic(c) and not is_dense(c)
 
 
 def test_sign_of_the_cyclic_form(g):
     # the canonical generator of Z*g has a positive leading coefficient
-    form = cyclic_form(cyclic(g)).generator
-    assert cyclic_form(cyclic(-g)).generator == form
+    form = cyclic_form(cyclic(g)).terms[0][1]
+    assert cyclic_form(cyclic(-g)).terms[0][1] == form
     lead = form.coords[0][1] if form.context.kind is ContextKind.FORMAL \
         else next(c for c in form.coords if c != 0)
     assert lead > 0
@@ -143,3 +143,27 @@ def test_enumerate_members_of_a_cyclic_group(g):
     got = enumerate_members(cyclic(g), h)
     assert got == [expected[key] for key in sorted(expected)]
     assert got == enumerate_members(mixed_module([(Domain.INT, g)]), h)
+
+
+# (text, its printed form, the generator of that form): the spellings of one
+# cyclic group parse to one descriptor, the one-term Z-module, and print one
+# text, Z for the integers and Z*g otherwise
+SPELLINGS = [
+    ("Z", "Z", "1"), ("Z*1", "Z", "1"), ("cyclic(1)", "Z", "1"),
+    ("cyclic(-1)", "Z", "1"),
+    ("Z*2", "Z*2", "2"), ("cyclic(2)", "Z*2", "2"), ("cyclic(-2)", "Z*2", "2"),
+    ("2*Z", "Z*2", "2"),
+    ("Z*(1+sqrt(2))", "Z*(1+sqrt(2))", "1+sqrt(2)"),
+    ("cyclic(1+sqrt(2))", "Z*(1+sqrt(2))", "1+sqrt(2)"),
+    ("Z*t", "Z*t", "t"),
+]
+
+
+@pytest.mark.parametrize("text,printed,gen", SPELLINGS,
+                         ids=[text for text, _, _ in SPELLINGS])
+def test_one_spelling_of_a_cyclic_group(text, printed, gen):
+    g = parse_descriptor(text)
+    assert g == cyclic(parse_scalar(gen))
+    assert g == mixed_module([(Domain.INT, parse_scalar(gen))])
+    assert group_to_text(g) == printed
+    assert parse_descriptor(printed) == g

@@ -9,7 +9,6 @@ import pytest
 
 from groupaut import descriptors as _d
 from groupaut.descriptors import (
-    Cyclic,
     Domain,
     FullLine,
     MixedModule,
@@ -32,8 +31,6 @@ from groupaut.descriptors import (
     mixed_module,
     normalize,
     product,
-    rat_line_member,
-    real_line_member,
     scaled,
 )
 from groupaut.dsl import parse_descriptor, parse_matrix
@@ -54,6 +51,16 @@ T = t_monomial(1)
 
 Q = mixed_module([(Domain.RAT, 1)])
 Z_PLUS_Q_R2 = mixed_module([(Domain.INT, 1), (Domain.RAT, R2)])
+
+
+def rat_line_member(g, v):
+    """Does the whole rational line Q*v lie inside G?"""
+    return _d.holds("rat", g, _d.as_vector(g, v))
+
+
+def real_line_member(g, v):
+    """Does the whole real line R*v lie inside G?"""
+    return _d.holds("real", g, _d.as_vector(g, v))
 
 
 def _full_space(n):
@@ -120,8 +127,7 @@ def test_member_witness_reevaluates():
         cyclic(Fraction(3, 7)),
     ]
     for g in groups:
-        gens = [gen for _, gen in (g.terms if isinstance(g, MixedModule)
-                                   else ((None, g.generator),))]
+        gens = [gen for _, gen in g.terms]
         for _ in range(30):
             coeffs = [Fraction(rng.randrange(-5, 6)) for _ in gens]
             target = sum((c * x for c, x in zip(coeffs, gens)), rational(0))
@@ -259,7 +265,7 @@ def test_is_divisible_definition_samples():
 def test_is_cyclic():
     assert is_cyclic(cyclic(5))
     two_three = mixed_module([(Domain.INT, 2), (Domain.INT, 3)])
-    assert cyclic_form(two_three) == Cyclic(rational(1))
+    assert cyclic_form(two_three) == cyclic(1)
     assert not is_cyclic(Z_PLUS_Q_R2)
     assert not is_cyclic(Q)
     assert not is_cyclic(laurent_ring(Domain.INT))
@@ -267,8 +273,8 @@ def test_is_cyclic():
     assert not is_cyclic(full_line())
     assert cyclic_form(mixed_module([(Domain.INT, Fraction(1, 2)),
                                      (Domain.INT, Fraction(1, 3))])) == \
-        Cyclic(rational(Fraction(1, 6)))
-    assert cyclic_form(scaled(R2, cyclic(-3))) == Cyclic(3 * R2)
+        cyclic(Fraction(1, 6))
+    assert cyclic_form(scaled(R2, cyclic(-3))) == cyclic(3 * R2)
     # Z*t + Z*(1+t) has rank 2
     assert not is_cyclic(mixed_module([(Domain.INT, T), (Domain.INT, 1 + T)]))
 
@@ -300,7 +306,7 @@ def test_normalize_folds_scalings():
     n = normalize(scaled(R2, _rational_module(1, R3)))
     assert n == MixedModule(((Domain.RAT, R2), (Domain.RAT, sqrt_rational(6))))
     assert normalize(scaled(R2, Q)) == MixedModule(((Domain.RAT, R2),))
-    assert normalize(scaled(2, cyclic(3))) == Cyclic(rational(6))
+    assert normalize(scaled(2, cyclic(3))) == cyclic(6)
     assert normalize(scaled(R2, scaled(R2, Q))) == Q  # folds to 2*Q = Q
 
 
@@ -391,9 +397,6 @@ def _ref_quotient(g, v):
 
 
 def _ref_member(g, v):
-    if isinstance(g, _d.Cyclic):
-        w = _d._module_solve(((Domain.INT, g.generator),), v[0])
-        return _d.MembershipVerdict(w is not None, w)
     if isinstance(g, _d.MixedModule):
         w = _d._module_solve(g.terms, v[0])
         return _d.MembershipVerdict(w is not None, w)
@@ -438,8 +441,6 @@ def _ref_member(g, v):
 
 
 def _ref_rat_line(g, v):
-    if isinstance(g, _d.Cyclic):
-        return v[0].is_zero()
     if isinstance(g, _d.MixedModule):
         return _d._module_rat_line(g.terms, v[0])
     if isinstance(g, _d.LaurentRing):
@@ -555,8 +556,8 @@ def _assert_normal(g):
         assert a != scalar_matrix(a.rows[0][0], a.n), g
         _assert_normal(g.inner)
     else:
-        assert isinstance(g, (Cyclic, MixedModule, LaurentRing,
-                              _d.FractionRing, FullLine)), g
+        assert isinstance(g, (MixedModule, LaurentRing, _d.FractionRing,
+                              FullLine)), g
 
 
 def test_normal_forms_keep_to_the_grammar():
@@ -623,8 +624,8 @@ def test_holds_dispatches_the_three_questions():
     p = product([Q, full_line()])
     for v in ((rational(1), R2), (rational(0), R2), (R2, rational(0))):
         assert _d.holds("int", p, v) == member(p, v).member
-        assert _d.holds("rat", p, v) == rat_line_member(p, v)
-        assert _d.holds("real", p, v) == real_line_member(p, v)
+        assert _d.holds("rat", p, v) == _d._rat_line(p, v)
+        assert _d.holds("real", p, v) == _d._real_line(p, v)
     with pytest.raises(DescriptorError):
         _d.holds("ring", p, (rational(1), R2))
 
@@ -685,7 +686,7 @@ def test_zero_leaf_member_matches_the_module_solve():
         except GroupAutError:
             continue
         for node in _nodes(g):
-            if isinstance(node, (Cyclic, MixedModule)):
+            if isinstance(node, MixedModule):
                 w = _d._module_solve(node.terms, rational(0))
                 assert w is not None and not any(w), node
                 assert _d._leaf_member(node, (rational(0),)) \

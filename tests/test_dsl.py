@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from groupaut.descriptors import (
-    Cyclic,
     Domain,
     FullLine,
     MixedModule,
@@ -81,7 +80,7 @@ def test_parse_print_parse_fixpoint():
 def test_parse_normalizes():
     assert parse_descriptor("R x R") == Product((FullLine(), FullLine()))
     assert parse_descriptor("Q*2") == parse_descriptor("Q")
-    assert parse_descriptor("2*cyclic(3)") == Cyclic(rational(6))
+    assert parse_descriptor("2*cyclic(3)") == cyclic(6)
     assert parse_descriptor("hull(cyclic(3))") == parse_descriptor("Q")
     assert parse_descriptor("sqrt(2)*(Q + Q*sqrt(3))") == \
         parse_descriptor("Q*sqrt(2) + Q*sqrt(6)")
@@ -119,6 +118,9 @@ def test_matrix_roundtrip():
 def test_canonical_spellings():
     assert group_to_text(cyclic(1)) == "Z"
     assert group_to_text(mixed_module([(Domain.RAT, 1)])) == "Q"
+    # a raw scaling of a one-generator line keeps it unparenthesized
+    assert group_to_text(scaled(2, cyclic(1))) == "2*Z"
+    assert group_to_text(scaled(2, mixed_module([(Domain.RAT, 1)]))) == "2*Q"
     assert group_to_text(parse_descriptor("R x R")) == "R x R"
     assert group_to_text(parse_descriptor("Z*1 + Q*sqrt(2)")) == "Z*1 + Q*sqrt(2)"
     assert group_to_text(parse_descriptor("(Z*2+Z*3) x Q")) == "(Z*2 + Z*3) x Q"

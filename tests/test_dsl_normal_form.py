@@ -24,7 +24,6 @@ import pytest
 from groupaut import (autgroup, cli, descriptors, dsl, linalg, matrices, oracle,
                       scalars, witnesses)
 from groupaut.descriptors import (
-    Cyclic,
     Domain,
     FractionRing,
     FullLine,
@@ -108,8 +107,7 @@ def _old_normalize(g: GroupDescriptor) -> GroupDescriptor:
 
 @lru_cache(maxsize=4096)
 def _old_normalize_cached(g: GroupDescriptor) -> GroupDescriptor:
-    if isinstance(g, Cyclic):
-        return Cyclic(_old_sign_canonical(g.generator))
+    # a cyclic group is the one-term Z-module
     if isinstance(g, MixedModule):
         terms = []
         for d, gen in g.terms:
@@ -125,8 +123,6 @@ def _old_normalize_cached(g: GroupDescriptor) -> GroupDescriptor:
         while isinstance(inner, Scaled):
             r = r * inner.factor
             inner = _old_normalize_cached(inner.inner)
-        if isinstance(inner, Cyclic):
-            return _old_normalize_cached(Cyclic(r * inner.generator))
         if isinstance(inner, MixedModule):
             return _old_normalize_cached(MixedModule(tuple((d, r * gen) for d, gen in inner.terms)))
         if isinstance(inner, FullLine):

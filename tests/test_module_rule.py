@@ -30,7 +30,6 @@ from groupaut.autgroup import (
     _module_rule,
 )
 from groupaut.descriptors import (
-    Cyclic,
     Domain,
     MixedModule,
     _module_rat_line,
@@ -121,7 +120,7 @@ def ref_cyclic_form(g):
     denom = lcm(*(r.denominator for r in ratios))
     nums = [r.numerator * (denom // r.denominator) for r in ratios]
     step = Fraction(gcd(*nums), denom)
-    return Cyclic(_sign_canonical(rational(step) * lead))
+    return MixedModule(((Domain.INT, _sign_canonical(rational(step) * lead)),))
 
 
 def ref_span_scalars(gens, base):
@@ -150,7 +149,7 @@ def ref_pure_root_radicand(x):
 def ref_cyclic_generator_of(gens):
     module = MixedModule(tuple((Domain.INT, g) for g in gens))
     form = ref_cyclic_form(module)
-    return form.generator if form is not None else None
+    return form.terms[0][1] if form is not None else None
 
 
 def ref_module_rule(m) -> Optional[object]:

@@ -34,8 +34,6 @@ from groupaut.descriptors import (
     invariance_generators,
     member,
     normalize,
-    rat_line_member,
-    real_line_member,
 )
 from groupaut.dsl import parse_descriptor
 from groupaut.errors import (
@@ -63,7 +61,8 @@ from groupaut.scalars import (
     t_monomial,
 )
 
-from test_descriptors import _FACTORS, _MATRICES_2, _random_group
+from test_descriptors import (_FACTORS, _MATRICES_2, _random_group,
+                              rat_line_member, real_line_member)
 
 P = parse_descriptor
 R2 = sqrt_rational(2)

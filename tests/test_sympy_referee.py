@@ -38,7 +38,6 @@ import pytest
 from groupaut.autgroup import aut_member
 from groupaut.cli import _parse_action, _parse_vector
 from groupaut.descriptors import (
-    Cyclic,
     Domain,
     FractionRing,
     FullLine,
@@ -320,7 +319,7 @@ class Referee:
     def generators(self, g):
         """(kind, vector) pairs whose lines, Z, Q or R times each vector,
         generate G; None for a ring, which has no such finite family."""
-        if isinstance(g, (Cyclic, MixedModule)):
+        if isinstance(g, MixedModule):
             return [("int" if d is Domain.INT else "rat", (self.number(x),))
                     for d, x in g.terms]
         if isinstance(g, FullLine):
