@@ -99,6 +99,10 @@ class ExactMatrix:
         return mat_mul(self, other)
 
     def inverse(self) -> "ExactMatrix":
+        """A^-1: SingularMatrixError when det A = 0, DomainError when A^-1
+        is not in the tower.  Up to 2 x 2, det A is read off the entries
+        (ad - bc on the memoized products), not through the matrix-keyed
+        ``_det``, which a fresh candidate would fill for nothing."""
         n = self.n
         if n > 2:
             if not self.is_rational():
@@ -114,13 +118,16 @@ class ExactMatrix:
             # the left block is now p * I, so the right one is p * A^-1
             return ExactMatrix(tuple(vector(Fraction(x, p) for x in row[n:])
                                      for row in m))
-        d = self.det()
+        if n == 1:
+            d = self.rows[0][0]
+        else:
+            (a, b), (c, e) = self.rows
+            d = _product(a, e) - _product(b, c)
         if d.is_zero():
             raise SingularMatrixError("matrix has determinant 0")
         if n == 1:   # DomainError for non-monomial Laurent determinants
             return ExactMatrix(((d.invert(),),))
         dinv, neg = _reciprocals(d)
-        (a, b), (c, e) = self.rows
         return ExactMatrix(((_product(e, dinv), _product(b, neg)),
                             (_product(c, neg), _product(a, dinv))))
 

@@ -139,16 +139,17 @@ def _line(h: int, unit: ExactScalar) -> list[ExactScalar]:
 
 
 def _factor_members(g: Product, h: int) -> list[list[Vector]]:
-    """The members of each factor of g.  A real line is sampled by sqrt(2),
+    """The members of each factor of g, enumerated once per distinct factor
+    (equal factors share one list).  A real line is sampled by sqrt(2),
     but by t beside a factor in the formal tower, with which sqrt(2)
     shares no field."""
-    columns = [enumerate_members(f, h) for f in g.factors]
+    members = {f: enumerate_members(f, h) for f in dict.fromkeys(g.factors)}
     if any(s.context.kind is ContextKind.FORMAL
-           for column in columns for v in column for s in v):
-        columns = [[(s,) for s in _line(h, t_monomial(1))]
+           for column in members.values() for v in column for s in v):
+        members = {f: [(s,) for s in _line(h, t_monomial(1))]
                    if isinstance(f, FullLine) else column
-                   for f, column in zip(g.factors, columns)]
-    return columns
+                   for f, column in members.items()}
+    return [members[f] for f in g.factors]
 
 
 def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
@@ -239,6 +240,11 @@ def _matrix_classes(g: GroupDescriptor, h: int, checks: dict):
     which is 0 when one is, as a zero entry lets every sign pattern
     through).  A is scalar when b = x = 0 and a = e.
 
+    Each ordered pair (factor j, factor i) has one table per run: the
+    sorted ratios of column j on row i and the survivors of the row filter.
+    Equal factors (``Z x Z``) build one table for the four entries, and the
+    forward pass, not the filter, asks a shared row's verdicts on first use.
+
     Singularity is decided once per class: with A, B, X, E the entries
     up to sign and s their signs, ae - bx = s_a s_e (AE - s_a s_b s_x s_e
     BX), and where an entry is zero, one of the two terms is zero."""
@@ -251,30 +257,34 @@ def _matrix_classes(g: GroupDescriptor, h: int, checks: dict):
     if len(g.factors) != 2:
         raise UnsupportedError("matrix enumeration is capped at two factors")
 
-    columns = [[v[0] for v in column] for column in _factor_members(g, h)]
-    entries: list[list[ExactScalar]] = [[], [], [], []]
-    for i in range(2):
-        for j in range(2):
-            found = _ratios(columns[j], columns[i], h)
-            entries[2 * i + j] = [found[k] for k in sorted(found)]
+    factors = g.factors
+    columns = {f: [v[0] for v in column]
+               for f, column in zip(factors, _factor_members(g, h))}
+    tables: dict = {}       # (factor j, factor i) -> the entries at (i, j)
+    for fi in factors:
+        for fj in factors:
+            if (fj, fi) not in tables:
+                found = _ratios(columns[fj], columns[fi], h)
+                tables[fj, fi] = [found[k] for k in sorted(found)]
 
     # Each generator of a two-factor product lives on a single coordinate,
     # so each coordinate of its image reads one entry of one row: a row
     # passes exactly when each entry passes its column's block of the
-    # certificate's check, asked here on the matrix with e everywhere.  The
-    # run's memo then answers each forward half.
+    # certificate's check, asked here on the matrix with e everywhere.  Row
+    # i's generators are factor i's own on coordinate i, so each pair is
+    # filtered once.  The run's memo then answers each forward half.
     gens = run_generators(checks, g)
     ids: dict = {}          # each entry up to sign, numbered from 0
-    rows = []
-    for i in range(2):
+    for (fj, fi), entries in tables.items():
+        i, j = factors.index(fi), factors.index(fj)
         on_row = tuple(gen for gen in gens if i in gen[2])
-        kept = [[_signed(ids, e) for e in entries[2 * i + j]
-                 if failing_generator(checks, on_row, ((e, e), (e, e)), j)
-                 is None]
-                for j in range(2)]
-        # each row tuple is shared by the candidates that hold it
-        rows.append([((a, b), ua, ub, sa, sb) for (a, ua, sa), (b, ub, sb)
-                     in itertools.product(*kept)])
+        tables[fj, fi] = [
+            _signed(ids, e) for e in entries
+            if failing_generator(checks, on_row, ((e, e), (e, e)), j) is None]
+    # each row tuple is shared by the candidates that hold it
+    rows = [[((a, b), ua, ub, sa, sb) for (a, ua, sa), (b, ub, sb)
+             in itertools.product(*(tables[fj, fi] for fj in factors))]
+            for fi in factors]
     if len(rows[0]) * len(rows[1]) > 400_000:
         raise DomainError(
             "matrix candidate set too large; lower the height bound")

@@ -43,3 +43,42 @@ def test_summary_of_one_pair_and_failures():
     assert rate["base"] == (100, 100, 100)
     assert (rate["wins"], tail["wins"]) == (0, 0)
     assert ab.failures(pairs) == [(0, 100), (3, 100)]
+
+
+def test_all_workloads_run_on_each_pairs_seed_in_alternating_order(capsys):
+    calls = []
+
+    def fake(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed))
+        return _line(100 if tree == "base" else 110, 2.0, failed=seed % 2)
+
+    pairs = ab.run_pairs(["base", "change"], ["w1", "w2"], 40, 3, 1.0,
+                         run=fake)
+    assert calls == [
+        ("base", "w1", 40), ("change", "w1", 40),
+        ("base", "w2", 40), ("change", "w2", 40),
+        ("change", "w1", 41), ("base", "w1", 41),
+        ("change", "w2", 41), ("base", "w2", 41),
+        ("base", "w1", 42), ("change", "w1", 42),
+        ("base", "w2", 42), ("change", "w2", 42)]
+    assert list(pairs) == ["w1", "w2"]
+    assert pairs["w1"][1] == (_line(100, 2.0, 1), _line(110, 2.0, 1))
+    assert "pair 2/3 seed 41 (change first)" in capsys.readouterr().out
+
+
+def test_one_report_per_workload_with_its_failures(capsys):
+    pairs = {"w1": [(_line(100, 2.0), _line(110, 1.0, failed=2))],
+             "w2": [(_line(100, 2.0, failed=1), _line(90, 3.0))]}
+    ab.report_all(pairs, BETTER)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "== w1"
+    assert out[1] == "failed: base 0 of 100, change 2 of 100"
+    assert out[2].startswith("queries_per_s (1/s): base 100 ")
+    assert out[2].endswith("ratio 1.100  wins 1/1  clear")
+    assert out[4] == "== w2"
+    assert out[5] == "failed: base 1 of 100, change 0 of 100"
+    assert out[6].endswith("ratio 0.900  wins 0/1")
+    assert len(out) == 8
+    # a single workload prints as before, with no heading
+    ab.report_all({"w1": pairs["w1"]}, BETTER)
+    assert capsys.readouterr().out.splitlines()[0].startswith("failed: ")

@@ -399,8 +399,8 @@ INVERSE_OUTSIDE_THE_TOWER = [
     (("aut-member", "R x R", "[1+t,0;0,1]"), 0, '{"aut_member":true}\n'),
     (("aut-member", "Z x R", "[1,1;0,1+t]"), 0, '{"aut_member":true}\n'),
     (("aut-member", "Z x R", "[2,0;0,1+t]"), 0, '{"aut_member":false}\n'),
-    # det A = 1+t divides the second column of adj A, so the surd factor is
-    # read on A^-1's column (0, 1) and never meets 1+t
+    # no integer generator, so the forward pass decides; the test after
+    # this table pins the inverse pass's adjugate route on the same query
     (("aut-member", "R x (Q + Q*sqrt(2))", "[1+t,0;0,1]"), 0,
      '{"aut_member":true}\n'),
     # det A = 1+t divides neither column of adj A: not 1, and -sqrt(2) not
@@ -414,6 +414,21 @@ INVERSE_OUTSIDE_THE_TOWER = [
                          ids=[" ".join(a) for a, _, _ in INVERSE_OUTSIDE_THE_TOWER])
 def test_an_inverse_outside_the_tower_is_answered(capsys, argv, code, out):
     assert run(capsys, *argv) == (code, out, "")
+
+
+def test_the_adjugate_route_reads_a_surd_factor_on_a_column_of_the_inverse():
+    # asked directly, the inverse pass takes the adjugate route: det A = 1+t
+    # divides the second column of adj A, so the surd factor is read on
+    # A^-1's column (0, 1) and never meets 1+t
+    from groupaut.autgroup import _inverse_pass
+    from groupaut.dsl import parse_descriptor, parse_matrix
+    from groupaut.errors import DomainError
+    from groupaut.matrices import identity
+    g, a = parse_descriptor("R x (Q + Q*sqrt(2))"), parse_matrix("[1+t,0;0,1]")
+    with pytest.raises(DomainError, match="only monomials"):
+        a.inverse()
+    m, over = _inverse_pass(g, a)
+    assert m == identity(2) and over == g and over is not g
 
 
 # R x R has no integer generator, so an invertible A that keeps it is

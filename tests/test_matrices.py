@@ -82,15 +82,27 @@ def test_inverse_exact():
 
 
 def test_inverse_errors():
-    with pytest.raises(SingularMatrixError):
-        matrix([[1, 1], [1, 1]]).inverse()
-    # Laurent matrix with non-monomial determinant is not invertible here
+    # up to 2 x 2 det A is read off the entries, with the errors of
+    # det().invert()
     t = t_monomial(1)
-    with pytest.raises(DomainError):
-        matrix([[t + 1, 0], [0, 1]]).inverse()
+    for a in (matrix([[1, 1], [1, 1]]), matrix([[0]]),
+              matrix([[t, 1 + t], [t * t, t + t * t]])):
+        with pytest.raises(SingularMatrixError,
+                           match="^matrix has determinant 0$"):
+            a.inverse()
+    # Laurent matrix with non-monomial determinant is not invertible here
+    for a in (matrix([[t + 1, 0], [0, 1]]), matrix([[1 + t]]),
+              matrix([[1, t], [t, 1]])):        # det 1 - t^2
+        with pytest.raises(DomainError) as err:
+            a.inverse()
+        assert str(err.value) == \
+            "only monomials are invertible in Q[t,1/t]; got 2 terms"
     # ... but a monomial determinant is fine
-    a = matrix([[t, 1], [0, t]])
-    assert a * a.inverse() == identity(2)
+    for a in (matrix([[t, 1], [0, t]]), matrix([[t]]),
+              matrix([[t, 1], [0, 1]])):
+        assert a * a.inverse() == identity(a.n)
+    assert matrix([[t, 1], [0, 1]]).inverse() == matrix(
+        [[t_monomial(-1), -t_monomial(-1)], [0, 1]])
 
 
 def test_vec_mat_mul_row_convention():

@@ -2,6 +2,7 @@
 
     python3 tools/ab.py BASE CHANGE --workload query_mix --seed 9301 \
         --pairs 10 --seconds 30
+    python3 tools/ab.py BASE CHANGE --workload all --pairs 10 --seconds 30
 
 Each revision (anything ``git archive`` takes: a commit, a branch, the
 output of ``git stash create``) is exported into a temporary directory, and
@@ -10,11 +11,14 @@ that step a copy whose ``.pyc`` files are missing or stale recompiles on
 every import when PYTHONDONTWRITEBYTECODE is set, which inflates its
 ``setup_s`` and ``peak_rss_mb``.  Then N pairs of
 ``perfbench/run.py --trace 0`` run, pair i on seed SEED + i, alternating
-which side goes first.  For each metric the script prints each side's median
-and quartiles, the ratio of the medians (change over base), the pairs the
-change won by the metric's direction in BENCHMARK.json (ties count for
-neither), and whether the gain is clear: won in at least nine tenths of the
-pairs, with medians further apart than the base's quartiles.
+which side goes first.  With ``--workload all`` each pair runs every
+workload that BENCHMARK.json declares, in its order, each on the pair's seed
+and in the pair's side order, and a report is printed per workload.  A
+report gives the failed operations of each side and, for each metric, each
+side's median and quartiles, the ratio of the medians (change over base),
+the pairs the change won by the metric's direction in BENCHMARK.json (ties
+count for neither), and whether the gain is clear: won in at least nine
+tenths of the pairs, with medians further apart than the base's quartiles.
 
 Only the standard library is used.  Nothing is written in the repository;
 the exports live in a temporary directory that is removed at exit.
@@ -104,12 +108,39 @@ def report(rows):
               f"{'  clear' if r['clear'] else ''}")
 
 
+def run_pairs(trees, workloads, seed, count, seconds, run=run_once):
+    """{workload: [(base line, change line)] per pair}.  Pair i runs each
+    workload on seed + i, base first when i is even."""
+    pairs = {w: [] for w in workloads}
+    for i in range(count):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for workload in workloads:
+            lines = {side: run(trees[side], workload, seed + i, seconds)
+                     for side in order}
+            pairs[workload].append((lines[0], lines[1]))
+        first = "base" if order[0] == 0 else "change"
+        print(f"pair {i + 1}/{count} seed {seed + i} ({first} first)",
+              flush=True)
+    return pairs
+
+
+def report_all(pairs, better):
+    """One report per workload, headed by its name when there are several."""
+    for workload, runs in pairs.items():
+        if len(pairs) > 1:
+            print(f"== {workload}")
+        (bf, ba), (cf, ca) = failures(runs)
+        print(f"failed: base {bf} of {ba}, change {cf} of {ca}")
+        report(summarize(runs, better))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or all")
+    parser.add_argument("--seed", type=int, default=9301)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
@@ -119,21 +150,11 @@ def main(argv=None):
             export(rev, tree)
         declared = json.loads((trees[1] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-        pairs = []
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = (0, 1) if i % 2 == 0 else (1, 0)
-            lines = {}
-            for side in order:
-                lines[side] = run_once(trees[side], args.workload, seed,
-                                       args.seconds)
-            pairs.append((lines[0], lines[1]))
-            first = "base" if order[0] == 0 else "change"
-            print(f"pair {i + 1}/{args.pairs} seed {seed} ({first} first)",
-                  flush=True)
-    (bf, ba), (cf, ca) = failures(pairs)
-    print(f"failed: base {bf} of {ba}, change {cf} of {ca}")
-    report(summarize(pairs, better))
+        workloads = [w["name"] for w in declared["workloads"]] \
+            if args.workload == "all" else [args.workload]
+        pairs = run_pairs(trees, workloads, args.seed, args.pairs,
+                          args.seconds)
+    report_all(pairs, better)
 
 
 if __name__ == "__main__":
