@@ -7,8 +7,10 @@ with r*G = G.  Two independent routes decide membership:
 * a small table of closed forms (``aut_group``), each row carrying a
   decidable predicate (``contains``), and
 * generator certificates (``acts_invariantly``), which check the finitely
-  many generating lines of G against A directly, and against A^-1 as well
-  when G has an integer generator.
+  many generating lines of G against A directly, and the integer
+  generators against A^-1 as well.  Given G*A inside G with A invertible,
+  the divisible part V of G (its Q-lines and R-lines) has V*A = V, so no
+  other generator can leave G under A^-1.
 
 ``aut_member`` runs both routes and raises ConsistencyError if they ever
 disagree.  When no table row applies, the engine answers with explicit
@@ -395,7 +397,7 @@ def _ring_core(g: GroupDescriptor) -> tuple[Optional[GroupDescriptor], ExactScal
 
 def run_generators(checks: dict, g: GroupDescriptor) -> tuple:
     """invariance_generators(g) as (kind, vec, support, position, blocks),
-    kept in ``checks``; whether any has kind "int" is kept under (g, "int").
+    kept in ``checks``.
     G is checked one block of coordinates at a time: a Product has one
     block per factor, any other group one block of all its coordinates.
     Each block is (index, group, columns, pick): pick takes the entries of
@@ -412,7 +414,6 @@ def run_generators(checks: dict, g: GroupDescriptor) -> tuple:
                  itemgetter(*[i * len(vec) + j for i in support for j in cols]))
                 for b, group, cols in blocks)))
         checks[g] = tuple(gens)
-        checks[g, "int"] = any(kind == "int" for kind, *_ in gens)
     return checks[g]
 
 
@@ -449,13 +450,18 @@ def failing_generator(checks: dict, gens: tuple, rows,
 def acts_invariantly(g: GroupDescriptor, a,
                      _checks: Optional[dict] = None) -> Certificate:
     """Certificate for G*a = G via generator checks: G*A inside G (the
-    forward pass), then G*A^-1 inside G (the inverse pass).
+    forward pass), then G*A^-1 inside G (the inverse pass), which checks
+    the "int" generators alone.
 
-    The inverse pass runs only when G has an "int" generator or A is
-    singular.  Otherwise G is a sum of Q-lines and R-lines, and G*A inside
-    G with A invertible is all of G*A = G: the largest real subspace U of G
-    has U*A = U by dimension, and A induces an injective Q-linear map of
-    the finite-dimensional space G/U to itself, which is onto.
+    Let V be the Q-span of the "rat" generators plus the real lines.  G/V
+    is generated by the "int" generators and torsion-free, since V is a
+    Q-space, so it is free and V is the largest divisible subgroup of G:
+    G*A inside G puts the divisible V*A inside V.  With A invertible that
+    is V*A = V: the largest real subspace U of V has U*A = U by dimension,
+    and A induces an injective Q-linear map of the finite-dimensional V/U
+    to itself, which is onto.  So no "rat" or "real" generator leaves G
+    under A^-1, and G with no "int" generator is confirmed once A is known
+    to be invertible.
 
     ``_checks`` is the memo of one ``brute_force_aut`` run over G, which
     keeps the verdict of every generator check it has asked, held or failed
@@ -488,24 +494,23 @@ def acts_invariantly(g: GroupDescriptor, a,
 
     checks = {} if _checks is None else _checks
     gens = run_generators(checks, g)
-    for direction in ("forward", "inverse"):
-        if direction == "inverse" and not checks[g, "int"] \
-                and not mat.is_singular():
-            return Certificate(True)    # G*A inside G is all, as above
-        # the inverse is formed only after the forward pass succeeds; a
-        # candidate refuted forward may not even be invertible in the tower
-        m, over = (mat, g) if direction == "forward" else _inverse_pass(g, mat)
-        if over is g:
-            failing = failing_generator(checks, gens, m.rows)
-        else:
-            failing = next((gen for gen in gens if not holds(
-                gen[0], over, vec_mat_mul(gen[1], m))), None)
-        if failing:
-            kind, vec = failing[:2]
-            if kind != "int":
-                witness = _rat_witness if kind == "rat" else _real_witness
-                vec = witness(over, vec, m)
-            return _replayed(g, vec, vec_mat_mul(vec, m), direction, over)
+    failing = failing_generator(checks, gens, mat.rows)
+    if failing:
+        kind, vec = failing[:2]
+        if kind != "int":
+            witness = _rat_witness if kind == "rat" else _real_witness
+            vec = witness(g, vec, mat)
+        return _replayed(g, vec, vec_mat_mul(vec, mat), "forward")
+    ints = [vec for kind, vec, *_ in gens if kind == "int"]
+    if not ints and not mat.is_singular():
+        return Certificate(True)
+    # the inverse is formed only after the forward pass succeeds; a
+    # candidate refuted forward may not even be invertible in the tower
+    m, over = _inverse_pass(g, mat)
+    for vec in ints:
+        image = vec_mat_mul(vec, m)
+        if not _member(over, image).member:
+            return _replayed(g, vec, image, "inverse", over)
     return Certificate(True)
 
 

@@ -80,7 +80,24 @@ class ExactMatrix:
                                  for i in range(n)))
 
     def det(self) -> ExactScalar:
-        return _det(self)
+        rows = self.rows
+        if len(rows) == 1:
+            return rows[0][0]
+        if len(rows) == 2:
+            (a, b), (c, e) = rows
+            return _product(a, e) - _product(b, c)
+        if self.is_rational():
+            # an integer determinant, over the product of the row scalings
+            dens, m = _cleared(rows)
+            sign, cols, _, p = fraction_free(m, jordan=False, square=True)
+            p = rational(Fraction(p, prod(dens)))
+        else:
+            sign, cols, _, p = fraction_free([list(row) for row in rows],
+                                             jordan=False, div=_divide,
+                                             square=True)
+        if len(cols) < len(rows):
+            return zero()
+        return p if sign > 0 else -p
 
     def is_singular(self) -> bool:
         """det A = 0; up to 2 x 2 without forming det A, as ad = bc on the
@@ -100,9 +117,7 @@ class ExactMatrix:
 
     def inverse(self) -> "ExactMatrix":
         """A^-1: SingularMatrixError when det A = 0, DomainError when A^-1
-        is not in the tower.  Up to 2 x 2, det A is read off the entries
-        (ad - bc on the memoized products), not through the matrix-keyed
-        ``_det``, which a fresh candidate would fill for nothing."""
+        is not in the tower."""
         n = self.n
         if n > 2:
             if not self.is_rational():
@@ -118,15 +133,12 @@ class ExactMatrix:
             # the left block is now p * I, so the right one is p * A^-1
             return ExactMatrix(tuple(vector(Fraction(x, p) for x in row[n:])
                                      for row in m))
-        if n == 1:
-            d = self.rows[0][0]
-        else:
-            (a, b), (c, e) = self.rows
-            d = _product(a, e) - _product(b, c)
+        d = self.det()
         if d.is_zero():
             raise SingularMatrixError("matrix has determinant 0")
         if n == 1:   # DomainError for non-monomial Laurent determinants
             return ExactMatrix(((d.invert(),),))
+        (a, b), (c, e) = self.rows
         dinv, neg = _reciprocals(d)
         return ExactMatrix(((_product(e, dinv), _product(b, neg)),
                             (_product(c, neg), _product(a, dinv))))
@@ -204,26 +216,6 @@ def combine_rows(v: Vector, rows) -> Vector:
         return (zero(),) * len(v)
     return reduce(lambda out, row: tuple(map(ExactScalar.__add__, out, row)),
                   rows)
-
-
-@lru_cache(maxsize=4096)
-def _det(a: ExactMatrix) -> ExactScalar:
-    rows = a.rows
-    if a.n == 1:
-        return rows[0][0]
-    if a.n == 2:
-        return _product(rows[0][0], rows[1][1]) - _product(rows[0][1], rows[1][0])
-    if a.is_rational():
-        # an integer determinant, over the product of the row scalings
-        dens, m = _cleared(rows)
-        sign, cols, _, p = fraction_free(m, jordan=False, square=True)
-        p = rational(Fraction(p, prod(dens)))
-    else:
-        sign, cols, _, p = fraction_free([list(row) for row in rows],
-                                         jordan=False, div=_divide, square=True)
-    if len(cols) < a.n:
-        return zero()
-    return p if sign > 0 else -p
 
 
 @lru_cache(maxsize=4096)

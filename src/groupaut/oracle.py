@@ -182,30 +182,16 @@ def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
     numerators and y in denominators that are units of the representation
     tower (nonzero, and a monomial in Q[t,1/t]).  They are formed on integer
     numerators, and a scalar is built only for a ratio inside the bound
-    (scalars.products_within).  When the numerators are closed under
-    negation, so are the ratios, and height does not depend on sign: only
-    the x of positive lead (descriptors._lead) are used, a y of negative
-    lead adds no ratio when -y is a denominator too, and each ratio brings
-    its negative."""
-    have = set(numerators)
-    negative = [x for x in have if _lead(x) < 0]
-    # negation is one to one from these into the nonzero x of positive lead
-    # (zero leads with its denominator, 1): the set is closed when every
-    # image is in it and the two counts agree
-    closed = 2 * len(negative) + (zero() in have) == len(have) \
-        and all(-x in have for x in negative)
-    if closed:
-        numerators = [x for x in numerators if _lead(x) > 0]
-        dens = set(denominators)
-    inverses = []
-    for y in denominators:
-        if not y or (y.context.kind is ContextKind.FORMAL and len(y.nums) > 1):
-            continue        # not a unit of the representation tower
-        if not (closed and _lead(y) < 0 and -y in dens):
-            inverses.append(y.invert())
+    (scalars.products_within).  Both lists are members of groups, and so
+    closed under negation; so are the ratios, and height does not depend on
+    sign: only the x and y of positive lead (descriptors._lead) are used,
+    and each ratio brings its negative."""
+    numerators = [x for x in numerators if _lead(x) > 0]
+    inverses = [y.invert() for y in denominators if y and _lead(y) > 0 and (
+        y.context.kind is not ContextKind.FORMAL or len(y.nums) == 1)]
     found = {}
     for r in products_within(numerators, inverses, h):
-        for s in ((r, -r) if closed else (r,)):
+        for s in (r, -r):
             found[s.sort_key()] = s
     return found
 

@@ -1,6 +1,6 @@
 """The 2 x 2 closed forms on memoized products and reciprocals.
 
-``_det`` and ``inverse`` up to 2 x 2 and ``pattern_quad_member`` take their
+``det`` and ``inverse`` up to 2 x 2 and ``pattern_quad_member`` take their
 entry products and reciprocals from ``matrices._product`` and
 ``matrices._reciprocals``.  The references below are verbatim copies of the
 code that formed every product and reciprocal afresh.  Equal scalars have
@@ -128,12 +128,11 @@ def _pattern_matrix(rng, x):
 
 
 def _cold_then_warm(f):
-    """f() with every memo cleared, then f() again with only ``_det``
-    cleared, so the second call reads its products and reciprocals back."""
-    for cache in (matrices._det, matrices._product, matrices._reciprocals):
+    """f() with every memo cleared, then f() again, which reads its
+    products and reciprocals back."""
+    for cache in (matrices._product, matrices._reciprocals):
         cache.cache_clear()
     cold = _outcome(f)
-    matrices._det.cache_clear()
     return cold, _outcome(f)
 
 

@@ -1,14 +1,16 @@
-"""Confirmation on the forward pass alone, for groups with no "int"
-generator.
+"""The inverse pass checks the "int" generators alone.
 
-Such a G is a sum of Q-lines and R-lines, and an invertible A with G*A
-inside G has G*A = G, so ``acts_invariantly`` skips the inverse pass.
-``_two_pass_acts_invariantly`` is the certificate as it was before, when
-every confirmation also checked each generator under A^-1; it is copied
-verbatim so that the shortcut can be checked against it.
+Given G*A inside G with A invertible, the divisible part V of G (the
+Q-span of its "rat" generators plus its real lines) has V*A = V, so no
+"rat" or "real" generator leaves G under A^-1, and a G with no "int"
+generator is confirmed on the forward pass.  ``_two_pass_acts_invariantly``
+is the certificate as it was before, when every confirmation also checked
+each generator under A^-1; it is copied verbatim so that the new passes
+can be checked against it.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -98,6 +100,15 @@ R2 = sqrt_rational(2)
 T = t_monomial(1)
 ENTRIES = [rational(0), rational(1), rational(-1), rational(2),
            rational(Fraction(1, 2)), rational(3), R2, 1 + R2, T, 1 + T]
+# groups with "int" generators, some of them after a "rat" or "real" one
+INT_GROUPS = [
+    "Z x Z", "Z x R", "R x Z", "Q x Z", "Z x Q*sqrt(2)", "Q*sqrt(2) x Z",
+    "(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))",
+    "(Z*1 + Q*sqrt(3)) x (Z*1 + Q*sqrt(3))",
+    "(Q + Q*t) x Z", "Q*t x Z*sqrt(2)", "image(Z x Q, [1,1;0,1])",
+    "image(Z x R, [2,1;1,1])", "image(Z x Z, [1,t;0,1])",
+    "Z*1 + Q*sqrt(2)", "Z*1 + Z*sqrt(3)", "Z*1 + Q*t",
+]
 
 
 def _outcome(fn, g, a):
@@ -108,33 +119,88 @@ def _outcome(fn, g, a):
     return cert.verdict, cert.failing_generator, cert.direction
 
 
-def test_forward_pass_matches_the_two_pass_certificate():
-    # the one answer that may move: the old inverse pass raised ContextError
-    # (A^-1 or adj A over d*G mixing towers) where G has no "int" generator
-    # and A is invertible, and the forward pass already proves G*A = G
-    rng = random.Random(20261020)
-    same = moved = 0
-    for _ in range(2500):
-        n = rng.choice((1, 2))
-        g = _random_group(rng, n, 3)
+def _draw(rng):
+    """(G, A): G drawn from INT_GROUPS or by ``_random_group``, A with
+    entries from ENTRIES, singular in a fifth of the draws."""
+    if rng.randrange(2):
+        g = parse_descriptor(rng.choice(INT_GROUPS))
+    else:
+        g = _random_group(rng, rng.choice((1, 2)), 3)
         if rng.randrange(2):
-            try:
-                g = normalize(g)
-            except GroupAutError:
-                continue
-        a = matrix([[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)])
+            g = normalize(g)
+    n = dimension(g)
+    rows = [[rng.choice(ENTRIES) for _ in range(n)] for _ in range(n)]
+    if rng.randrange(5) == 0:
+        k = rng.choice(ENTRIES)
+        rows[-1] = [k * x for x in rows[0]]
+    return g, matrix(rows)
+
+
+def _has_int(g):
+    """Whether G has an "int" generator; None for a ring, which has none."""
+    try:
+        return any(kind == "int" for kind, _ in invariance_generators(g))
+    except GroupAutError:
+        return None
+
+
+def _first_inverse_failure(g, a):
+    """(kind, raised) of the first generator, in order, whose check under
+    A^-1 fails or raises ContextError, as the two-pass inverse pass asks;
+    (None, True) when A^-1 itself raises ContextError."""
+    try:
+        m, over = _inverse_pass(g, a)
+    except ContextError:
+        return None, True
+    for kind, vec in invariance_generators(g):
+        try:
+            if not holds(kind, over, vec_mat_mul(vec, m)):
+                return kind, False
+        except ContextError:
+            return kind, True
+    return None
+
+
+def _label(outcome):
+    """"confirmed", the refuting direction, or the exception's name."""
+    if outcome[0] is True:
+        return "confirmed"
+    return outcome[2] if outcome[0] is False else outcome[0].__name__
+
+
+def test_forward_pass_matches_the_two_pass_certificate():
+    # the one answer that may move: an old ContextError of the inverse pass
+    # (A^-1, or adj A over d*G, mixing towers) on the image of a "rat" or
+    # "real" generator, or on A^-1 itself where G has no "int" generator;
+    # the new passes form neither, and decide
+    rng = random.Random(20261020)
+    same, moved, seen = 0, 0, Counter()
+    for _ in range(5000):
+        try:
+            g, a = _draw(rng)
+        except GroupAutError:
+            continue
         old = _outcome(_two_pass_acts_invariantly, g, a)
         new = _outcome(acts_invariantly, g, a)
+        seen[_label(old), _has_int(g)] += 1
         if new == old:
             same += 1
             continue
-        assert old[0] is ContextError and new == (True, None, None), (g, a, old)
-        assert all(kind != "int" for kind, _ in invariance_generators(g)), (g, a)
+        assert old[0] is ContextError and new[0] in (True, False), (g, a, old, new)
+        assert new[0] or new[2] == "inverse", (g, a, new)
         assert not a.is_singular(), (g, a)
         checks = {}
         assert failing_generator(checks, run_generators(checks, g), a.rows) is None
+        kind, raised = _first_inverse_failure(g, a)
+        assert raised and kind != "int", (g, a, kind)
+        # A^-1 is formed whenever G has an "int" generator
+        assert kind is not None or not _has_int(g), (g, a)
         moved += 1
-    assert same > 2000 and moved > 20, (same, moved)
+    assert same > 4000 and moved > 15, (same, moved)
+    # groups with "int" generators meet every outcome, in both directions
+    for label in ("confirmed", "forward", "inverse", "SingularMatrixError",
+                  "ContextError"):
+        assert seen[label, True] >= 100, seen
 
 
 def _counted_inverse_pass(monkeypatch):

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from groupaut import matrices, oracle
+from groupaut import oracle
 from groupaut.autgroup import failing_generator, run_generators
 from groupaut.descriptors import FullLine, Product
 from groupaut.dsl import parse_descriptor
 from groupaut.errors import DomainError, UnsupportedError
-from groupaut.matrices import ExactMatrix, _product, matrix
+from groupaut.matrices import ExactMatrix, _product
 from groupaut.oracle import (
     _MATRIX_HEIGHT_CAP,
     _line,
@@ -151,10 +151,3 @@ def test_each_factor_and_pair_is_built_once(monkeypatch, text, factors, pairs):
         monkeypatch.setattr(oracle, name, counted)
     cross_check(P(text), 2)
     assert seen == {"enumerate_members": factors, "_ratios": pairs}
-
-
-def test_a_2x2_inverse_leaves_the_det_cache_alone():
-    a = matrix([[3, 1], [7, 5]])
-    before = matrices._det.cache_info()
-    assert a * a.inverse() == matrix([[1, 0], [0, 1]])
-    assert matrices._det.cache_info() == before

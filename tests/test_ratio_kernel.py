@@ -5,21 +5,23 @@ halving by leading sign.
 ``oracle._ratios`` as they were when every product's height was computed in
 full and the ratios were halved by negating scalars, their bodies copied
 verbatim.  ``scalars._within`` must agree with the height on every small
-numerator tuple, and ``_ratios`` must give the same dict, or the same
-error, on member lists of every kind of the oracle corpus.
+numerator tuple.  ``_ratios`` takes lists closed under negation, as the
+members that its callers enumerate are; on such lists of every kind of the
+oracle corpus it must give the same dict, or the same error.
 """
 
 import itertools
 import random
+import sys
 import time
-from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from groupaut.dsl import parse_descriptor
 from groupaut.errors import DomainError, GroupAutError
-from groupaut.oracle import _ratios, enumerate_members
+from groupaut.oracle import _factor_members, _ratios, enumerate_members
 from groupaut.scalars import (
     FORMAL_CONTEXT,
     RAT_CONTEXT,
@@ -29,8 +31,10 @@ from groupaut.scalars import (
     biquad_context,
     products_within,
     quad_context,
-    rational,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 _FORMAL = ContextKind.FORMAL
 
@@ -139,36 +143,30 @@ def test_ratios_match_the_route_that_negated_scalars(h):
         # as candidate_scalars asks, and as candidate_matrices asks
         nonzero = [s for s in members[t] if s]
         lists = [(nonzero, nonzero), (members[t], members[t])]
-        # sublists in member order, which need not be closed under negation
-        for _ in range(3):
-            lists.append((_sample(rng, members[t]), _sample(rng, members[t])))
         # and across two kinds, as a plane of two factors asks; some of
         # these have no common field and raise
-        other = members[rng.choice(texts)]
-        lists.append((members[t], other))
-        lists.append((_sample(rng, other), _sample(rng, members[t])))
+        lists.append((members[t], members[rng.choice(texts)]))
         for nums, dens in lists:
             assert _outcome(_ratios, nums, dens, h) == \
                 _outcome(_old_ratios, nums, dens, h), (t, h)
 
 
-def _sample(rng, xs):
-    keep = rng.uniform(0.2, 0.9)
-    return [x for x in xs if rng.random() < keep]
+def _closed(xs):
+    return set(xs) >= {-x for x in xs}
 
 
-def _r(*qs):
-    return [rational(q) for q in qs]
-
-
-@pytest.mark.parametrize("dens", [(-2,), (-2, 3), (2, -2), (-2, -2, 2)])
-def test_a_y_of_negative_lead_is_skipped_only_beside_its_negative(dens):
-    # the numerators are closed under negation and the denominators need not
-    # be: 1/-2 and -1/-2 must still be found when 2 is not a denominator
-    got = _ratios(_r(-1, 1), _r(*dens), 2)
-    assert got == _old_ratios(_r(-1, 1), _r(*dens), 2)
-    assert {s.as_fraction() for s in got.values()} >= \
-        {Fraction(1, 2), Fraction(-1, 2)}
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_the_members_that_callers_pass_are_closed_under_negation(h):
+    # _ratios keeps only the x and y of positive lead: its callers pass the
+    # members of a line group, or a plane's column of a factor's members
+    lines = [parse_descriptor(g["text"]) for g in corpus.all_line_groups()]
+    planes = [parse_descriptor(g["text"]) for g in corpus.all_plane_groups()]
+    factors = [f for p in planes for f in p.factors]
+    for g in dict.fromkeys(lines + factors):
+        assert _closed([v[0] for v in enumerate_members(g, h)]), (g, h)
+    for p in planes:
+        for column in _factor_members(p, h):
+            assert _closed([v[0] for v in column]), (p, h)
 
 
 def test_a_laurent_non_unit_adds_no_ratio():

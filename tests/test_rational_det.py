@@ -142,7 +142,6 @@ def _draws():
 
 
 def test_rational_det_matches_bareiss_over_scalars():
-    matrices._det.cache_clear()
     seen = {kind: 0 for kind in KINDS}
     for n, kind, a in _draws():
         want = _bareiss_det(a)
@@ -161,7 +160,6 @@ def test_rational_det_matches_bareiss_over_scalars():
 
 def test_rational_det_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    matrices._det.cache_clear()
     for n, kind, a in _draws():
         sm = sympy.Matrix([[sympy.Rational(x.nums[0], x.den) for x in row]
                            for row in a.rows])
@@ -194,7 +192,6 @@ def test_image_of_a_rational_matrix_never_inverts(monkeypatch):
 
     monkeypatch.setattr(ExactMatrix, "inverse", refuse)
     monkeypatch.setattr(matrices, "fraction_free", counted)
-    matrices._det.cache_clear()
     q5 = parse_descriptor(" x ".join(["Q"] * 5))
     a = matrix([[2, 1, 0, 0, 3], [1, 1, 0, 0, 0], [0, 0, 1, 2, 0],
                 [0, 0, 0, 1, 5], [Fraction(1, 2), 0, 0, 0, 1]])
@@ -243,7 +240,6 @@ def test_scalar_eliminations_match_bareiss_across_towers():
     # entries from number fields and Q[t,1/t] at once: which value, which
     # singular verdict and which "cannot join" text comes out depends on
     # the order of the scalar operations, and _bareiss fixed that order
-    matrices._det.cache_clear()
     # t^-1 does not meet a surd in the determinant's products
     a = matrix([[R6, 0, 0], [t_monomial(-1), R3, 2], [R6, R6, 2]])
     assert a.det() == _bareiss_det(a) == R2 * 6 - 12

@@ -9,7 +9,8 @@ and 2, each operation with cold caches.  All of it runs under
 ``sys.settrace``, and so does the import of the package, so a function that
 only builds a module constant counts as entered.  The script prints each
 function of ``src/groupaut`` that is never entered, then, for each function
-that is, the lines of its body that never run.
+that is, the lines of its body that never run, then the hits and misses of
+each package ``lru_cache`` (``workloads.CACHES``) summed over the traffic.
 
 It reads ``perfbench/corpus.py`` and ``perfbench/workloads.py`` and writes
 nothing.  Only the standard library is used.
@@ -17,6 +18,7 @@ nothing.  Only the standard library is used.
 
 import sys
 import time
+from types import SimpleNamespace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,7 +85,9 @@ def traced(run):
     return entered, ran
 
 
-def traffic():
+def traffic(totals):
+    """Run the traffic; add each cache's hits and misses to
+    ``totals.cache_totals`` as [hits, misses], read before each clear."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import corpus
@@ -94,17 +98,18 @@ def traffic():
         q for seed in SEEDS
         for q in corpus.query_stream(seed, workloads.QUERY_BLOCKS)]
     for argv in queries:
-        workloads.clear_caches()
+        workloads.clear_caches(totals)
         workloads.run_cli(argv)
     groups = corpus.all_line_groups() + corpus.all_plane_groups()
     raised = 0
     for g in groups:
         for h in HEIGHTS:
-            workloads.clear_caches()
+            workloads.clear_caches(totals)
             try:
                 oracle.cross_check(dsl.parse_descriptor(g["text"]), h)
             except Exception:
                 raised += 1
+    workloads.clear_caches(totals)
     print(f"traffic: {len(queries)} queries, {len(groups) * len(HEIGHTS)} "
           f"cross-checks ({raised} raised)")
 
@@ -123,7 +128,8 @@ def spans(lines):
 
 def main():
     t0 = time.perf_counter()
-    entered, ran = traced(traffic)
+    totals = SimpleNamespace(cache_totals={})
+    entered, ran = traced(lambda: traffic(totals))
     never, missed, total = [], [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         name = path.name
@@ -139,6 +145,9 @@ def main():
     print("\n".join(never))
     print(f"entered, with lines that never run: {len(missed)}")
     print("\n".join(missed))
+    print(f"lru_caches: {len(totals.cache_totals)}")
+    for name, (hits, misses) in sorted(totals.cache_totals.items()):
+        print(f"  {name}: {hits} hits, {misses} misses")
     print(f"wall time {time.perf_counter() - t0:.1f} s")
 
 
