@@ -66,8 +66,14 @@ class ExactMatrix:
     rows: tuple[tuple[ExactScalar, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows):
+        # on lengths alone, the plane's 2 x 2 first
+        rows = self.rows
+        n = len(rows)
+        if n == 2:
+            square = len(rows[0]) == len(rows[1]) == 2
+        else:
+            square = n > 0 and all([len(r) == n for r in rows])
+        if not square:
             raise DomainError("matrix must be square and non-empty")
 
     @property

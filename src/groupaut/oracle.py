@@ -24,7 +24,9 @@ failing generator and its direction are the same across the class, and
 the witness searches do not read signs.  Each sign class (c, -c in one
 dimension, up to 8 matrices in two) is certified once; its other members
 take the verdict, and a refutation with its witness and direction,
-replayed on the member's own image before it is reported.
+replayed on the member's own image before it is reported.  On a plane that
+image is read off the representative's by those sign changes
+(``_member_image``), unless A^-1 leaves the tower.
 
 The sign class is also the unit of the plane's other steps: each kept
 entry carries its number up to sign and its sign, so a key is read off the
@@ -48,6 +50,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from . import autgroup
 from .autgroup import (acts_invariantly, admits, aut_group,
                        failing_generator, replayed, run_generators)
 from .descriptors import (
@@ -219,12 +222,13 @@ def _signed(ids: dict, y: ExactScalar) -> tuple[ExactScalar, int, int]:
 
 
 def _matrix_classes(g: GroupDescriptor, h: int, checks: dict):
-    """(key, is scalar, A) for each candidate of ``candidate_matrices``, in
-    its order.  The key names A's class {D A D'} over sign diagonals D and
-    D': A's entries up to sign (by their numbers in the run), and the
-    product of their signs, which D A D' keeps when no entry is zero (and
-    which is 0 when one is, as a zero entry lets every sign pattern
-    through).  A is scalar when b = x = 0 and a = e.
+    """(key, is scalar, A, A's entry signs) for each candidate of
+    ``candidate_matrices``, in its order.  The key names A's class {D A D'}
+    over sign diagonals D and D': A's entries up to sign (by their numbers
+    in the run), and the product of their signs, which D A D' keeps when no
+    entry is zero (and which is 0 when one is, as a zero entry lets every
+    sign pattern through).  A is scalar when b = x = 0 and a = e.  The
+    entry signs are (s_a, s_b, s_x, s_e), each 1, -1 or 0.
 
     Each ordered pair (factor j, factor i) has one table per run: the
     sorted ratios of column j on row i and the survivors of the row filter.
@@ -285,7 +289,8 @@ def _matrix_classes(g: GroupDescriptor, h: int, checks: dict):
             bx = _product(unsigned[ub], unsigned[ux])
             degenerate = singular[key] = ae == (-bx if key[4] < 0 else bx)
         if not degenerate:
-            yield key, sb == sx == 0 and r0[0] == r1[1], ExactMatrix((r0, r1))
+            yield key, sb == sx == 0 and r0[0] == r1[1], \
+                ExactMatrix((r0, r1)), (sa, sb, sx, se)
 
 
 def candidate_matrices(g: GroupDescriptor, height: int,
@@ -294,7 +299,7 @@ def candidate_matrices(g: GroupDescriptor, height: int,
     a ratio of a member of factor j by a nonzero member of factor i."""
     h = _check_height(height)
     checks = {} if _checks is None else _checks
-    return [a for _, _, a in _matrix_classes(g, h, checks)]
+    return [a for _, _, a, _ in _matrix_classes(g, h, checks)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +331,7 @@ def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, dict]:
     n = dimension(g)
     checks: dict = {}       # the run's generator checks, each asked once
     if n == 1:
-        classes = ((_sign_canonical(c), True, c)
+        classes = ((_sign_canonical(c), True, c, None)
                    for c in candidate_scalars(g, h))
     elif n == 2:
         classes = _matrix_classes(g, h, checks)
@@ -336,14 +341,21 @@ def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, dict]:
     confirmed = []
     refuted = []
     certs: dict = {}        # the certificate of each sign class so far
+    images: dict = {}       # a refuted matrix class's witness image, if any
     firsts: dict = {}       # (key, is scalar) -> (first candidate, verdict)
-    for key, scalar, c in classes:
+    for key, scalar, c, signs in classes:
         cert = certs.get(key)
         if cert is None:
             cert = certs[key] = acts_invariantly(g, c, checks)
+            if signs and not cert.verdict:
+                images[key] = _witness_image(cert, c, signs)
         elif not cert.verdict:
             # the class's witness refutes c too, in the same direction
-            cert = replayed(g, cert.failing_generator, c, cert.direction)
+            w, direction = cert.failing_generator, cert.direction
+            found = images.get(key)
+            cert = replayed(g, w, c, direction) if found is None else \
+                autgroup._replayed(
+                    g, w, _member_image(found, direction, signs), direction)
         if cert.verdict:
             confirmed.append(c)
         else:
@@ -354,6 +366,41 @@ def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, dict]:
     report = OracleReport(g, h, len(confirmed) + len(refuted),
                           tuple(confirmed), tuple(refuted))
     return report, firsts
+
+
+def _witness_image(cert, a: ExactMatrix, signs: tuple):
+    """(w * A, or w * A^-1 for an inverse refutation, the coordinate k that
+    w lies on, A's entry signs) for the refutation of A's class by w; None
+    where its members replay on their own images: w has two nonzero
+    coordinates, or A^-1 is not in the tower (the inverse pass then reads
+    w * adj A against det A * G)."""
+    w = cert.failing_generator
+    support = [k for k, x in enumerate(w) if x]
+    if len(support) != 1:
+        return None
+    try:
+        m = a if cert.direction == "forward" else a.inverse()
+    except DomainError:
+        return None
+    return vec_mat_mul(w, m), support[0], signs
+
+
+def _member_image(found: tuple, direction: str, signs: tuple) -> Vector:
+    """The image of w under the class member A' with entry signs ``signs``,
+    from ``found`` (see ``_witness_image``).  Coordinate j of w * A' is
+    w_k A'_kj, of w * A'^-1 it is w_k adj(A')_kj / det A'.  A' has A's
+    entries up to sign, so each is A's coordinate times the ratio of the
+    two entries' signs (entry (k, j) of A, of adj A = ((e, -b), (-x, a))),
+    times eps = det A' / det A = +-1 for the inverse.  eps is the ratio of
+    the signs of ae, or of bx where a or e is 0 (see ``_matrix_classes``)."""
+    image, k, first = found
+    p = [s * t for s, t in zip(first, signs)]
+    if direction == "forward":
+        flips = p[2 * k], p[2 * k + 1]
+    else:
+        eps = p[0] * p[3] or p[1] * p[2]
+        flips = eps * p[3 - k], eps * p[1 - k]
+    return tuple([-x if f < 0 else x for x, f in zip(image, flips)])
 
 
 def brute_force_aut(g: GroupDescriptor, height: int = 3) -> OracleReport:

@@ -538,19 +538,28 @@ class ExactScalar:
             return tuple((k, Fraction(n, den)) for k, n in self._lift(ctx))
         return tuple(Fraction(n, den) for n in self._lift(ctx))
 
-    def __add__(self, other) -> "ExactScalar":
+    def __add__(self, other, sign: int = 1) -> "ExactScalar":
+        """self + sign * other, for sign 1 or -1 (``__sub__``)."""
         if type(other) is not ExactScalar:
             other = as_scalar(other)
+        da, db = self.den, other.den
         ctx = self.context
         if ctx is other.context:
+            if ctx.kind is _RAT:
+                # one coordinate: a single gcd brings it to lowest terms
+                n = self.nums[0] * db + sign * other.nums[0] * da
+                if not n:
+                    return _ZERO
+                den = da * db
+                g = gcd(n, den)
+                return ExactScalar(ctx, (n // g,), den // g)
             a, b = self.nums, other.nums
         else:
             ctx = join_context(ctx, other.context)
             a, b = self._lift(ctx), other._lift(ctx)
         # both over the common denominator lcm(da, db)
-        da, db = self.den, other.den
         g = gcd(da, db)
-        ma, mb = db // g, da // g
+        ma, mb = db // g, sign * (da // g)
         den = da * ma
         if ctx.kind is _FORMAL:
             acc = {k: n * ma for k, n in a}
@@ -564,12 +573,14 @@ class ExactScalar:
 
     def __neg__(self) -> "ExactScalar":
         ctx = self.context
+        if ctx.kind is _RAT:
+            return ExactScalar(ctx, (-self.nums[0],), self.den)
         if ctx.kind is _FORMAL:
             return ExactScalar(ctx, tuple([(k, -n) for k, n in self.nums]), self.den)
         return ExactScalar(ctx, tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other) -> "ExactScalar":
-        return self.__add__(as_scalar(other).__neg__())
+        return self.__add__(other, -1)
 
     def __rsub__(self, other) -> "ExactScalar":
         return as_scalar(other).__sub__(self)
@@ -579,6 +590,13 @@ class ExactScalar:
             other = as_scalar(other)
         ctx = self.context
         if ctx is other.context:
+            if ctx.kind is _RAT:
+                n = self.nums[0] * other.nums[0]
+                if not n:
+                    return _ZERO
+                den = self.den * other.den
+                g = gcd(n, den)
+                return ExactScalar(ctx, (n // g,), den // g)
             a, b = self.nums, other.nums
         else:
             ctx = join_context(ctx, other.context)

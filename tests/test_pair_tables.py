@@ -4,9 +4,9 @@ once per run.
 ``_old_factor_members`` and ``_old_matrix_classes`` are the routes that
 enumerated every factor and formed and filtered all four entry tables, their
 bodies copied verbatim.  The new route must yield the same (key, is scalar,
-matrix) sequence, the same ``cross_check`` report and the same exceptions,
-on the benchmark corpus and on planes of unequal factors; and on equal
-factors it must form one ratio table instead of four.
+matrix, entry signs) sequence, the same ``cross_check`` report and the same
+exceptions, on the benchmark corpus and on planes of unequal factors; and on
+equal factors it must form one ratio table instead of four.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import pytest
 
 from groupaut import oracle
 from groupaut.autgroup import failing_generator, run_generators
-from groupaut.descriptors import FullLine, Product
+from groupaut.descriptors import FullLine, Product, _lead
 from groupaut.dsl import parse_descriptor
 from groupaut.errors import DomainError, UnsupportedError
 from groupaut.matrices import ExactMatrix, _product
@@ -104,10 +104,19 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _old_with_signs(g, h, checks):
+    """The four-table route's (key, is scalar, matrix), with the matrix's
+    entry signs appended as the referee reads them."""
+    for key, scalar, a in _old_matrix_classes(g, h, checks):
+        yield key, scalar, a, tuple(
+            (lead > 0) - (lead < 0)
+            for lead in (_lead(x) if x else 0 for row in a.rows for x in row))
+
+
 def _both(monkeypatch, g, h):
     """(old, new) outcomes of the class sequence and the cross_check JSON."""
     got = []
-    for route in (_old_matrix_classes, oracle._matrix_classes):
+    for route in (_old_with_signs, oracle._matrix_classes):
         monkeypatch.setattr(oracle, "_matrix_classes", route)
         got.append((_outcome(lambda: list(route(g, h, {}))),
                     _outcome(lambda: report_to_json(cross_check(g, h)))))
