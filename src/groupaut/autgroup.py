@@ -468,18 +468,18 @@ def acts_invariantly(g: GroupDescriptor, a,
     (see ``failing_generator``); a certificate on its own starts with an
     empty one.
 
-    A refutation is replayed before it is returned (``_replayed``)."""
+    On G = factor * ring for a ring descriptor the scalar, or the entry of
+    a 1 x 1 matrix, is tested against the ring directly: no scalar matrix
+    is built for it.  A refutation is replayed before it is returned
+    (``_replayed``)."""
     n = dimension(g)
-    if isinstance(a, ExactMatrix):
-        mat = a
-        if mat.n != n:
-            raise DomainError(f"matrix size {mat.n} does not fit dimension {n}")
-    else:
-        mat = scalar_matrix(as_scalar(a), n)
+    matrix = isinstance(a, ExactMatrix)
+    if matrix and a.n != n:
+        raise DomainError(f"matrix size {a.n} does not fit dimension {n}")
 
     ring, factor = _ring_core(g)
     if ring is not None:
-        r = mat.rows[0][0]
+        r = a.rows[0][0] if matrix else as_scalar(a)
         if r.is_zero():
             raise SingularMatrixError("zero scalar cannot act invariantly")
         # factor is a member of G = factor * ring; its images under r and
@@ -492,6 +492,7 @@ def acts_invariantly(g: GroupDescriptor, a,
             direction = "inverse"
         return replayed(g, (factor,), r, direction)
 
+    mat = a if matrix else scalar_matrix(as_scalar(a), n)
     checks = {} if _checks is None else _checks
     gens = run_generators(checks, g)
     failing = failing_generator(checks, gens, mat.rows)

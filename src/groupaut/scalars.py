@@ -27,12 +27,13 @@ context kind.  Each field has one context object (``quad_context`` and
 ``biquad_context`` intern them), so operands in the same context are
 recognised by identity; operands of two different contexts are lifted into
 their join (:func:`join_context`), where a rational is a vector with zero
-surd coordinates.  The join of each pair of distinct contexts, and where
-each basis element of one context takes its numerator from a value of
-another, are worked out once per pair in two ``lru_cache``s, which are
-cleared with the package's other caches, so a lift is a read of a tuple of
-indices.  Quadratic and biquadratic inverses use the conjugate, not a
-linear solve.  Scalars are immutable, so each caches its hash on first use.
+surd coordinates; a product with a rational only scales numerators.  The
+join of each pair of distinct contexts, and where each basis element of one
+context takes its numerator from a value of another, are worked out once
+per pair in two ``lru_cache``s, which are cleared with the package's other
+caches, so a lift is a read of a tuple of indices.  Quadratic and
+biquadratic inverses use the conjugate, not a linear solve.  Scalars are
+immutable, so each caches its hash on first use.
 """
 
 from __future__ import annotations
@@ -376,8 +377,10 @@ def products_within(xs: list, ys: list, h: int) -> list["ExactScalar"]:
     """The distinct products x * y of height at most h over y in ys and x in
     xs.  Each x is lifted once into its join with each context of ys, and
     products are formed on int numerators: a scalar is built only for a
-    product inside the bound whose lowest terms are new in its join.  A pair
-    with no join raises ContextError at the first such pair, y outer."""
+    product inside the bound whose lowest terms are new in its join.  A
+    Laurent monomial c * t^k as y shifts exponents by k and scales by c: an
+    x whose shifted exponents leave [-h, h] forms no product.  A pair with
+    no join raises ContextError at the first such pair, y outer."""
     out, seen, lifts = [], {}, {}
     for y in ys:
         groups = lifts.get(y.context)
@@ -389,7 +392,12 @@ def products_within(xs: list, ys: list, h: int) -> list["ExactScalar"]:
                 groups.setdefault(ctx, []).append((x._lift(ctx), x.den))
         for ctx, lifted in groups.items():
             b, db, keys = y._lift(ctx), y.den, seen.setdefault(ctx, set())
+            shift = ctx.kind is _FORMAL and len(b) == 1
+            if shift:
+                low, high = -h - b[0][0], h - b[0][0]
             for a, da in lifted:
+                if shift and a and (a[0][0] < low or a[-1][0] > high):
+                    continue
                 nums, den = nums_product(ctx, a, b), da * db
                 if not _within(ctx, nums, den, h):
                     continue
@@ -598,6 +606,15 @@ class ExactScalar:
                 g = gcd(n, den)
                 return ExactScalar(ctx, (n // g,), den // g)
             a, b = self.nums, other.nums
+        elif ctx.kind is _RAT or other.context.kind is _RAT:
+            # a rational scales the other operand's numerators in its context
+            q, x = (self, other) if ctx.kind is _RAT else (other, self)
+            n, den = q.nums[0], self.den * other.den
+            if not n:
+                return _ZERO
+            if x.context.kind is _FORMAL:
+                return _laurent(tuple([(k, m * n) for k, m in x.nums]), den)
+            return _number(x.context, tuple([m * n for m in x.nums]), den)
         else:
             ctx = join_context(ctx, other.context)
             a, b = self._lift(ctx), other._lift(ctx)
@@ -708,7 +725,10 @@ def exact_div(a: ExactScalar, b: ExactScalar) -> Optional[ExactScalar]:
 
     For number-field contexts this is just the field quotient.  For Laurent
     elements it performs polynomial division over Q and returns the quotient
-    only when the remainder vanishes.
+    only when the remainder vanishes.  A quotient q != 0 has
+    span(a) = span(q) + span(b), the span being the highest exponent less
+    the lowest, so a nonzero a over a b of wider span is refused on the
+    integer exponents before any Fraction is built.
     """
     a, b = as_scalar(a), as_scalar(b)
     if b.is_zero():
@@ -716,8 +736,11 @@ def exact_div(a: ExactScalar, b: ExactScalar) -> Optional[ExactScalar]:
     if b.context.kind is not ContextKind.FORMAL and a.context.kind is not ContextKind.FORMAL:
         return a * b.invert()
     ctx = FORMAL_CONTEXT
-    num = dict(a._embedded(ctx))      # empty when a is zero
-    den = b._embedded(ctx)
+    na, nb = a._lift(ctx), b._lift(ctx)     # na is empty when a is zero
+    if na and nb[-1][0] - nb[0][0] > na[-1][0] - na[0][0]:
+        return None
+    num = {k: Fraction(n, a.den) for k, n in na}
+    den = [(k, Fraction(n, b.den)) for k, n in nb]
     (low, _), (high, lead) = den[0], den[-1]
     # long division from the top term; a quotient term below the lowest
     # exponent num allows leaves a remainder

@@ -1,8 +1,9 @@
 """The scalar kernel's fast paths, and the matrix shape check.
 
 ``ExactScalar`` adds, subtracts, multiplies and negates two rationals of
-one context on their single coordinate, and subtracts in every context
-without forming the negated operand.  Each result must be the value that
+one context on their single coordinate, subtracts in every context
+without forming the negated operand, and multiplies a rational into any
+other context by scaling the other operand's numerators.  Each result must be the value that
 the generic route builds: ``ExactScalar._make`` on the Fraction
 coordinates of the exact sum, difference, product or negation, worked out
 here over each context's basis (the product of two basis roots sqrt(r) and
@@ -11,14 +12,21 @@ and a stored denominator is never negative.
 
 ``ExactMatrix`` checks squareness on row lengths alone, with a branch for
 2 x 2; it must still refuse every ragged or empty shape.
+
+``acts_invariantly`` reads a scalar on a Laurent ring without building a
+1 x 1 matrix; a scalar and its 1 x 1 matrix must get one certificate, and
+the shape and zero errors must stay as they were.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from groupaut.errors import ContextError, DomainError
+from groupaut.autgroup import acts_invariantly
+from groupaut.dsl import parse_descriptor
+from groupaut.errors import ContextError, DomainError, SingularMatrixError
 from groupaut.matrices import ExactMatrix
+from groupaut.oracle import candidate_scalars
 from groupaut.scalars import (
     FORMAL_CONTEXT,
     RAT_CONTEXT,
@@ -29,6 +37,8 @@ from groupaut.scalars import (
     quad_context,
     rational,
     squarefree_decomposition,
+    sqrt_rational,
+    t_monomial,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -53,13 +63,18 @@ def scalars(draw, ctx=None):
 @st.composite
 def pairs(draw):
     """Two scalars with a join: often of one context, sometimes equal or
-    opposite, so that sums and differences cancel."""
+    opposite, so that sums and differences cancel, and sometimes a rational
+    (zero too) with a scalar of another kind, in either order."""
     x = draw(scalars())
-    how = draw(st.sampled_from(("same", "equal", "opposite", "any")))
+    how = draw(st.sampled_from(("same", "equal", "opposite", "any", "scale")))
     if how == "equal":
         return x, x
     if how == "opposite":
         return x, -x
+    if how == "scale":
+        q = draw(st.one_of(st.just(rational(0)), scalars(RAT_CONTEXT)))
+        y = draw(scalars(draw(st.sampled_from(CONTEXTS[1:]))))
+        return (q, y) if draw(st.booleans()) else (y, q)
     ctx = x.context if how == "same" else None
     while True:
         y = draw(scalars(ctx))
@@ -131,6 +146,21 @@ def test_rationals_take_each_fast_path():
     assert (half - half).is_zero() and (half * rational(0)).is_zero()
 
 
+NON_RATIONAL = [sqrt_rational(2) - Fraction(1, 3),
+                sqrt_rational(3) * 2 + sqrt_rational(5) + Fraction(3, 4),
+                t_monomial(-2, Fraction(5, 6)) + t_monomial(1, -4),
+                t_monomial(2, Fraction(-2, 3))]
+
+
+@pytest.mark.parametrize("q", [0, 1, -1, Fraction(-3, 2), Fraction(4, 9)])
+def test_a_rational_scales_every_kind_in_both_orders(q):
+    q = rational(q)
+    for y in NON_RATIONAL:
+        for x, z in ((q, y), (y, q)):
+            _canonical(x * z, _generic(y.context, "*", x, z))
+        assert (q * y).context is (y.context if q else RAT_CONTEXT)
+
+
 # --- the matrix shape check ---------------------------------------------------
 
 A, B, C = rational(1), rational(2), rational(3)
@@ -149,3 +179,29 @@ def test_a_ragged_or_empty_shape_raises(rows):
 def test_a_square_shape_builds(n):
     rows = tuple(tuple(rational(i * n + j) for j in range(n)) for i in range(n))
     assert ExactMatrix(rows).n == n
+
+
+# --- acts_invariantly on a Laurent ring -----------------------------------------
+
+@pytest.mark.parametrize("text", ["ring(Z[t,1/t])", "t*ring(Q[t,1/t])"])
+def test_a_scalar_and_its_one_by_one_matrix_get_one_certificate(text):
+    g = parse_descriptor(text)
+    scalars_ = candidate_scalars(g, 2) + [1 + t_monomial(1), rational(3)]
+    verdicts = set()
+    for s in scalars_:
+        cert = acts_invariantly(g, s)
+        assert acts_invariantly(g, ExactMatrix(((s,),))) == cert, s
+        verdicts.add((cert.verdict, cert.direction))
+    # Q[t,1/t] holds every candidate, so only Z[t,1/t] refutes forward
+    assert verdicts >= {(True, None), (False, "inverse")}
+    assert ((False, "forward") in verdicts) == ("Z" in text)
+
+
+@pytest.mark.parametrize("text", ["ring(Z[t,1/t])", "t*ring(Q[t,1/t])"])
+def test_the_ring_route_keeps_its_errors(text):
+    g = parse_descriptor(text)
+    with pytest.raises(DomainError, match="matrix size 2 does not fit dimension 1"):
+        acts_invariantly(g, ExactMatrix(((A, B), (C, A))))
+    for zero in (rational(0), 0, ExactMatrix(((rational(0),),))):
+        with pytest.raises(SingularMatrixError):
+            acts_invariantly(g, zero)

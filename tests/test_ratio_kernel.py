@@ -8,10 +8,16 @@ verbatim.  ``scalars._within`` must agree with the height on every small
 numerator tuple.  ``_ratios`` takes lists closed under negation, as the
 members that its callers enumerate are; on such lists of every kind of the
 oracle corpus it must give the same dict, or the same error.
+
+``_old_products_within`` is ``scalars.products_within`` as it was when a
+Laurent monomial y formed every product x * y before the height test, its
+body copied verbatim.  The window that now skips an x whose shifted
+exponents leave [-h, h] must keep every product at both edges.
 """
 
 import itertools
 import random
+from fractions import Fraction
 import sys
 import time
 from math import gcd
@@ -27,10 +33,16 @@ from groupaut.scalars import (
     RAT_CONTEXT,
     ContextKind,
     ExactScalar,
+    _laurent,
+    _number,
     _within,
     biquad_context,
+    join_context,
+    lowest_terms,
+    nums_product,
     products_within,
     quad_context,
+    t_monomial,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -84,6 +96,35 @@ def _old_ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
         for s in ((r, -r) if closed else (r,)):
             found[s.sort_key()] = s
     return found
+
+
+def _old_products_within(xs: list, ys: list, h: int) -> list["ExactScalar"]:
+    """The distinct products x * y of height at most h over y in ys and x in
+    xs.  Each x is lifted once into its join with each context of ys, and
+    products are formed on int numerators: a scalar is built only for a
+    product inside the bound whose lowest terms are new in its join.  A pair
+    with no join raises ContextError at the first such pair, y outer."""
+    out, seen, lifts = [], {}, {}
+    for y in ys:
+        groups = lifts.get(y.context)
+        if groups is None:
+            # each x over its join with this context, grouped by the join
+            groups = lifts[y.context] = {}
+            for x in xs:
+                ctx = join_context(x.context, y.context)
+                groups.setdefault(ctx, []).append((x._lift(ctx), x.den))
+        for ctx, lifted in groups.items():
+            b, db, keys = y._lift(ctx), y.den, seen.setdefault(ctx, set())
+            for a, da in lifted:
+                nums, den = nums_product(ctx, a, b), da * db
+                if not _within(ctx, nums, den, h):
+                    continue
+                key = lowest_terms(ctx, nums, den)
+                if key not in keys:
+                    keys.add(key)
+                    out.append(_laurent(*key) if ctx.kind is _FORMAL
+                               else _number(ctx, *key))
+    return out
 
 
 # --- the height bound on ints -------------------------------------------------
@@ -149,6 +190,37 @@ def test_ratios_match_the_route_that_negated_scalars(h):
         for nums, dens in lists:
             assert _outcome(_ratios, nums, dens, h) == \
                 _outcome(_old_ratios, nums, dens, h), (t, h)
+
+
+def _exponents(x):
+    return [k for k, _ in x.nums] if x.context is FORMAL_CONTEXT else [0]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_the_shift_window_keeps_both_edges(h):
+    # Laurent lists whose members and shifted exponents reach -h and h:
+    # Q + Q*t has denominators above 1, t*ring(Z[t,1/t]) is no ring
+    t = t_monomial
+    reach = [t(h), t(-h), t(h) + t(-h), t(h, 2) - 1, 1 + t(-h, 3),
+             t(1 - h, Fraction(1, 2)) + t(h - 1)]
+    reach += [-x for x in reach]
+    edges = {"low": 0, "high": 0, "past low": 0, "past high": 0}
+    for text in ("Q + Q*t", "t*ring(Z[t,1/t])", "ring(Q[t,1/t])"):
+        members = [v[0] for v in enumerate_members(parse_descriptor(text), h)]
+        nums = [s for s in members if s] + reach
+        units = [y.invert() for y in nums if len(_exponents(y)) == 1]
+        assert products_within(nums, units, h) == \
+            _old_products_within(nums, units, h), (text, h)
+        assert _ratios(nums, nums, h) == _old_ratios(nums, nums, h), (text, h)
+        for x in nums:
+            for y in units:
+                low, high = (min(_exponents(x)) + _exponents(y)[0],
+                             max(_exponents(x)) + _exponents(y)[0])
+                edges["low"] += low == -h
+                edges["high"] += high == h
+                edges["past low"] += low == -h - 1
+                edges["past high"] += high == h + 1
+    assert all(edges.values()), edges
 
 
 def _closed(xs):
