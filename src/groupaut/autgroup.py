@@ -30,7 +30,7 @@ question is open); such inputs fall through to Bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, count
@@ -187,13 +187,16 @@ AutResult = Union[Exact, Bounds]
 class Certificate:
     """Outcome of a generator check of G*A = G.
 
-    On failure, ``failing_generator`` is a concrete member of G whose image
-    under A (direction "forward") or A^-1 (direction "inverse") is not a
-    member of G.
+    On failure, ``failing_generator`` is a member w of G whose ``image``
+    under A (direction "forward") or A^-1 (direction "inverse") is not in
+    G (None: outside the tower); ``over`` is G, or det A * G where that
+    image is w * adj A.  Neither evidence field takes part in equality.
     """
     verdict: bool
     failing_generator: Optional[Vector] = None
     direction: Optional[str] = None
+    image: Optional[Vector] = field(default=None, compare=False)
+    over: Optional[GroupDescriptor] = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -565,13 +568,20 @@ def replayed(g: GroupDescriptor, w: Vector, a, direction: str) -> Certificate:
 def _replayed(g: GroupDescriptor, w: Vector, image: Optional[Vector],
               direction: str, over: Optional[GroupDescriptor] = None
               ) -> Certificate:
-    """The refutation (w, direction) once it replays: w is in G and its
-    image under A or A^-1 is not.  An image outside the scalar tower (None)
-    is outside G.  With ``over`` = det A * G, the image is w * adj A, which
-    is in ``over`` exactly when w * A^-1 is in G."""
+    """The refutation (w, direction), with its evidence, once it replays."""
     over = g if over is None else over
+    _check_replay(g, w, image, direction, over)
+    return Certificate(False, w, direction, image, over)
+
+
+def _check_replay(g: GroupDescriptor, w: Vector, image: Optional[Vector],
+                  direction: str, over: GroupDescriptor) -> None:
+    """Raise ConsistencyError unless the refutation (w, direction) replays:
+    w is in G and its image under A or A^-1 is not.  An image outside the
+    scalar tower (None) is outside G.  With ``over`` = det A * G, the image
+    is w * adj A, which is in ``over`` exactly when w * A^-1 is in G."""
     if _member(g, w).member and (image is None or not _member(over, image).member):
-        return Certificate(False, w, direction)
+        return
     from .dsl import group_to_text
     raise ConsistencyError(
         f"the {direction} refutation of {group_to_text(g)} by {w!r} does "

@@ -24,9 +24,9 @@ failing generator and its direction are the same across the class, and
 the witness searches do not read signs.  Each sign class (c, -c in one
 dimension, up to 8 matrices in two) is certified once; its other members
 take the verdict, and a refutation with its witness and direction,
-replayed on the member's own image before it is reported.  On a plane that
-image is read off the representative's by those sign changes
-(``_member_image``), unless A^-1 leaves the tower.
+replayed on the member's own image before it is reported: the image its
+certificate records, signs changed (``_member_image``), unless A^-1 leaves
+the tower or w has two nonzero coordinates.
 
 The sign class is also the unit of the plane's other steps: each kept
 entry carries its number up to sign and its sign, so a key is read off the
@@ -200,7 +200,9 @@ def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
 
 
 def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:
-    """Nonzero ratios of small members — every invariant scaling is one."""
+    """Nonzero ratios x / y of small members over units y of the tower
+    (``_ratios``), and +-1: not every invariant scaling.  No member of
+    (1+t)*ring(Z[t,1/t]) is a monomial, so +-t^k is never a candidate."""
     h = _check_height(height)
     if dimension(g) != 1:
         raise DomainError("scalar candidates are a one-dimensional notion")
@@ -323,10 +325,13 @@ class OracleReport:
     agreement: Optional[bool] = None
 
 
-def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, dict]:
+def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, list]:
     """The report of ``brute_force_aut``, and for each (sign class, is
     scalar) pair its first candidate and their verdict, in candidate order.
-    A scalar's class is {c, -c}, keyed by c up to sign."""
+    A scalar's class is {c, -c}, keyed by c up to sign.  A class's record
+    holds its certificate, the evidence ``found`` its members replay from
+    (``_member_image``), None where each replays in full (see the module
+    docstring), and the is-scalar flags it has given a first candidate."""
     h = _check_height(height)
     n = dimension(g)
     checks: dict = {}       # the run's generator checks, each asked once
@@ -338,62 +343,54 @@ def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, dict]:
     else:
         raise UnsupportedError(
             "the brute-force referee handles one or two dimensions")
-    confirmed = []
-    refuted = []
-    certs: dict = {}        # the certificate of each sign class so far
-    images: dict = {}       # a refuted matrix class's witness image, if any
-    firsts: dict = {}       # (key, is scalar) -> (first candidate, verdict)
+    confirmed, refuted, firsts = [], [], []
+    records: dict = {}      # sign class -> (certificate, evidence, flags)
     for key, scalar, c, signs in classes:
-        cert = certs.get(key)
-        if cert is None:
-            cert = certs[key] = acts_invariantly(g, c, checks)
-            if signs and not cert.verdict:
-                images[key] = _witness_image(cert, c, signs)
-        elif not cert.verdict:
-            # the class's witness refutes c too, in the same direction
-            w, direction = cert.failing_generator, cert.direction
-            found = images.get(key)
-            cert = replayed(g, w, c, direction) if found is None else \
-                autgroup._replayed(
-                    g, w, _member_image(found, direction, signs), direction)
+        record = records.get(key)
+        if record is None:
+            cert = acts_invariantly(g, c, checks)
+            support = [k for k, x in enumerate(cert.failing_generator)
+                       if x] if cert.over is g else ()
+            found = (cert.image, support[0], signs) \
+                if len(support) == 1 else None
+            record = records[key] = cert, found, set()
+        else:
+            cert, found, _ = record
+            if not cert.verdict:
+                # the class's witness refutes c too, in the same direction
+                w, direction = cert.failing_generator, cert.direction
+                if found is None:
+                    replayed(g, w, c, direction)
+                else:
+                    autgroup._check_replay(g, w, _member_image(
+                        found, direction, signs), direction, g)
         if cert.verdict:
             confirmed.append(c)
         else:
             refuted.append(Refutation(c, cert.failing_generator,
                                       cert.direction))
-        if (key, scalar) not in firsts:
-            firsts[key, scalar] = c, cert.verdict
+        if scalar not in record[2]:
+            record[2].add(scalar)
+            firsts.append((c, cert.verdict))
     report = OracleReport(g, h, len(confirmed) + len(refuted),
                           tuple(confirmed), tuple(refuted))
     return report, firsts
 
 
-def _witness_image(cert, a: ExactMatrix, signs: tuple):
-    """(w * A, or w * A^-1 for an inverse refutation, the coordinate k that
-    w lies on, A's entry signs) for the refutation of A's class by w; None
-    where its members replay on their own images: w has two nonzero
-    coordinates, or A^-1 is not in the tower (the inverse pass then reads
-    w * adj A against det A * G)."""
-    w = cert.failing_generator
-    support = [k for k, x in enumerate(w) if x]
-    if len(support) != 1:
-        return None
-    try:
-        m = a if cert.direction == "forward" else a.inverse()
-    except DomainError:
-        return None
-    return vec_mat_mul(w, m), support[0], signs
-
-
-def _member_image(found: tuple, direction: str, signs: tuple) -> Vector:
-    """The image of w under the class member A' with entry signs ``signs``,
-    from ``found`` (see ``_witness_image``).  Coordinate j of w * A' is
-    w_k A'_kj, of w * A'^-1 it is w_k adj(A')_kj / det A'.  A' has A's
-    entries up to sign, so each is A's coordinate times the ratio of the
-    two entries' signs (entry (k, j) of A, of adj A = ((e, -b), (-x, a))),
-    times eps = det A' / det A = +-1 for the inverse.  eps is the ratio of
-    the signs of ae, or of bx where a or e is 0 (see ``_matrix_classes``)."""
+def _member_image(found: tuple, direction: str, signs) -> Vector:
+    """The image of w under the class member with entry signs ``signs``,
+    from ``found`` = (the image that the class's certificate records, the
+    coordinate k that w lies on, the representative's entry signs, or None
+    for a scalar).  The partner -c of c maps w to -(w * c), or -(w / c).
+    Coordinate j of w * A' is w_k A'_kj, of w * A'^-1 it is
+    w_k adj(A')_kj / det A'.  A' has A's entries up to sign, so each is A's
+    coordinate times the ratio of the two entries' signs (entry (k, j) of
+    A, of adj A = ((e, -b), (-x, a))), times eps = det A' / det A = +-1 for
+    the inverse.  eps is the ratio of the signs of ae, or of bx where a or
+    e is 0 (see ``_matrix_classes``)."""
     image, k, first = found
+    if first is None:
+        return None if image is None else (-image[0],)
     p = [s * t for s, t in zip(first, signs)]
     if direction == "forward":
         flips = p[2 * k], p[2 * k + 1]
@@ -426,7 +423,7 @@ def cross_check(g: GroupDescriptor, height: int = 3) -> OracleReport:
     report, firsts = _referee(g, height)
     result = aut_group(g)
     try:
-        for c, verdict in firsts.values():
+        for c, verdict in firsts:
             admits(result, c, verdict)
     except ConsistencyError:
         return replace(report, agreement=False)

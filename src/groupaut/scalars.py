@@ -539,13 +539,6 @@ class ExactScalar:
         nums += (0,)            # index -1 reads this zero
         return tuple([nums[i] for i in where])
 
-    def _embedded(self, ctx: FieldContext) -> tuple:
-        """The coordinates of self over the basis of ctx, as Fractions."""
-        den = self.den
-        if ctx.kind is _FORMAL:
-            return tuple((k, Fraction(n, den)) for k, n in self._lift(ctx))
-        return tuple(Fraction(n, den) for n in self._lift(ctx))
-
     def __add__(self, other, sign: int = 1) -> "ExactScalar":
         """self + sign * other, for sign 1 or -1 (``__sub__``)."""
         if type(other) is not ExactScalar:

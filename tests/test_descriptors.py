@@ -44,6 +44,8 @@ from groupaut.errors import (
 from groupaut.matrices import matrix, scalar_matrix
 from groupaut.scalars import rational, sqrt_rational, t_monomial
 
+from scalar_support import _embedded
+
 
 R2 = sqrt_rational(2)
 R3 = sqrt_rational(3)
@@ -371,10 +373,10 @@ def test_example_biquad_system_trivial_kernel():
 
     for d, e in ((2, 3), (2, 5), (3, 5)):
         ctx = biquad_context(d, e)
-        one_v = rational(1)._embedded(ctx)
-        xy = (sqrt_rational(d) * sqrt_rational(e))._embedded(ctx)
-        x = sqrt_rational(d)._embedded(ctx)
-        y = sqrt_rational(e)._embedded(ctx)
+        one_v = _embedded(rational(1), ctx)
+        xy = _embedded(sqrt_rational(d) * sqrt_rational(e), ctx)
+        x = _embedded(sqrt_rational(d), ctx)
+        y = _embedded(sqrt_rational(e), ctx)
         assert len(linalg.rref_basis([list(one_v), list(xy), list(x), list(y)])) == 4
 
 
@@ -403,7 +405,7 @@ def _ref_member(g, v):
     if isinstance(g, _d.LaurentRing):
         s = v[0]
         ctx = _d.join_context(s.context, _d.FORMAL_CONTEXT)
-        coeffs = [c for _, c in s._embedded(ctx)]
+        coeffs = [c for _, c in _embedded(s, ctx)]
         if g.coeffs is Domain.INT:
             return _d.MembershipVerdict(all(c.denominator == 1 for c in coeffs))
         return _d.MembershipVerdict(True)

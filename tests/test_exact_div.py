@@ -29,6 +29,8 @@ from groupaut.scalars import (
     t_monomial,
 )
 
+from scalar_support import _embedded
+
 
 # --- the route as it was, verbatim --------------------------------------------
 
@@ -45,8 +47,8 @@ def _old_exact_div(a: ExactScalar, b: ExactScalar) -> Optional[ExactScalar]:
     if b.context.kind is not ContextKind.FORMAL and a.context.kind is not ContextKind.FORMAL:
         return a * b.invert()
     ctx = FORMAL_CONTEXT
-    num = dict(a._embedded(ctx))      # empty when a is zero
-    den = b._embedded(ctx)
+    num = dict(_embedded(a, ctx))      # empty when a is zero
+    den = _embedded(b, ctx)
     (low, _), (high, lead) = den[0], den[-1]
     # long division from the top term; a quotient term below the lowest
     # exponent num allows leaves a remainder

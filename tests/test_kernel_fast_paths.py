@@ -41,6 +41,8 @@ from groupaut.scalars import (
     t_monomial,
 )
 
+from scalar_support import _embedded
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -88,8 +90,8 @@ def pairs(draw):
 def _coords(x, ctx):
     """x's Fraction coordinates over ctx: a dict by exponent when FORMAL."""
     if ctx is FORMAL_CONTEXT:
-        return dict(x._embedded(ctx))
-    return list(x._embedded(ctx))
+        return dict(_embedded(x, ctx))
+    return list(_embedded(x, ctx))
 
 
 def _generic(ctx, op, x, y):

@@ -1,11 +1,14 @@
-"""The plane referee replays a refuted class's members on images derived
-from the representative's.
+"""The referee replays a refuted class's members on images derived from
+the image its representative's certificate recorded.
 
 ``oracle._member_image`` reads each member's image of the witness w off the
-representative's (w * A, or w * A^-1), flipping coordinate signs.  Here
-every derived image is compared with the image formed fresh from the
-member's own matrix, on every corpus group at heights 1 and 2 and on drawn
-planes.  A class whose inverse leaves the tower must replay in full.
+representative's (w * A, or w * A^-1, kept in ``Certificate.image``): on a
+plane by flipping coordinate signs, and for a scalar's partner -c by
+negating w * c or w / c.  Here every derived image is compared with the
+image formed fresh from the member itself, on every corpus group at heights
+1 and 2 and on drawn lines and planes.  A class whose inverse leaves the
+tower must replay in full.  The evidence every refuting certificate of the
+corpus carries is checked on its own.
 """
 
 import itertools
@@ -17,11 +20,12 @@ import pytest
 
 from groupaut import oracle
 from groupaut.autgroup import Certificate, acts_invariantly
-from groupaut.descriptors import Product, _lead
+from groupaut.descriptors import Product, _lead, member
 from groupaut.dsl import parse_descriptor, parse_matrix
-from groupaut.errors import DomainError, GroupAutError
-from groupaut.matrices import ExactMatrix, matrix, vec_mat_mul
+from groupaut.errors import ContextError, DomainError, GroupAutError
+from groupaut.matrices import ExactMatrix, matrix, scalar_matrix, vec_mat_mul
 from groupaut.oracle import cross_check
+from groupaut.scalars import exact_div
 
 from test_descriptors import _random_group
 
@@ -34,39 +38,63 @@ def _signs(a):
     return tuple((s > 0) - (s < 0) for s in leads)
 
 
+def _as_matrix(a):
+    return a if isinstance(a, ExactMatrix) else scalar_matrix(a, 1)
+
+
+def _partner_image(w, c, direction):
+    """w * c, or w / c by exact division; None outside the scalar tower."""
+    try:
+        q = w[0] * c if direction == "forward" else exact_div(w[0], c)
+    except ContextError:
+        return None
+    return None if q is None else (q,)
+
+
 def _instrument(monkeypatch):
     """Check each derived image against a fresh one while the referee runs,
-    and count the derived images, the classes that replay in full because
-    A^-1 leaves the tower, and the matrices replayed in full."""
-    counts = {"derived": 0, "adjugate": 0, "full": 0}
-    current, witnesses = {}, {}
-    classes, first, derive, replayed = (
-        oracle._matrix_classes, oracle._witness_image, oracle._member_image,
-        oracle.replayed)
+    and count the derived images on planes and of scalar partners, the
+    classes whose representative's image was read against det A * G, and
+    the matrices replayed in full."""
+    counts = {"derived": 0, "partners": 0, "adjugate": 0, "full": 0}
+    current, certs = {}, {}
+    classes, scalars, acts, derive, replayed = (
+        oracle._matrix_classes, oracle.candidate_scalars,
+        oracle.acts_invariantly, oracle._member_image, oracle.replayed)
 
     def tracked(g, h, checks):
         for item in classes(g, h, checks):
             assert item[3] == _signs(item[2])
-            current["a"] = item[2]
+            current.update(key=item[0], a=item[2])
             yield item
 
-    def witness_image(cert, a, signs):
-        found = first(cert, a, signs)
-        if found is None and cert.direction == "inverse":
+    def tracked_scalars(g, h):
+        for c in scalars(g, h):
+            current.update(key=oracle._sign_canonical(c), a=c)
+            yield c
+
+    def certified(g, a, checks):
+        # the certificate of the class of the current candidate
+        cert = certs[current["key"]] = acts(g, a, checks)
+        if not cert.verdict and cert.over is not g:
+            assert cert.direction == "inverse"
             with pytest.raises(DomainError):
-                a.inverse()
+                _as_matrix(a).inverse()
             counts["adjugate"] += 1
-        # the witness, kept beside the object that stands for it
-        witnesses[id(found)] = found, cert.failing_generator
-        return found
+        return cert
 
     def member_image(found, direction, signs):
         image = derive(found, direction, signs)
-        a = current["a"]
-        w = witnesses[id(found)][1]
-        fresh = vec_mat_mul(w, a if direction == "forward" else a.inverse())
+        a, cert = current["a"], certs[current["key"]]
+        assert found[0] is cert.image and direction == cert.direction
+        w = cert.failing_generator
+        if isinstance(a, ExactMatrix):
+            fresh = vec_mat_mul(w, a if direction == "forward" else a.inverse())
+            counts["derived"] += 1
+        else:
+            fresh = _partner_image(w, a, direction)
+            counts["partners"] += 1
         assert image == fresh, (a, w, direction)
-        counts["derived"] += 1
         return image
 
     def counted(g, w, a, direction):
@@ -74,7 +102,8 @@ def _instrument(monkeypatch):
         return replayed(g, w, a, direction)
 
     monkeypatch.setattr(oracle, "_matrix_classes", tracked)
-    monkeypatch.setattr(oracle, "_witness_image", witness_image)
+    monkeypatch.setattr(oracle, "candidate_scalars", tracked_scalars)
+    monkeypatch.setattr(oracle, "acts_invariantly", certified)
     monkeypatch.setattr(oracle, "_member_image", member_image)
     monkeypatch.setattr(oracle, "replayed", counted)
     return counts
@@ -90,6 +119,23 @@ def test_derived_images_match_fresh_ones_on_the_corpus(monkeypatch):
         for h in (1, 2):
             assert cross_check(parse_descriptor(text), h).agreement, (text, h)
     assert stats["derived"] > 1000 and stats["full"] == 0, stats
+    assert stats["partners"] > 500, stats
+
+
+def test_derived_partner_images_match_fresh_ones_on_drawn_lines(monkeypatch):
+    stats = _instrument(monkeypatch)
+    rng = random.Random(20261101)
+    decided = 0
+    for _ in range(60):
+        g = _random_group(rng, 1, 2)
+        for h in (1, 2):
+            try:
+                cross_check(g, h)
+            except GroupAutError:
+                continue
+            decided += 1
+    assert decided > 40, decided
+    assert stats["partners"] > 0, stats
 
 
 def test_derived_images_match_fresh_ones_on_drawn_planes(monkeypatch):
@@ -136,4 +182,44 @@ def test_a_class_whose_inverse_leaves_the_tower_replays_in_full(monkeypatch):
             == Certificate(False, r.witness, r.direction) \
             and r.direction == "inverse"
     assert stats == {"adjugate": 1, "full": len(carried) - 1,
-                     "derived": len(derived) - 1}
+                     "derived": len(derived) - 1, "partners": 0}
+
+
+def test_refuting_certificates_carry_their_evidence(monkeypatch):
+    made = []
+    acts = oracle.acts_invariantly
+
+    def recorded(g, a, checks):
+        cert = acts(g, a, checks)
+        if not cert.verdict:
+            made.append((g, a, cert))
+        return cert
+
+    monkeypatch.setattr(oracle, "acts_invariantly", recorded)
+    for text in TEXTS:
+        for h in (1, 2):
+            oracle.brute_force_aut(parse_descriptor(text), h)
+    # no corpus candidate has an inverse outside the tower: add two that do
+    for text, a in (("Z x R", "[3,1;0,1+t]"), ("Z*sqrt(2) x R", "[2,0;0,1+t]")):
+        g, a = parse_descriptor(text), parse_matrix(a)
+        made.append((g, a, acts_invariantly(g, a)))
+    kinds = {"image": 0, "outside": 0, "adjugate": 0}
+    for g, a, cert in made:
+        w, direction = cert.failing_generator, cert.direction
+        assert member(g, w).member, (g, a, w)
+        assert cert.image is None \
+            or not member(cert.over, cert.image).member, (g, a, w)
+        if cert.over is not g:
+            kinds["adjugate"] += 1
+        elif cert.image is None:
+            kinds["outside"] += 1
+        else:
+            m = _as_matrix(a)
+            assert cert.image == vec_mat_mul(
+                w, m if direction == "forward" else m.inverse()), (g, a, w)
+            kinds["image"] += 1
+        # the evidence stays out of equality and hashing
+        bare = Certificate(False, w, direction)
+        assert cert == bare and hash(cert) == hash(bare)
+    assert kinds["image"] > 500 and kinds["outside"] > 0 \
+        and kinds["adjugate"] == 2, kinds

@@ -28,6 +28,8 @@ from groupaut.scalars import (
     rational,
 )
 
+from scalar_support import _embedded
+
 
 # --- reference copies of the former routines, verbatim ---------------------
 
@@ -36,8 +38,8 @@ def ref_coordinate_rows(scalars):
     for s in scalars:
         ctx = join_context(ctx, s.context)
     if ctx.kind is not ContextKind.FORMAL:
-        return [list(s._embedded(ctx)) for s in scalars], (ctx, None)
-    embedded = [dict(s._embedded(ctx)) for s in scalars]
+        return [list(_embedded(s, ctx)) for s in scalars], (ctx, None)
+    embedded = [dict(_embedded(s, ctx)) for s in scalars]
     support = sorted({k for d in embedded for k in d})
     rows = [[d.get(k, Fraction(0)) for k in support] for d in embedded]
     return rows, (ctx, support)

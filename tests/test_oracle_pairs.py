@@ -180,8 +180,8 @@ def test_one_certificate_per_pair_and_one_replay_per_refutation(
         return wrapper
 
     # every refutation, carried over or not, replays through this name
-    monkeypatch.setattr(autgroup, "_replayed",
-                        counted("replayed", autgroup._replayed))
+    monkeypatch.setattr(autgroup, "_check_replay",
+                        counted("replayed", autgroup._check_replay))
     monkeypatch.setattr(oracle, "acts_invariantly",
                         counted("acts", oracle.acts_invariantly))
     g = parse_descriptor(text)
@@ -298,8 +298,8 @@ def test_one_certificate_per_sign_class_and_one_replay_per_refutation(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(autgroup, "_replayed",
-                        counted("replayed", autgroup._replayed))
+    monkeypatch.setattr(autgroup, "_check_replay",
+                        counted("replayed", autgroup._check_replay))
     monkeypatch.setattr(oracle, "acts_invariantly",
                         counted("acts", oracle.acts_invariantly))
     g = parse_descriptor(text)

@@ -24,6 +24,8 @@ from groupaut.scalars import (
     zero,
 )
 
+from scalar_support import _embedded
+
 
 def _is_squarefree(n: int) -> bool:
     p = 2
@@ -231,7 +233,7 @@ def _reference(op, x, y):
     combine the coordinates, minimize.  The basis products come from
     squarefree_decomposition directly, not from the scalar module's table."""
     ctx = join_context(x.context, y.context)
-    a, b = x._embedded(ctx), y._embedded(ctx)
+    a, b = _embedded(x, ctx), _embedded(y, ctx)
     if ctx.kind is ContextKind.FORMAL:
         acc = {}
         if op == "mul":
@@ -270,7 +272,7 @@ def _reference_inverse(x):
     cols = []
     for j in range(k):
         unit = ExactScalar._make(ctx, [int(i == j) for i in range(k)])
-        cols.append(list(_reference("mul", x, unit)._embedded(ctx)))
+        cols.append(list(_embedded(_reference("mul", x, unit), ctx)))
     sol = linalg.solve_combination(cols, [1] + [0] * (k - 1))
     if sol is None:
         raise DomainError("not invertible")

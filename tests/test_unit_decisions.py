@@ -49,6 +49,8 @@ from groupaut.scalars import (
     t_monomial,
 )
 
+from scalar_support import _embedded
+
 
 # ---------------------------------------------------------------------------
 # reference copies of the Fraction-view code, verbatim
@@ -132,7 +134,7 @@ def _ref_laurent_leaf(g: LaurentRing, v) -> MembershipVerdict:
     """The LaurentRing branch of ``descriptors._leaf_member``."""
     s = v[0]
     ctx = join_context(s.context, FORMAL_CONTEXT)   # rejects surd contexts
-    coeffs = [c for _, c in s._embedded(ctx)]
+    coeffs = [c for _, c in _embedded(s, ctx)]
     if g.coeffs is Domain.INT:
         return MembershipVerdict(all(c.denominator == 1 for c in coeffs))
     return MembershipVerdict(True)
