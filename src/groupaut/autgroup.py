@@ -38,6 +38,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional, Union
 
+from . import linalg
 from .descriptors import (
     Domain,
     FractionRing,
@@ -53,9 +54,10 @@ from .descriptors import (
     _lead,
     _member,
     _split,
+    _dot,
+    _lattice,
     _module_rat_line,
     coprime_part,
-    cyclic_form,
     dimension,
     fraction_ring,
     holds,
@@ -87,13 +89,13 @@ from .scalars import (
     ContextKind,
     ExactScalar,
     as_scalar,
-    context_radicands,
     exact_div,
     factorize,
     iter_factors,
     one,
     rational,
     sqrt_rational,
+    squarefree_decomposition,
     t_monomial,
 )
 
@@ -365,25 +367,25 @@ def _real_witness(g: GroupDescriptor, vec: Vector, mat: ExactMatrix) -> Vector:
 
 
 def _leaf_probes(g: GroupDescriptor, vec: Vector, mat: ExactMatrix):
-    """Probes past the fixed ones, read off the module leaves that vec * mat
-    meets.  A leaf in a number field K whose Q-span is not all of K loses
-    the coordinate c there under one of K's basis roots, since K*c = K.  In
-    Q[t,1/t] irrational probes fail to join and rational ones may stay
-    inside, but a leaf has finitely many exponents of t, and t^k takes c
-    past them once k exceeds their spread.  Powers of t are skipped when
-    vec has a surd, which t does not join."""
+    """Probes past the fixed ones, read off the keys of the module leaves
+    that vec * mat meets.  A coordinate c != 0 in a leaf has only the
+    leaf's keys, so sqrt(p) * c, for a prime p that divides none of them,
+    has none and is not a member, wherever the tower can form it.  In
+    Q[t,1/t] a leaf has finitely many exponents of t, and t^k takes c past
+    them once k exceeds their spread.  Powers of t are skipped when vec has
+    a surd, which t does not join."""
     roots, top, low = set(), 0, 0
     for leaf, coords in _split(g, vec_mat_mul(vec, mat)):
         if isinstance(leaf, MixedModule):
-            ctx, columns = _coordinates(leaf.terms)[:2]    # columns: exponents
-            if columns is None:
-                roots.update(context_radicands(ctx))
+            laurent, keys = _coordinates(leaf.terms)[:2]
+            if laurent:
+                top = max(top, *keys)       # exponents
             else:
-                top = max(top, *columns)
+                roots.update(keys)          # radicands
             if coords[0].context.kind is ContextKind.FORMAL:
                 low = min(low, coords[0].nums[0][0])    # the least exponent
-    for r in sorted(roots.difference((1, 2, 3, 5))):
-        yield sqrt_rational(r)
+    yield sqrt_rational(next(p for p in count(7) if next(iter_factors(p))[0] == p
+                             and all(r % p for r in roots)))
     if all(c.is_rational() or c.context.kind is ContextKind.FORMAL for c in vec):
         for k in range(1, top - low + 2):
             yield t_monomial(k)
@@ -535,10 +537,7 @@ def _inverse_pass(g: GroupDescriptor, a: ExactMatrix
         return b, normalize(scaled(d, g))
     columns, factors = [], []
     for column, f in zip(zip(*b.rows), g.factors):
-        try:
-            quotients = [exact_div(x, d) for x in column]
-        except ContextError:
-            quotients = [None]
+        quotients = [exact_div(x, d) for x in column]
         if None in quotients:
             columns.append(column)
             factors.append(normalize(scaled(d, f)))
@@ -593,46 +592,66 @@ def _check_replay(g: GroupDescriptor, w: Vector, image: Optional[Vector],
 # ---------------------------------------------------------------------------
 
 def _module_rule(m: MixedModule) -> Optional[AutDescriptor]:
+    # the rule reads the keyed numerators: the generators' products and
+    # quotients need not lie in one field of the tower, and rational
+    # scalings of a generator change none of the tests below
     slots = [d for d, _ in m.terms]
-    rat_gens = [g for d, g in m.terms if d is Domain.RAT]
+    laurent, columns, _, rows, _ = _coordinates(m.terms)
+    rat_rows = [row for d, row in zip(slots, rows) if d is Domain.RAT]
 
-    if not rat_gens:
+    if not rat_rows:
         return PlusMinusOne() if is_cyclic(m) else None
-    if len(slots) == len(rat_gens) == 1:
+    if len(slots) == len(rat_rows) == 1:
         return RatStar()            # a single rational line
-    if len(slots) == len(rat_gens) == 2:
+    if len(slots) == len(rat_rows) == 2:
         # Q*g0 + Q*g1 = g0*(Q + Q*y) with y = g1/g0.  When y^2 escapes
         # Q + Q*y, an r = a + b*y in the group has r*y inside only for b = 0
-        g0, g1 = rat_gens
-        squares = ((Domain.RAT, g0 * g0), (Domain.RAT, g0 * g1))
-        if not _module_rat_line(squares, g1 * g1):
+        g0, g1 = rat_rows
+        ab = _product_combination(laurent, columns, [(g0, g0), (g0, g1)], (g1, g1))
+        if ab is None:
             return RatStar()        # the square escapes, only Q acts
-        # y is quadratic over Q, so it lies in a number field, not Q[t,1/t]
-        y = exact_div(g1, g0)
-        if y is None or y.context.kind is not ContextKind.QUAD:
-            return None
-        return FieldUnits(y.context.d)
-    if len(rat_gens) != 1:
+        # y^2 = a + b*y for an irrational y, so Q(y) = Q(sqrt(b^2 + 4a))
+        a, b = ab
+        disc = b * b + 4 * a
+        return FieldUnits(squarefree_decomposition(disc.numerator * disc.denominator)[1])
+    if len(rat_rows) != 1:
         return None
 
-    # Z-slots with one Q-slot q: reduce each Z-slot modulo Q*q by clearing
-    # q's leading coordinate, then fold the Z-part to one generator
-    q, qi = rat_gens[0], slots.index(Domain.RAT)
-    _, _, _, rows, dens = _coordinates(m.terms)
-    lead = next(j for j, c in enumerate(rows[qi]) if c)
-    per_q = Fraction(dens[qi], rows[qi][lead])    # 1 / q's leading coordinate
-    reduced = [g - rational(per_q * Fraction(row[lead], den)) * q
-               for (d, g), row, den in zip(m.terms, rows, dens) if d is Domain.INT]
-    reduced = [r for r in reduced if not r.is_zero()]
-    if not reduced:
+    # Z-slots with one Q-slot q: the Z-part modulo Q*q is cyclic when the
+    # frame's Hermite form has one row.  Its combination l of the Z-slots,
+    # with q's leading coordinate cleared, gives G = Z*l + Q*q, and x = q/l
+    # is irrational
+    _, _, zrows, _, (_, pivots), _ = _lattice(m.terms)
+    if len(pivots) != 1:
         return None
-    lattice = cyclic_form(MixedModule(tuple((Domain.INT, r) for r in reduced)))
-    if lattice is None:
-        return None
-    x = exact_div(q, lattice.terms[0][1])
-    if x is not None and not x.is_rational() and (x * x).is_rational():
+    q = rat_rows[0]
+    lead = next(j for j, c in enumerate(q) if c)
+    l = [_dot(pivots[0][2], column) for column in zip(*zrows)]
+    l = [c * q[lead] - l[lead] * e for c, e in zip(l, q)]
+    if _product_combination(laurent, columns, [(l, l)], (q, q)) is not None:
         return PlusMinusOne()       # Z + Q*x with x a pure root is rigid
     return None
+
+
+def _product_combination(laurent: bool, keys, pairs, target
+                         ) -> Optional[list[Fraction]]:
+    """Rational c with x*y = sum c_i * x_i*y_i for (x, y) = target and
+    (x_i, y_i) in pairs, all rows over ``keys``, or None.  The products are
+    formed on the keys, where exponents of t add and sqrt(a)*sqrt(b) =
+    g*sqrt(ab/g^2) with g = gcd(a, b), so they need not lie in one field
+    of the tower."""
+    products = []
+    for x, y in (*pairs, target):
+        p: dict = {}
+        for a, c in zip(keys, x):
+            for b, e in zip(keys, y):
+                g = 1 if laurent else gcd(a, b)
+                k = a + b if laurent else a * b // (g * g)
+                p[k] = p.get(k, 0) + g * c * e
+        products.append(p)
+    support = sorted(set().union(*products))
+    *gens, t = ([p.get(k, 0) for k in support] for p in products)
+    return linalg.solve_combination(gens, t)
 
 
 def _line_scalar(f: GroupDescriptor) -> Optional[ExactScalar]:

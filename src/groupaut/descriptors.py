@@ -31,8 +31,9 @@ A question asks about many vectors of one group (every candidate of an
 oracle run, say), so a module leaf is factored once per question into a
 frame, held in three lru_caches and built part by part as first needed:
 
-* ``_coordinates``: the generators' integer numerators over one basis (the
-  joined context, or in Q[t,1/t] the exponents that occur);
+* ``_coordinates``: the generators' integer numerators keyed by the terms
+  they have: square-free radicands (1 for the rational part), or in
+  Q[t,1/t] exponents (0 for a rational), one column per key;
 * ``_span``: an integer annihilator of the Q-span of the Q-slots, rows a
   with a.x = 0 exactly for x in the span;
 * ``_lattice``: the Hermite rows of the Z-slots reduced by that
@@ -44,12 +45,16 @@ own numerators, and membership is one reduction, an integrality check
 against the lattice denominator and a back-substitution through the
 Hermite rows.  The fourth read-off, ``_divisor``, is the gcd k of a
 member's coordinates over those rows: v/q is in G exactly when q divides
-k.  A vector with a coordinate outside the frame (a wider field, an
-exponent of t no generator has) is in neither, and builds nothing past
+k.  Square roots of distinct square-free integers are linearly
+independent over Q, and t is transcendental, so a value a leaf cannot
+hold is not a member: a vector with a term the frame has no column for,
+or of the other tower, is in neither, and builds nothing past
 ``_coordinates``.  Verdicts and witnesses are those of eliminating the
 generators and the vector together from scratch.  The frame is the one
-bridge between scalars and coordinate rows: the rule table reads module
-rows from ``_coordinates`` too.
+bridge between scalars and coordinate rows: ``cyclic_form`` reads the
+Hermite rows of ``_lattice``, and the rule table reads module rows and
+keys from ``_coordinates`` too, so a module's generators need share no
+field of the tower.
 
 Construction *rejects* redundant generator families instead of repairing
 them: a generator whose whole coefficient-domain line already lies in the
@@ -61,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -77,10 +82,9 @@ from .errors import (
 from .matrices import (ExactMatrix, Vector, frozen_dataclass, scalar_matrix,
                        vec_mat_mul, vector)
 from .scalars import (
-    ContextKind,
+    _FORMAL,
+    _RAT,
     ExactScalar,
-    FORMAL_CONTEXT,
-    FieldContext,
     RAT_CONTEXT,
     _number,
     as_scalar,
@@ -157,47 +161,48 @@ ModuleTerms = tuple[tuple[Domain, ExactScalar], ...]
 
 
 @lru_cache(maxsize=4096)
-def _coordinates(terms: ModuleTerms) -> tuple[FieldContext, Optional[dict],
-                                             int, list, list[int]]:
-    """(ctx, columns, n, rows, dens): the joined context of the generators;
-    when it is FORMAL, the column of each exponent of t that occurs (None
-    otherwise); the number n of coordinates; and each generator as integer
-    numerators over those coordinates with its denominator."""
-    ctx = RAT_CONTEXT
-    for _, g in terms:
-        ctx = join_context(ctx, g.context)
-    lifted = [g._lift(ctx) for _, g in terms]
-    dens = [g.den for _, g in terms]
-    if ctx.kind is not ContextKind.FORMAL:
-        return ctx, None, len(context_radicands(ctx)), lifted, dens
-    support = sorted({k for pairs in lifted for k, _ in pairs})
-    columns = {k: i for i, k in enumerate(support)}
-    rows = []
-    for pairs in lifted:
-        row = [0] * len(support)
-        for k, c in pairs:
-            row[columns[k]] = c
-        rows.append(row)
-    return ctx, columns, len(support), rows, dens
+def _coordinates(terms: ModuleTerms) -> tuple[bool, dict, int, list, list]:
+    """(laurent, columns, n, rows, dens): whether some generator has t; the
+    column of each key a generator has, ascending; the number n of columns;
+    and each generator's numerators over them, with its denominator.  A
+    module that mixes t with a surd raises ContextError."""
+    kinds = {g.context.kind for _, g in terms}
+    laurent = _FORMAL in kinds
+    if laurent and not kinds <= {_RAT, _FORMAL}:
+        reduce(join_context, [g.context for _, g in terms])     # raises
+    support = sorted({k for _, g in terms for k, c in _keyed(laurent, g) if c})
+    coords = laurent, {k: i for i, k in enumerate(support)}, len(support)
+    return (*coords, [_numerators(coords, g) for _, g in terms],
+            [g.den for _, g in terms])
+
+
+def _keyed(laurent: bool, v: ExactScalar):
+    """v's (key, numerator) pairs, zeros included: square-free radicands (1
+    for the rational part), or when ``laurent`` exponents of t (0 for a
+    rational); None when v is in the other tower."""
+    kind = v.context.kind
+    if kind is _RAT:
+        return ((0 if laurent else 1, v.nums[0]),)
+    if (kind is _FORMAL) is laurent:
+        return v.nums if laurent else zip(context_radicands(v.context), v.nums)
+    return None
 
 
 def _numerators(coords, v: ExactScalar):
-    """The numerators of v over the generators' coordinates ``coords`` (its
-    denominator is v.den), or None when v has a coordinate the generators
-    lack and so is in neither their Q-span nor the group.  Raises
-    ContextError when v cannot join the generators' context."""
-    ctx, columns, n = coords[:3]
-    joined = join_context(ctx, v.context)
-    if joined is not ctx and joined != ctx:
+    """v's numerators over the columns of ``coords`` (its denominator is
+    v.den), or None when v is in the other tower or has a key no column
+    has, and so is in neither the generators' Q-span nor their group."""
+    laurent, columns, n = coords[:3]
+    pairs = _keyed(laurent, v)
+    if pairs is None:
         return None
-    if columns is None:
-        return v._lift(ctx)
     x = [0] * n
-    for k, c in v._lift(ctx):
-        i = columns.get(k)
-        if i is None:
-            return None
-        x[i] = c
+    for k, c in pairs:
+        if c:
+            i = columns.get(k)
+            if i is None:
+                return None
+            x[i] = c
     return x
 
 
@@ -327,8 +332,8 @@ def mixed_module(terms: Iterable[tuple[Domain, object]]) -> MixedModule:
         norm.append((d, g))
     if not norm:
         raise DescriptorError("module needs at least one generator")
-    # joining the contexts raises for incompatible mixes; a redundant term
-    # lies in the Q-span of the others, so Q-independent rows have none
+    # a module that mixes t with a surd raises here; a redundant term lies
+    # in the Q-span of the others, so Q-independent rows have none
     rows = _coordinates(tuple(norm))[3] if len(norm) > 1 else []
     if len(linalg.fraction_free([list(r) for r in rows], False)[1]) == len(rows):
         return MixedModule(tuple(norm))
@@ -523,9 +528,10 @@ def _leaf_member(g: GroupDescriptor, v: Vector) -> MembershipVerdict:
         return MembershipVerdict(w is not None, w)
     if isinstance(g, LaurentRing):
         s = v[0]
-        join_context(s.context, FORMAL_CONTEXT)     # rejects surd contexts
-        # in lowest terms, every coefficient is an integer exactly when den is 1
-        return MembershipVerdict(g.coeffs is Domain.RAT or s.den == 1)
+        # a surd is in no Laurent ring; in lowest terms, every coefficient
+        # is an integer exactly when den is 1
+        return MembershipVerdict(s.context.kind in (_RAT, _FORMAL)
+                                 and (g.coeffs is Domain.RAT or s.den == 1))
     if isinstance(g, FractionRing):
         s = v[0]
         if not s.is_rational():
@@ -617,17 +623,14 @@ def cyclic_form(g: GroupDescriptor) -> Optional[MixedModule]:
     if isinstance(g, MixedModule):
         if any(d is Domain.RAT for d, _ in g.terms):
             return None
-        lead = g.terms[0][1]
-        quotients = [exact_div(gen, lead) for _, gen in g.terms]
-        if not all(r is not None and r.is_rational() for r in quotients):
+        # a Z-module is cyclic when its Hermite form has one row, which is
+        # a rational multiple of the first generator's
+        _, _, zrows, _, (_, pivots), _ = _lattice(g.terms)
+        if len(pivots) != 1:
             return None
-        ratios = [r.as_fraction() for r in quotients]
-        # the subgroup of Q generated by the ratios is cyclic: gcd over a
-        # common denominator
-        denom = lcm(*(r.denominator for r in ratios))
-        nums = [r.numerator * (denom // r.denominator) for r in ratios]
-        step = Fraction(gcd(*nums), denom)
-        return cyclic(_sign_canonical(rational(step) * lead))
+        j, row, _ = pivots[0]
+        step = Fraction(row[j], zrows[0][j])
+        return cyclic(_sign_canonical(rational(step) * g.terms[0][1]))
     return None
 
 
@@ -648,7 +651,7 @@ def is_dense(g: GroupDescriptor) -> bool:
 
 def _lead(s: ExactScalar) -> int:
     """The first nonzero numerator of s (of its lowest power of t), or s.den."""
-    if s.context.kind is ContextKind.FORMAL:
+    if s.context.kind is _FORMAL:
         return s.nums[0][1]
     return next((n for n in s.nums if n), s.den)
 
@@ -661,7 +664,7 @@ def _sign_canonical(s: ExactScalar) -> ExactScalar:
 def _monic(s: ExactScalar) -> ExactScalar:
     """s over its leading coordinate lead/den, on ints: in a number field,
     its numerators over lead."""
-    if s.context.kind is ContextKind.FORMAL:
+    if s.context.kind is _FORMAL:
         return s * _number(RAT_CONTEXT, (s.den,), _lead(s))
     return _number(s.context, s.nums, _lead(s))
 
@@ -672,8 +675,7 @@ def _monic(s: ExactScalar) -> ExactScalar:
 
 def normalize(g: GroupDescriptor) -> GroupDescriptor:
     """The canonical form of g, stable after one pass: a leaf; Scaled over
-    a ring, or over a module whose products with the factor share no
-    field; a Product of two or more one-dimensional normal factors; or an
+    a ring; a Product of two or more one-dimensional normal factors; or an
     Image of such a Product, other than R^n, under a matrix that is not
     scalar."""
     return _normalize(g)
@@ -697,12 +699,7 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
             r = r * inner.factor
             inner = _normalize(inner.inner)
         if isinstance(inner, MixedModule):
-            folded = _normalize(MixedModule(tuple((d, r * gen) for d, gen in inner.terms)))
-            try:
-                _coordinates(folded.terms)
-            except ContextError:    # the products share no field
-                return Scaled(_sign_canonical(r), inner)
-            return folded
+            return _normalize(MixedModule(tuple((d, r * gen) for d, gen in inner.terms)))
         if isinstance(inner, FullLine):
             return inner
         if isinstance(inner, Product):

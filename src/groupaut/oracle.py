@@ -26,7 +26,7 @@ dimension, up to 8 matrices in two) is certified once; its other members
 take the verdict, and a refutation with its witness and direction,
 replayed on the member's own image before it is reported: the image its
 certificate records, signs changed (``_member_image``), unless A^-1 leaves
-the tower or w has two nonzero coordinates.
+the tower.
 
 The sign class is also the unit of the plane's other steps: each kept
 entry carries its number up to sign and its sign, so a key is read off the
@@ -330,8 +330,8 @@ def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, list]:
     scalar) pair its first candidate and their verdict, in candidate order.
     A scalar's class is {c, -c}, keyed by c up to sign.  A class's record
     holds its certificate, the evidence ``found`` its members replay from
-    (``_member_image``), None where each replays in full (see the module
-    docstring), and the is-scalar flags it has given a first candidate."""
+    (``_member_image``), None where A^-1 leaves the tower and each replays
+    in full, and the is-scalar flags it has given a first candidate."""
     h = _check_height(height)
     n = dimension(g)
     checks: dict = {}       # the run's generator checks, each asked once
@@ -349,10 +349,9 @@ def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, list]:
         record = records.get(key)
         if record is None:
             cert = acts_invariantly(g, c, checks)
-            support = [k for k, x in enumerate(cert.failing_generator)
-                       if x] if cert.over is g else ()
-            found = (cert.image, support[0], signs) \
-                if len(support) == 1 else None
+            # a witness lies on one coordinate (see _member_image)
+            found = (cert.image, 0 if cert.failing_generator[0] else 1,
+                     signs) if cert.over is g else None
             record = records[key] = cert, found, set()
         else:
             cert, found, _ = record
@@ -382,21 +381,21 @@ def _member_image(found: tuple, direction: str, signs) -> Vector:
     from ``found`` = (the image that the class's certificate records, the
     coordinate k that w lies on, the representative's entry signs, or None
     for a scalar).  The partner -c of c maps w to -(w * c), or -(w / c).
-    Coordinate j of w * A' is w_k A'_kj, of w * A'^-1 it is
-    w_k adj(A')_kj / det A'.  A' has A's entries up to sign, so each is A's
-    coordinate times the ratio of the two entries' signs (entry (k, j) of
-    A, of adj A = ((e, -b), (-x, a))), times eps = det A' / det A = +-1 for
-    the inverse.  eps is the ratio of the signs of ae, or of bx where a or
-    e is 0 (see ``_matrix_classes``)."""
+
+    A 2 x 2 refutation is an inverse one, on an "int" generator, which lies
+    on one coordinate: the row filter of ``_matrix_classes`` asked every
+    forward block check on the run's memo, so no candidate fails forward.
+    Coordinate j of w * A'^-1 is w_k adj(A')_kj / det A'.  A' has A's
+    entries up to sign, so each is A's coordinate times the ratio of the
+    two entries' signs (entry (k, j) of adj A = ((e, -b), (-x, a))), times
+    eps = det A' / det A = +-1.  eps is the ratio of the signs of ae, or of
+    bx where a or e is 0 (see ``_matrix_classes``)."""
     image, k, first = found
     if first is None:
         return None if image is None else (-image[0],)
     p = [s * t for s, t in zip(first, signs)]
-    if direction == "forward":
-        flips = p[2 * k], p[2 * k + 1]
-    else:
-        eps = p[0] * p[3] or p[1] * p[2]
-        flips = eps * p[3 - k], eps * p[1 - k]
+    eps = p[0] * p[3] or p[1] * p[2]
+    flips = eps * p[3 - k], eps * p[1 - k]
     return tuple([-x if f < 0 else x for x, f in zip(image, flips)])
 
 

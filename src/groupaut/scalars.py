@@ -716,9 +716,10 @@ def t_monomial(exp: int, coeff: Rationalish = 1) -> ExactScalar:
 def exact_div(a: ExactScalar, b: ExactScalar) -> Optional[ExactScalar]:
     """Exact quotient a / b inside the ring when it exists, else None.
 
-    For number-field contexts this is just the field quotient.  For Laurent
-    elements it performs polynomial division over Q and returns the quotient
-    only when the remainder vanishes.  A quotient q != 0 has
+    For number-field contexts this is just the field quotient, and there is
+    none between t and a surd.  For Laurent elements it performs polynomial
+    division over Q and returns the quotient only when the remainder
+    vanishes.  A quotient q != 0 has
     span(a) = span(q) + span(b), the span being the highest exponent less
     the lowest, so a nonzero a over a b of wider span is refused on the
     integer exponents before any Fraction is built.
@@ -726,8 +727,11 @@ def exact_div(a: ExactScalar, b: ExactScalar) -> Optional[ExactScalar]:
     a, b = as_scalar(a), as_scalar(b)
     if b.is_zero():
         raise DomainError("division by zero")
-    if b.context.kind is not ContextKind.FORMAL and a.context.kind is not ContextKind.FORMAL:
+    kinds = a.context.kind, b.context.kind
+    if _FORMAL not in kinds:
         return a * b.invert()
+    if _QUAD in kinds or _BIQUAD in kinds:
+        return None     # no value of the tower has both t and a surd
     ctx = FORMAL_CONTEXT
     na, nb = a._lift(ctx), b._lift(ctx)     # na is empty when a is zero
     if na and nb[-1][0] - nb[0][0] > na[-1][0] - na[0][0]:

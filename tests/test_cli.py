@@ -24,6 +24,10 @@ def run(capsys, *argv):
 
 
 _NO_COMMON_FIELD = "sqrt(5)*(Q + Q*sqrt(2) + Q*sqrt(3))"
+_FOLDS_PAST_A_FIELD_Q = "(1+sqrt(5))*(Q*sqrt(2) + Q*sqrt(3))"
+_FOLDS_PAST_A_FIELD_Z = "(1+sqrt(5))*(Z*sqrt(2) + Z*sqrt(3))"
+_ALL_FIXED_PROBES_STAY = \
+    "image(R x (Q + Q*sqrt(2) + Q*sqrt(3) + Q*sqrt(5) + Z*2*sqrt(7)), [1,sqrt(2);0,1])"
 
 # exact bytes, not just parsed equality
 PINNED = [
@@ -48,8 +52,8 @@ PINNED = [
     (("circle-witness", "25", "(6,0)"), 0,
      '{"points":[["3","4"],["3","-4"]],"sum":["6","0"]}\n'),
     (("perm-demo", "4"), 0, '{"k":4,"injective":true}\n'),
-    # sqrt(5) times these generators would need a field of degree 8, so the
-    # factor stays outside the module
+    # sqrt(5) folds into the module, Q*sqrt(5) + Q*sqrt(10) + Q*sqrt(15):
+    # a module holds any radicands, though no field of degree 4 holds these
     (("member", _NO_COMMON_FIELD, "sqrt(10)"), 0,
      '{"member":true,"witness":["0","1","0"]}\n'),
     (("member", _NO_COMMON_FIELD, "sqrt(30)"), 0,
@@ -57,6 +61,38 @@ PINNED = [
     (("aut-member", _NO_COMMON_FIELD, "sqrt(2)"), 0, '{"aut_member":false}\n'),
     (("aut-member", _NO_COMMON_FIELD, "2"), 0, '{"aut_member":true}\n'),
     (("aut", _NO_COMMON_FIELD), 2, '{"bounds":{"lower":["PM1"]}}\n'),
+    (("member", _NO_COMMON_FIELD, "sqrt(10)+sqrt(15)"), 0,
+     '{"member":true,"witness":["0","1","1"]}\n'),
+    # folded, these generators share no field of degree 4: the rule table
+    # and cyclic_form read their keyed numerators, and answer as on the
+    # module without the factor
+    (("aut", _FOLDS_PAST_A_FIELD_Q), 0, '{"aut":{"kind":"FieldUnits","d":6}}\n'),
+    (("cyclic", _FOLDS_PAST_A_FIELD_Q), 0, '{"cyclic":false,"generator":null}\n'),
+    (("dense", _FOLDS_PAST_A_FIELD_Q), 0, '{"dense":true}\n'),
+    (("aut", _FOLDS_PAST_A_FIELD_Z), 2, '{"bounds":{"lower":["PM1"]}}\n'),
+    (("cyclic", _FOLDS_PAST_A_FIELD_Z), 0, '{"cyclic":false,"generator":null}\n'),
+    (("dense", _FOLDS_PAST_A_FIELD_Z), 0, '{"dense":true}\n'),
+    # y = sqrt(3)/(sqrt(2)+sqrt(5)) has y^2 outside Q + Q*y, though the
+    # product of the two generators lies in no field of the tower
+    (("aut", "Q*(sqrt(2)+sqrt(5)) + Q*sqrt(3)"), 0, '{"aut":{"kind":"RatStar"}}\n'),
+    (("aut", "Q + Q*sqrt(2) + Q*sqrt(3) + Q*sqrt(5)"), 2,
+     '{"bounds":{"lower":["PM1"]}}\n'),
+    # a value with a term that a leaf lacks is not a member
+    (("member", "Q + Q*t", "sqrt(2)"), 0, '{"member":false,"witness":null}\n'),
+    (("member", "Q*sqrt(2) + Q*sqrt(3)", "sqrt(5)"), 0,
+     '{"member":false,"witness":null}\n'),
+    (("member", "ring(Z[t,1/t])", "sqrt(2)"), 0, '{"member":false,"witness":null}\n'),
+    (("member", "(1+sqrt(2))*ring(Q[t,1/t])", "1+t"), 0,
+     '{"member":false,"witness":null}\n'),
+    (("aut-member", "R x (Q + Q*sqrt(2))", "[1,t;0,1]"), 0, '{"aut_member":false}\n'),
+    (("aut-member", "image(R x (Z*(2+2*t) + Z*(3+3*t)), [2,1;1,1])",
+      "[sqrt(2),0;1,1]"), 0, '{"aut_member":false}\n'),
+    # the real line through (1, sqrt(2)) leaves G, but 1, 1/2, sqrt(2),
+    # sqrt(3) and sqrt(5) times it stay inside, and t cannot multiply
+    # sqrt(2): sqrt(11), 11 the least prime that divides no radicand of the
+    # leaf, takes it out
+    (("aut-member", _ALL_FIXED_PROBES_STAY, "[1,1;0,1]"), 0, '{"aut_member":false}\n'),
+    (("aut-member", _ALL_FIXED_PROBES_STAY, "[1,0;1,1]"), 0, '{"aut_member":false}\n'),
     # Z, Z*g and cyclic(g) spell one set, so identical factors answer alike
     # whichever spelling each one uses
     (("aut", "Z x Z"), 2, '{"bounds":{"lower":["EZ(2)","PM1"]}}\n'),
@@ -368,13 +404,13 @@ def _replays(group, a, witness, direction):
 
 @pytest.mark.parametrize("group", ["(Q + Q*t) x R", "R x (Q + Q*t)"])
 def test_sl_witness_in_the_formal_tower(capsys, group):
-    # rational multiples stay in Q + Q*t and surds cannot join it: the real
-    # line leaves G through a power of t
+    # rational multiples stay in Q + Q*t, and a surd is in no Laurent
+    # module: the real line leaves G through sqrt(2)
     code, out, err = run(capsys, "sl-witness", group)
     assert (code, err) == (0, "")
     got = json.loads(out)
     a = "[" + ";".join(",".join(row) for row in got["witness"]) + "]"
-    assert "t^2" in got["failing_generator"]
+    assert "sqrt(2)" in got["failing_generator"]
     assert _replays(group, a, got["failing_generator"], got["direction"])
 
 
@@ -440,6 +476,9 @@ MIXED_TOWERS = [
      '{"aut_member":true}\n', ""),
     (("aut-member", "R x (Q + Q*sqrt(2))", "[1,0;t,1]"), 1, "",
      "error: cannot join Q(sqrt2) with Q[t,1/t]\n"),
+    # a module that mixes t with a surd is refused when it is built
+    (("member", "Z*t + Z*sqrt(2)", "1"), 1, "",
+     "error: cannot join Q[t,1/t] with Q(sqrt2)\n"),
 ]
 
 

@@ -159,12 +159,12 @@ def test_structured_results_match_manual_construction():
     assert got.terms[0] == (Domain.INT, rational(1))
 
 
-def test_a_scaled_module_without_a_common_field_round_trips():
-    # sqrt(5) times these generators would need a field of degree 8, so the
-    # factor stays outside the module
+def test_a_scaled_module_without_a_common_field_folds_and_round_trips():
+    # sqrt(5) times these generators would need a field of degree 8, but a
+    # module's columns are only the radicands its generators have
     g = parse_descriptor("sqrt(5)*(Q + Q*sqrt(2) + Q*sqrt(3))")
     printed = group_to_text(g)
-    assert printed == "sqrt(5)*(Q*1 + Q*sqrt(2) + Q*sqrt(3))"
+    assert printed == "Q*sqrt(5) + Q*sqrt(10) + Q*sqrt(15)"
     again = parse_descriptor(printed)
     assert again == g
     assert group_to_text(again) == printed

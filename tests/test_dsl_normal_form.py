@@ -63,7 +63,7 @@ from groupaut.scalars import (
     zero,
 )
 
-from test_descriptors import _random_group
+from draws import _random_group
 from test_dsl import ROUNDTRIP
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"

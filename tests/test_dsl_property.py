@@ -15,7 +15,7 @@ from groupaut.descriptors import normalize
 from groupaut.dsl import group_to_text, parse_descriptor
 from groupaut.errors import ContextError
 
-from test_descriptors import _random_group
+from draws import _random_group
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -47,7 +47,7 @@ from groupaut.matrices import ExactMatrix, matrix, scalar_matrix, vec_mat_mul
 from groupaut.oracle import brute_force_aut
 from groupaut.scalars import as_scalar, rational, sqrt_rational, t_monomial
 
-from test_descriptors import _random_group
+from draws import _random_group
 
 
 def _two_pass_acts_invariantly(g, a, _checks=None):

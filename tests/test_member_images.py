@@ -8,7 +8,9 @@ negating w * c or w / c.  Here every derived image is compared with the
 image formed fresh from the member itself, on every corpus group at heights
 1 and 2 and on drawn lines and planes.  A class whose inverse leaves the
 tower must replay in full.  The evidence every refuting certificate of the
-corpus carries is checked on its own.
+corpus carries is checked on its own, and every plane refutation of the
+corpus is an inverse one on a witness with one nonzero coordinate, which
+is all ``_member_image`` derives.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from groupaut.matrices import ExactMatrix, matrix, scalar_matrix, vec_mat_mul
 from groupaut.oracle import cross_check
 from groupaut.scalars import exact_div
 
-from test_descriptors import _random_group
+from draws import _random_group
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpus  # noqa: E402
@@ -223,3 +225,19 @@ def test_refuting_certificates_carry_their_evidence(monkeypatch):
         assert cert == bare and hash(cert) == hash(bare)
     assert kinds["image"] > 500 and kinds["outside"] > 0 \
         and kinds["adjugate"] == 2, kinds
+
+
+def test_plane_refutations_are_inverse_on_one_coordinate():
+    # the row filter of _matrix_classes asks every forward block check on
+    # the run's memo, so a 2 x 2 candidate fails only the inverse pass, on
+    # an "int" generator, which lies on one coordinate: _member_image has
+    # no forward half, and the referee reads k off w's one nonzero entry
+    count = 0
+    for g in corpus.all_plane_groups():
+        for h in (1, 2):
+            report = oracle.brute_force_aut(parse_descriptor(g["text"]), h)
+            for r in report.refuted:
+                assert r.direction == "inverse", (g["text"], h, r)
+                assert sum(1 for x in r.witness if x) == 1, (g["text"], h, r)
+                count += 1
+    assert count == 2484

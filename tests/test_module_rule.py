@@ -1,7 +1,7 @@
 """Differential test of the rule table's module rows.
 
-``_module_rule`` decides a module from scalar products and the integer
-module frame.  The reference copies below are the routines it replaces,
+``_module_rule`` decides a module from products of the keyed numerators
+of the integer module frame.  The reference copies below are the routines it replaces,
 kept verbatim: they read every module through a second, Fraction-valued
 coordinate frame and Gauss-Jordan elimination, and the rule they feed.
 On seeded modules built through ``mixed_module`` in every context, both
@@ -35,10 +35,13 @@ from groupaut.descriptors import (
     _module_rat_line,
     _sign_canonical,
     cyclic_form,
+    is_cyclic,
     mixed_module,
     normalize,
+    scaled,
 )
-from groupaut.errors import DescriptorError, DomainError
+from groupaut.errors import ContextError, DescriptorError, DomainError
+from groupaut.dsl import parse_descriptor
 from groupaut.oracle import cross_check
 from groupaut.scalars import (
     FORMAL_CONTEXT,
@@ -310,7 +313,6 @@ def test_module_rule_matches_the_fraction_frame_reference():
 
 
 def test_moved_family_examples():
-    from groupaut.dsl import parse_descriptor
     for text in ("Q*(1+t)", "Q + Q*t^-1", "Q*(1+t) + Q*t^2"):
         g = normalize(parse_descriptor(text))
         assert ref_module_rule(g) is None, text
@@ -318,8 +320,8 @@ def test_moved_family_examples():
 
 
 def test_cyclic_form_ratios_match_the_elimination():
-    # exact_div reads each generator ratio where the former code solved a
-    # one-column system over the Fraction frame
+    # each generator ratio is read off the keyed rows where the former code
+    # solved a one-column system over the Fraction frame
     rng = random.Random(20261020)
     decided = 0
     for kind in CONTEXTS:
@@ -339,3 +341,39 @@ def test_cyclic_form_ratios_match_the_elimination():
             assert got == ref_cyclic_form(m), m
             decided += got is not None and len(gens) > 1
     assert decided > 100
+
+
+def test_a_scalar_factor_changes_no_module_answer():
+    # Phi(r*G) = Phi(G), and r*G is cyclic exactly when G is.  r folds into
+    # the module, and the folded generators need not share a field of
+    # degree 4 (sqrt(5)*sqrt(2) and sqrt(5)*sqrt(3) do not): the rule table
+    # and cyclic_form read their keyed numerators, and answer alike
+    rng = random.Random(20261021)
+    root = sqrt_rational
+    factors = (root(5), one() + root(5), root(2) + root(5), root(7),
+               one() + root(7), root(10), rational(2) + root(6), root(3) + root(5))
+    past = set()
+    fields = [parse_descriptor(text) for text in (
+        "Q*sqrt(2) + Q*sqrt(3)", "Q*(1+sqrt(2)) + Q*(sqrt(3)+sqrt(6))")]
+    for m in dict.fromkeys([*fields, *map(normalize, _modules(rng, "biquad", 300))]):
+        for r in factors:
+            try:
+                g = normalize(scaled(r, m))
+            except ContextError:    # r times a generator leaves the tower
+                continue
+            assert isinstance(g, MixedModule), g
+            answer, got = _module_rule(m), _module_rule(g)
+            assert is_cyclic(g) == is_cyclic(m), (r, m)
+            try:
+                for _, x in g.terms:
+                    join_context(g.terms[0][1].context, x.context)
+            except ContextError:
+                # r used to stay outside such a module, and G's answer was
+                # read on m: it still is read on r*m
+                assert got == answer, (r, m)
+                past.add(type(answer).__name__)
+            else:
+                # the Z-slot rule reduces modulo Q*q by clearing q's leading
+                # coordinate, so it may give up on one of m and r*m
+                assert None in (got, answer) or got == answer, (r, m)
+    assert past >= {"RatStar", "PlusMinusOne", "FieldUnits", "NoneType"}, past

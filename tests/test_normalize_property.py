@@ -23,7 +23,7 @@ from groupaut.matrices import matrix, vec_mat_mul
 from groupaut.oracle import enumerate_members
 from groupaut.scalars import rational
 
-from test_descriptors import _COORDS, _random_group
+from draws import _COORDS, _random_group
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

@@ -14,7 +14,7 @@ from groupaut.oracle import (_ratios, brute_force_aut, candidate_matrices,
                              enumerate_members)
 from groupaut.scalars import rational
 
-from test_descriptors import _random_group
+from draws import _random_group
 from test_oracle_output import ref_candidate_matrices, ref_certificate
 
 

@@ -40,7 +40,7 @@ from groupaut.oracle import (
 from groupaut.scalars import (ExactScalar, one, products_within, rational,
                               t_monomial, zero)
 
-from test_descriptors import _random_group
+from draws import _random_group
 from test_oracle_output import PLANES, factor_members
 
 

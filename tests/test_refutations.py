@@ -61,8 +61,8 @@ from groupaut.scalars import (
     t_monomial,
 )
 
-from test_descriptors import (_FACTORS, _MATRICES_2, _random_group,
-                              rat_line_member, real_line_member)
+from draws import _FACTORS, _MATRICES_2, _random_group
+from test_descriptors import rat_line_member, real_line_member
 
 P = parse_descriptor
 R2 = sqrt_rational(2)

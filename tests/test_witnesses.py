@@ -43,7 +43,7 @@ EXPECTED = [
     ("Q x R", "[1,0;1,1]"),
     ("(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))", "[1,1/2;0,1]"),
     ("Q x Q*sqrt(2)", "[1,1;0,1]"),
-    ("(Q + Q*t) x (Q + Q*t)", "[1,t;0,1]"),
+    ("(Q + Q*t) x (Q + Q*t)", "[1,sqrt(2);0,1]"),
     ("Q x Q x Q", "[1,sqrt(2),0;0,1,0;0,0,1]"),
 ]
 
@@ -189,13 +189,18 @@ def test_shared_memo_search_matches_fresh_memos(text):
 
 
 def test_candidates_outside_the_tower_are_skipped_uncounted():
-    # the first six candidates mix t with sqrt(2) and raise; the seventh is
-    # the witness, within a budget of one
-    g = P("(Q + Q*t) x (Q + Q*sqrt(2))")
-    for cand in list(sl_candidates(2))[:6]:
+    # Q*t x Q*t absorbs the four rational shears; the sqrt(2) and sqrt(3)
+    # shears (the fifth to eighth candidates) mix t with a surd and raise
+    # while the image is formed; the ninth is the witness, at the fifth check
+    g = P("Q*t x Q*t")
+    candidates = list(sl_candidates(2))[:9]
+    for cand in candidates[:4]:
+        assert acts_invariantly(g, cand).verdict
+    for cand in candidates[4:8]:
         with pytest.raises(ContextError):
-            acts_invariantly(normalize(g), cand)
-    assert _outcome(_sl_search, g, 1)[0] == "[1,sqrt(3);0,1]"
+            acts_invariantly(g, cand)
+    assert _outcome(_sl_search, g, 5)[0] == "[1,t;0,1]"
+    assert _outcome(_sl_search, g, 4)[0] is BudgetExceededError
 
 
 def test_shared_memo_asks_fewer_checks(monkeypatch):
