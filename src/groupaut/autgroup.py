@@ -17,8 +17,8 @@ disagree.  When no table row applies, the engine answers with explicit
 Bounds (known lower/upper descriptor sets) instead of guessing; {+1,-1} is
 always a sound lower bound.
 
-The table covers: cyclic groups; every rational line Q*g; modules
-Z*g + Q*h whose rescaled generator ratio is a pure square root;
+The table covers: cyclic groups; every rational line Q*g; modules of
+Z-slots beside one Q-slot whose Z-part is cyclic modulo that Q-line;
 two-generator Q-spans Q*g0 + Q*g1 by the square test (the field holding
 g1/g0 when g1^2 lies in the Q-span of g0^2 and g0*g1, Q^x otherwise);
 Laurent rings and their hulls; Z[1/m]; Q^n and its scalings; the
@@ -54,7 +54,6 @@ from .descriptors import (
     _lead,
     _member,
     _split,
-    _dot,
     _lattice,
     _module_rat_line,
     coprime_part,
@@ -468,15 +467,17 @@ def acts_invariantly(g: GroupDescriptor, a,
     under A^-1, and G with no "int" generator is confirmed once A is known
     to be invertible.
 
-    ``_checks`` is the memo of one ``brute_force_aut`` run over G, which
-    keeps the verdict of every generator check it has asked, held or failed
-    (see ``failing_generator``); a certificate on its own starts with an
-    empty one.
+    ``_checks`` is the memo of one ``brute_force_aut`` run over a normal
+    G, which keeps the verdict of every generator check it has asked, held
+    or failed (see ``failing_generator``); a certificate on its own
+    normalizes G and starts with an empty one.
 
     On G = factor * ring for a ring descriptor the scalar, or the entry of
     a 1 x 1 matrix, is tested against the ring directly: no scalar matrix
     is built for it.  A refutation is replayed before it is returned
     (``_replayed``)."""
+    if _checks is None:
+        g, _checks = normalize(g), {}
     n = dimension(g)
     matrix = isinstance(a, ExactMatrix)
     if matrix and a.n != n:
@@ -498,9 +499,8 @@ def acts_invariantly(g: GroupDescriptor, a,
         return replayed(g, (factor,), r, direction)
 
     mat = a if matrix else scalar_matrix(as_scalar(a), n)
-    checks = {} if _checks is None else _checks
-    gens = run_generators(checks, g)
-    failing = failing_generator(checks, gens, mat.rows)
+    gens = run_generators(_checks, g)
+    failing = failing_generator(_checks, gens, mat.rows)
     if failing:
         kind, vec = failing[:2]
         if kind != "int":
@@ -617,20 +617,15 @@ def _module_rule(m: MixedModule) -> Optional[AutDescriptor]:
     if len(rat_rows) != 1:
         return None
 
-    # Z-slots with one Q-slot q: the Z-part modulo Q*q is cyclic when the
-    # frame's Hermite form has one row.  Its combination l of the Z-slots,
-    # with q's leading coordinate cleared, gives G = Z*l + Q*q, and x = q/l
-    # is irrational
-    _, _, zrows, _, (_, pivots), _ = _lattice(m.terms)
-    if len(pivots) != 1:
-        return None
-    q = rat_rows[0]
-    lead = next(j for j, c in enumerate(q) if c)
-    l = [_dot(pivots[0][2], column) for column in zip(*zrows)]
-    l = [c * q[lead] - l[lead] * e for c, e in zip(l, q)]
-    if _product_combination(laurent, columns, [(l, l)], (q, q)) is not None:
-        return PlusMinusOne()       # Z + Q*x with x a pure root is rigid
-    return None
+    # Z-slots with one Q-slot q: when the Z-part modulo Q*q is cyclic (the
+    # frame's Hermite form has one row), G = Z*l + Q*q with y = q/l
+    # irrational, and G is rigid.  An r with r*G = G has r*l in G, so
+    # r = m + a*y with m in Z and a in Q; r*b*q in G for every rational b
+    # puts a*b*y^2 in Z + Q*y.  If a != 0, then y^2 = alpha + beta*y with
+    # a*b*alpha in Z for every b, so alpha = 0 and y = beta is rational.
+    # So a = 0, and m*G = G gives m = +-1
+    _, _, _, _, (_, pivots), _ = _lattice(m.terms)
+    return PlusMinusOne() if len(pivots) == 1 else None
 
 
 def _product_combination(laurent: bool, keys, pairs, target

@@ -23,9 +23,12 @@ v, and ``holds(kind, g, v)`` picks one by its check kind:
 * "real", ``holds("real", g, v)``: does R*v lie in G?  Every proper
   one-dimensional descriptor forces v = 0 there, FullLine absorbs anything.
 
-All three share one walk, ``_split``, which carries v through the Scaled,
-Image and Product nodes and yields the leaf groups with their coordinates;
-each question is then a loop over the leaves.
+Every public entry normalizes g once and answers as on ``normalize(g)``;
+``holds``, ``invariance_generators`` and the walks below them take a
+normal g.  The three questions share one walk, ``_split``, which carries v
+through the Image and Product nodes and a ring's scale factor and yields
+the leaf groups with their coordinates; each question is then a loop over
+the leaves.
 
 A question asks about many vectors of one group (every candidate of an
 oracle run, say), so a module leaf is factored once per question into a
@@ -439,13 +442,15 @@ def as_vector(g: GroupDescriptor, v) -> Vector:
 
 
 def member(g: GroupDescriptor, v) -> MembershipVerdict:
-    """Exact membership v in G, with a coefficient witness where meaningful."""
+    """Exact membership v in G, with a coefficient witness where meaningful:
+    the coefficients over the generators of ``normalize(g)``, in order."""
+    g = normalize(g)
     return _member(g, as_vector(g, v))
 
 
 def holds(kind: str, g: GroupDescriptor, v: Vector) -> bool:
     """One check of invariance_generators: "int" asks whether v is in G,
-    "rat" whether Q*v is, "real" whether R*v is."""
+    "rat" whether Q*v is, "real" whether R*v is.  g is normal."""
     # the three names are read when called, not bound here, so that
     # perfbench/spans.py can wrap them
     if kind == "int":
@@ -458,28 +463,23 @@ def holds(kind: str, g: GroupDescriptor, v: Vector) -> bool:
 
 
 def _split(g: GroupDescriptor, v: Vector):
-    """Carry v through the Scaled, Image and Product nodes of g.
+    """Carry v through the Image and Product nodes of a normal g, and
+    divide a coordinate by the scale factor of its ring.
 
     Yields (leaf, coordinates) pairs in coordinate order; v, Q*v or R*v
     lies in G exactly when each block of coordinates does in its leaf.
-    When a scale factor does not divide v, yields (None, v): then none of
-    the three does.  The walk is lazy, so a caller that stops at the first
-    failing leaf never touches the later coordinates.
+    When a scale factor does not divide its coordinate, yields (None, v):
+    then none of the three does.  The walk is lazy, so a caller that stops
+    at the first failing leaf never touches the later coordinates.
     """
-    if isinstance(g, Scaled):
-        quotient = []
-        for c in v:
-            q = exact_div(c, g.factor)
-            if q is None:
-                yield None, v
-                return
-            quotient.append(q)
-        yield from _split(g.inner, tuple(quotient))
-    elif isinstance(g, Image):
+    if isinstance(g, Image):
         yield from _split(g.inner, vec_mat_mul(v, _inverse(g.matrix)))
     elif isinstance(g, Product):
         for f, c in zip(g.factors, v):
             yield from _split(f, (c,))
+    elif isinstance(g, Scaled):     # a ring, so one coordinate
+        q = exact_div(v[0], g.factor)
+        yield (None, v) if q is None else (g.inner, (q,))
     else:
         yield g, v
 
@@ -611,27 +611,21 @@ def is_divisible(g: GroupDescriptor) -> bool:
 
 
 def cyclic_form(g: GroupDescriptor) -> Optional[MixedModule]:
-    """A one-term Z-module with the same members, when one exists (1-D)."""
+    """A one-term Z-module with the same members, when one exists (1-D):
+    of the normal forms, only a module of Z-slots can be cyclic."""
+    g = normalize(g)
     if dimension(g) != 1:
         raise UnsupportedError("cyclicity is a one-dimensional notion here")
-    if isinstance(g, (Scaled, Image)):
-        inner = cyclic_form(g.inner)
-        if inner is None:
-            return None
-        factor = g.factor if isinstance(g, Scaled) else g.matrix.rows[0][0]
-        return cyclic(_sign_canonical(factor * inner.terms[0][1]))
-    if isinstance(g, MixedModule):
-        if any(d is Domain.RAT for d, _ in g.terms):
-            return None
-        # a Z-module is cyclic when its Hermite form has one row, which is
-        # a rational multiple of the first generator's
-        _, _, zrows, _, (_, pivots), _ = _lattice(g.terms)
-        if len(pivots) != 1:
-            return None
-        j, row, _ = pivots[0]
-        step = Fraction(row[j], zrows[0][j])
-        return cyclic(_sign_canonical(rational(step) * g.terms[0][1]))
-    return None
+    if not isinstance(g, MixedModule) or any(d is Domain.RAT for d, _ in g.terms):
+        return None
+    # a Z-module is cyclic when its Hermite form has one row, which is a
+    # rational multiple of the first generator's
+    _, _, zrows, _, (_, pivots), _ = _lattice(g.terms)
+    if len(pivots) != 1:
+        return None
+    j, row, _ = pivots[0]
+    step = Fraction(row[j], zrows[0][j])
+    return cyclic(_sign_canonical(rational(step) * g.terms[0][1]))
 
 
 def is_cyclic(g: GroupDescriptor) -> bool:
@@ -677,27 +671,27 @@ def normalize(g: GroupDescriptor) -> GroupDescriptor:
     """The canonical form of g, stable after one pass: a leaf; Scaled over
     a ring; a Product of two or more one-dimensional normal factors; or an
     Image of such a Product, other than R^n, under a matrix that is not
-    scalar."""
-    return _normalize(g)
+    scalar.  A g already in normal form is returned itself."""
+    h = _normalize(g)
+    return g if h == g else h
 
 
 @lru_cache(maxsize=4096)
 def _normalize(g: GroupDescriptor) -> GroupDescriptor:
+    """normalize(g), and g itself where nothing changes."""
     if isinstance(g, MixedModule):
         terms = []
         for d, gen in g.terms:
             gen = _sign_canonical(gen) if d is Domain.INT else _monic(gen)
             terms.append((d, gen))
         terms.sort(key=lambda t: (0 if t[0] is Domain.INT else 1, t[1].sort_key()))
-        return MixedModule(tuple(terms))
+        return g if tuple(terms) == g.terms else MixedModule(tuple(terms))
     if isinstance(g, (LaurentRing, FractionRing, FullLine)):
         return g
     if isinstance(g, Scaled):
-        r = g.factor
-        inner = _normalize(g.inner)
-        while isinstance(inner, Scaled):
-            r = r * inner.factor
-            inner = _normalize(inner.inner)
+        r, inner = g.factor, _normalize(g.inner)
+        if isinstance(inner, Scaled):       # over a ring
+            r, inner = r * inner.factor, inner.inner
         if isinstance(inner, MixedModule):
             return _normalize(MixedModule(tuple((d, r * gen) for d, gen in inner.terms)))
         if isinstance(inner, FullLine):
@@ -708,25 +702,25 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
             return _normalize(Image(Scaled(r, inner.inner), inner.matrix))
         if r == one() or r == rational(-1):   # -G = G for every group
             return inner
-        return Scaled(_sign_canonical(r), inner)
+        r = _sign_canonical(r)
+        return g if (r, inner) == (g.factor, g.inner) else Scaled(r, inner)
     if isinstance(g, Product):
         factors = tuple(_normalize(f) for f in g.factors)
         if len(factors) == 1:
             return factors[0]
-        return Product(factors)
+        return g if factors == g.factors else Product(factors)
     if isinstance(g, Image):
         inner = _normalize(g.inner)
         a = g.matrix
-        while isinstance(inner, Image):
-            a = inner.matrix * a
-            inner = _normalize(inner.inner)
+        if isinstance(inner, Image):        # over a Product
+            a, inner = inner.matrix * a, inner.inner
         if inner == Product((FullLine(),) * a.n):
             return inner        # R^n * A = R^n
         if a.n == 1:
             return _normalize(Scaled(a.rows[0][0], inner))
         if a == scalar_matrix(a.rows[0][0], a.n):
             return _normalize(Scaled(a.rows[0][0], inner))
-        return Image(inner, a)
+        return g if (inner, a) == (g.inner, g.matrix) else Image(inner, a)
     raise DescriptorError(f"not a group descriptor: {g!r}")
 
 
@@ -736,10 +730,11 @@ def _normalize(g: GroupDescriptor) -> GroupDescriptor:
 
 def invariance_generators(g: GroupDescriptor
                           ) -> list[tuple[str, Vector]]:
-    """Finite family of (check-kind, vector) pairs that pins G down for
-    invariance checking: "int" needs member, "rat" needs the rational line,
-    "real" needs the real line.  Rings are not finitely generated this way
-    and raise UnsupportedError (they go through the unit-group route)."""
+    """Finite family of (check-kind, vector) pairs that pins a normal G
+    down for invariance checking: "int" needs member, "rat" needs the
+    rational line, "real" needs the real line.  Rings are not finitely
+    generated this way and raise UnsupportedError (they go through the
+    unit-group route)."""
     n = dimension(g)
     if isinstance(g, MixedModule):
         return [("int" if d is Domain.INT else "rat", (gen,)) for d, gen in g.terms]

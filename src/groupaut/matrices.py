@@ -6,13 +6,14 @@ the (i, j) entry is row i, column j.
 Determinants and inverses stay inside the ring generated by the entries
 and 1/det, which is what lets Laurent-entry matrices invert exactly when
 their determinant is a monomial.  Up to 2 x 2 they use the closed forms
-(ad - bc and the adjugate).  From 3 x 3 on each is one Bareiss
-fraction-free elimination (Bareiss 1968, Math. Comp. 22),
-``linalg.fraction_free``: every intermediate entry is a minor of the input,
-and each division by the previous pivot is exact in the ring (``exact_div``
-for Laurent polynomials), so the work is cubic in n instead of exponential.
-A rational matrix is eliminated on plain ints, its rows scaled by the lcms
-of their denominators; any other on its scalars.  The 2 x 2 closed forms
+(ad - bc and the adjugate).  From 3 x 3 on the determinant and the
+adjugate are each one Bareiss fraction-free elimination (Bareiss 1968,
+Math. Comp. 22), ``linalg.fraction_free``: every intermediate entry is a
+minor of the input, and each division by the previous pivot is exact in
+the ring (``exact_div`` for Laurent polynomials), so the work is cubic in
+n instead of exponential, and the inverse is adj A times 1/det A.  A
+rational determinant is eliminated on plain ints, its rows scaled by the
+lcms of their denominators; any other on its scalars.  The 2 x 2 closed forms
 take their products and reciprocals from per-request memos (bounded
 ``lru_cache``s), as one request's candidates share their entries.
 """
@@ -126,19 +127,10 @@ class ExactMatrix:
         is not in the tower."""
         n = self.n
         if n > 2:
-            if not self.is_rational():
-                b, p = self.adjugate()
-                pinv = p.invert()   # DomainError for a non-monomial Laurent p
-                return ExactMatrix(tuple(tuple(x * pinv for x in row)
-                                         for row in b.rows))
-            # [D*A | D] for the row scalings D
-            _, m = _cleared(_augmented(self.rows))
-            _, cols, m, p = fraction_free(m, jordan=True, square=True)
-            if len(cols) < n:
-                raise SingularMatrixError("matrix has determinant 0")
-            # the left block is now p * I, so the right one is p * A^-1
-            return ExactMatrix(tuple(vector(Fraction(x, p) for x in row[n:])
-                                     for row in m))
+            b, p = self.adjugate()
+            pinv = p.invert()   # DomainError for a non-monomial Laurent p
+            return ExactMatrix(tuple(tuple(x * pinv for x in row)
+                                     for row in b.rows))
         d = self.det()
         if d.is_zero():
             raise SingularMatrixError("matrix has determinant 0")

@@ -62,10 +62,10 @@ from .descriptors import (
     LaurentRing,
     MixedModule,
     Product,
-    Scaled,
     _lead,
     _sign_canonical,
     dimension,
+    normalize,
 )
 from .errors import (
     BudgetExceededError,
@@ -129,9 +129,7 @@ def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
         return [rational(q) for q in sorted(out)]
     if isinstance(g, FullLine):
         return _line(h, sqrt_rational(2))
-    if isinstance(g, Scaled):
-        return [g.factor * s for s in _scalars_1d(g.inner, h)]
-    raise UnsupportedError(f"no enumeration for {type(g).__name__}")
+    return [g.factor * s for s in _scalars_1d(g.inner, h)]     # a scaled ring
 
 
 def _line(h: int, unit: ExactScalar) -> list[ExactScalar]:
@@ -157,7 +155,8 @@ def _factor_members(g: Product, h: int) -> list[list[Vector]]:
 
 def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
     """Deterministic, duplicate-free sample of members with coefficient
-    height at most the bound."""
+    height at most the bound, from the generators of ``normalize(g)``."""
+    g = normalize(g)
     h = _check_height(height)
     if isinstance(g, Product):
         columns = _factor_members(g, h)
@@ -165,9 +164,6 @@ def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
                 for combo in itertools.product(*columns)]
     elif isinstance(g, Image):
         vecs = [vec_mat_mul(v, g.matrix)
-                for v in enumerate_members(g.inner, h)]
-    elif isinstance(g, Scaled) and dimension(g) > 1:
-        vecs = [tuple(g.factor * s for s in v)
                 for v in enumerate_members(g.inner, h)]
     else:
         vecs = [(s,) for s in _scalars_1d(g, h)]
@@ -203,6 +199,7 @@ def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:
     """Nonzero ratios x / y of small members over units y of the tower
     (``_ratios``), and +-1: not every invariant scaling.  No member of
     (1+t)*ring(Z[t,1/t]) is a monomial, so +-t^k is never a candidate."""
+    g = normalize(g)
     h = _check_height(height)
     if dimension(g) != 1:
         raise DomainError("scalar candidates are a one-dimensional notion")
@@ -299,6 +296,7 @@ def candidate_matrices(g: GroupDescriptor, height: int,
                        _checks: Optional[dict] = None) -> list[ExactMatrix]:
     """Entrywise candidates for a two-factor product: entry (i, j) must be
     a ratio of a member of factor j by a nonzero member of factor i."""
+    g = normalize(g)
     h = _check_height(height)
     checks = {} if _checks is None else _checks
     return [a for _, _, a, _ in _matrix_classes(g, h, checks)]
@@ -331,7 +329,9 @@ def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, list]:
     A scalar's class is {c, -c}, keyed by c up to sign.  A class's record
     holds its certificate, the evidence ``found`` its members replay from
     (``_member_image``), None where A^-1 leaves the tower and each replays
-    in full, and the is-scalar flags it has given a first candidate."""
+    in full, and the is-scalar flags it has given a first candidate.  The
+    report is of ``normalize(g)``."""
+    g = normalize(g)
     h = _check_height(height)
     n = dimension(g)
     checks: dict = {}       # the run's generator checks, each asked once

@@ -66,6 +66,7 @@ EXACT_TABLE = [
     ("Q + Z*sqrt(2)", "PM1"),
     ("Z*sqrt(2) + Q*sqrt(3)", "PM1"),
     ("Z*3 + Q*sqrt(5)", "PM1"),
+    ("Z*1 + Q*(1+sqrt(2))", "PM1"),     # a cyclic Z-part beside one Q-line
     ("ring(Z[t,1/t])", "A(t)"),
     ("ring(Q[t,1/t])", "Qx*A(t)"),
     ("hull(ring(Z[t,1/t]))", "Qx*A(t)"),
@@ -90,7 +91,6 @@ BOUNDS_TABLE = [
     ("Zinv(6)", ["A(2)", "A(3)"]),
     ("Zinv(4)", ["A(2)"]),
     ("Zinv(30)", ["A(2)", "A(3)", "A(5)"]),
-    ("Z*1 + Q*(1+sqrt(2))", ["PM1"]),            # open: lattice ratio not a pure root
     ("Q + Q*sqrt(2) + Q*sqrt(3)", ["PM1"]),
     ("(Z*1 + Q*sqrt(2)) x (Z*1 + Q*sqrt(2))", ["EZ(2)", "PM1"]),
     ("Zinv(2) x Zinv(2)", ["EZ(2)", "PM1"]),

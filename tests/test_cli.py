@@ -77,6 +77,11 @@ PINNED = [
     (("aut", "Q*(sqrt(2)+sqrt(5)) + Q*sqrt(3)"), 0, '{"aut":{"kind":"RatStar"}}\n'),
     (("aut", "Q + Q*sqrt(2) + Q*sqrt(3) + Q*sqrt(5)"), 2,
      '{"bounds":{"lower":["PM1"]}}\n'),
+    # Z-slots beside one Q-slot, with a cyclic Z-part modulo that Q-line,
+    # are rigid, whichever Z-combination and scale factor spell them
+    (("aut", "Z + Q*(1+sqrt(2))"), 0, '{"aut":{"kind":"PlusMinusOne"}}\n'),
+    (("aut", "(2+sqrt(6))*(Z*(2-1/3*sqrt(2)) + Z*(3-1/2*sqrt(2))"
+             " + Q*(sqrt(3)-3*sqrt(6)))"), 0, '{"aut":{"kind":"PlusMinusOne"}}\n'),
     # a value with a term that a leaf lacks is not a member
     (("member", "Q + Q*t", "sqrt(2)"), 0, '{"member":false,"witness":null}\n'),
     (("member", "Q*sqrt(2) + Q*sqrt(3)", "sqrt(5)"), 0,

@@ -134,14 +134,16 @@ _FIXED = ["Z*2 + Z*3", "Z*6 + Z*sqrt(2) + Q*sqrt(3)", "Z*1 + Q*sqrt(2)",
 
 
 def _groups(rng, count):
-    """(g, members of height 1) for the fixed modules and random draws; a
-    draw with a ring, which acts_invariantly sends by the unit route, or
-    with a scale factor that does not join its leaf's context is skipped."""
+    """(g, members of height 1) for the fixed modules and the normal forms
+    of random draws, as the certificate's walks take them; a draw with a
+    ring, which acts_invariantly sends by the unit route, or with a scale
+    factor that does not join its leaf's context is skipped."""
     groups = [P(text) for text in _FIXED]
     out = [(g, enumerate_members(g, 1)) for g in groups]
     while len(out) < count:
         g = _random_group(rng, rng.choice((1, 2)), 3)
         try:
+            g = normalize(g)
             invariance_generators(g)
             out.append((g, enumerate_members(g, 1)))
         except GroupAutError:
@@ -334,7 +336,8 @@ def test_an_inverse_outside_the_tower_is_decided_on_the_adjugate():
     # A^-1 has the denominator 1+t; the inverse pass used to raise there.
     # Every answer the old certificate gave stays, and every new refutation
     # replays through member alone.  Half the planes have a line R as a
-    # factor, where 1+t can act
+    # factor, where 1+t can act.  The old certificate is run on the draw's
+    # normal form, as the public call on the raw draw answers
     rng = random.Random(20261021)
     new = Counter()
     for _ in range(3000):
@@ -344,7 +347,7 @@ def test_an_inverse_outside_the_tower_is_decided_on_the_adjugate():
             g = Product(tuple(rng.sample([_random_group(rng, 1, 2), full_line()], 2)))
         a = rng.choice(_OUTSIDE_1 if n == 1 else _OUTSIDE_2)
         try:
-            old = _old_acts_invariantly(g, a)
+            old = _old_acts_invariantly(normalize(g), a)
         except GroupAutError as exc:
             old = exc
         try:
