@@ -7,11 +7,12 @@ candidate with the generator certificates.  The closed-form table is never
 consulted while classifying — only afterwards, when ``cross_check``
 compares the two answers.
 
-Ratios are formed on integer numerators: a scalar is built only for a
-ratio inside the height bound, and most fall outside it.  Over numerators
-closed under negation, x / (-y) = (-x) / y = -(x / y), so only the x of
-positive lead are used, and a y of negative lead only when -y is not also
-a denominator: each ratio is formed for one sign and negated.
+Members and ratios are formed on integers: a scalar is built for each
+member, and for a ratio only inside the height bound, where few fall.  Over
+numerators closed under negation, x / (-y) = (-x) / y = -(x / y), so only
+the x and y of positive lead are used: each ratio is formed for one sign
+and negated, and the ± pair carries both order keys and, on a line, its
+sign class.  Only the candidates are sorted, not a line's members.
 
 Every subgroup G satisfies G = -G, so a scalar c is in the invariance
 group exactly when -c is, and a member w refutes c exactly when it refutes
@@ -48,6 +49,8 @@ and distinct permutations act distinctly.
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from . import autgroup
@@ -63,7 +66,6 @@ from .descriptors import (
     MixedModule,
     Product,
     _lead,
-    _sign_canonical,
     dimension,
     normalize,
 )
@@ -75,9 +77,12 @@ from .errors import (
 )
 from .matrices import ExactMatrix, Vector, _product, vec_mat_mul
 from .scalars import (
+    RAT_CONTEXT,
     ContextKind,
     ExactScalar,
     _laurent,
+    _number,
+    join_context,
     one,
     products_within,
     rational,
@@ -102,14 +107,35 @@ def _fractions(h: int) -> list[Fraction]:
                    for q in range(1, h + 1)})
 
 
+def _rationals(h: int) -> list[tuple[int, int]]:
+    """The rationals of height at most h, each once, as lowest-terms (p, q)."""
+    return [(p, q) for q in range(1, h + 1) for p in range(-h, h + 1)
+            if gcd(p, q) == 1]
+
+
 def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
+    """The members of a one-dimensional normal g of coefficient height at
+    most h, built from ints (a scaled ring's: the ring's times its factor),
+    in no set order and possibly repeated."""
     if isinstance(g, MixedModule):
-        choices = []
-        for domain, gen in g.terms:
-            coeffs = [Fraction(k) for k in range(-h, h + 1)] \
-                if domain is Domain.INT else _fractions(h)
-            choices.append([gen * rational(c) for c in coeffs])
-        return [sum(combo, zero()) for combo in itertools.product(*choices)]
+        # each generator lifted once into the join of their contexts (or
+        # ContextError) over one den: a member sums one int row per slot
+        ctx = reduce(join_context, [gen.context for _, gen in g.terms])
+        lifted = [gen._lift(ctx) for _, gen in g.terms]
+        formal = ctx.kind is ContextKind.FORMAL
+        if formal:      # dense over the generators' exponents, ascending
+            keys = sorted({k for nums in lifted for k, _ in nums})
+            lifted = [[dict(nums).get(k, 0) for k in keys] for nums in lifted]
+        den = lcm(*[gen.den for _, gen in g.terms]) * lcm(*range(1, h + 1))
+        rows = [[tuple([p * (den // (q * gen.den)) * n for n in nums])
+                 for p, q in (_rationals(h) if domain is Domain.RAT
+                              else [(k, 1) for k in range(-h, h + 1)])]
+                for (domain, gen), nums in zip(g.terms, lifted)]
+        sums = [map(sum, zip(*combo)) for combo in itertools.product(*rows)]
+        if formal:
+            return [_laurent(tuple([(k, n) for k, n in zip(keys, s) if n]),
+                             den) for s in sums]
+        return [_number(ctx, tuple(s), den) for s in sums]
     if isinstance(g, LaurentRing):
         # each member is built straight from its int terms: c1 t^k1 + c2 t^k2
         # with c = p/q is (p1 q2 t^k1 + p2 q1 t^k2) / (q1 q2)
@@ -124,9 +150,8 @@ def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
                     for p1, q1 in coeffs for p2, q2 in coeffs]
         return out
     if isinstance(g, FractionRing):
-        out = {Fraction(z, g.m ** j) for z in range(-h, h + 1)
-               for j in range(h + 1)}
-        return [rational(q) for q in sorted(out)]
+        return [_number(RAT_CONTEXT, (z,), g.m ** j) for j in range(h + 1)
+                for z in range(-h, h + 1)]
     if isinstance(g, FullLine):
         return _line(h, sqrt_rational(2))
     return [g.factor * s for s in _scalars_1d(g.inner, h)]     # a scaled ring
@@ -134,9 +159,8 @@ def _scalars_1d(g: GroupDescriptor, h: int) -> list[ExactScalar]:
 
 def _line(h: int, unit: ExactScalar) -> list[ExactScalar]:
     """R sampled as q and unit * q over the rationals q of height h."""
-    rats = _fractions(h)
-    return [rational(q) for q in rats] \
-        + [unit * rational(q) for q in rats if q != 0]
+    rats = [_number(RAT_CONTEXT, (p,), q) for p, q in _rationals(h)]
+    return rats + [unit * q for q in rats if q]
 
 
 def _factor_members(g: Product, h: int) -> list[list[Vector]]:
@@ -175,39 +199,63 @@ def enumerate_members(g: GroupDescriptor, height: int) -> list[Vector]:
 # candidates
 # ---------------------------------------------------------------------------
 
-def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
-            h: int) -> dict:
-    """The ratios x / y of height at most h, keyed by sort_key, over x in
-    numerators and y in denominators that are units of the representation
-    tower (nonzero, and a monomial in Q[t,1/t]).  They are formed on integer
-    numerators, and a scalar is built only for a ratio inside the bound
-    (scalars.products_within).  Both lists are members of groups, and so
-    closed under negation; so are the ratios, and height does not depend on
-    sign: only the x and y of positive lead (descriptors._lead) are used,
-    and each ratio brings its negative."""
+def _ratio_pairs(numerators: list[ExactScalar],
+                 denominators: list[ExactScalar], h: int):
+    """The ratios x / y of height at most h over x in numerators and y in
+    denominators that are units of the representation tower (nonzero, and
+    a monomial in Q[t,1/t]), by ± pair: (r's sort key, r, -r's, -r).  They
+    are formed on integer numerators, and a scalar is built only for a
+    ratio inside the bound (scalars.products_within).  Both lists are
+    members of groups, and so closed under negation; so are the ratios, and
+    height does not depend on sign: only the x and y of positive lead
+    (descriptors._lead) are used, and each ratio brings its negative."""
     numerators = [x for x in numerators if _lead(x) > 0]
     inverses = [y.invert() for y in denominators if y and _lead(y) > 0 and (
         y.context.kind is not ContextKind.FORMAL or len(y.nums) == 1)]
-    found = {}
     for r in products_within(numerators, inverses, h):
-        for s in (r, -r):
-            found[s.sort_key()] = s
+        # -r's key negates each lowest-terms numerator: gcd(-n, d) = gcd(n, d)
+        key = r.sort_key()
+        if key[0] == 3:     # Laurent: (exponent, numerator, denominator)
+            negated = 3, tuple([(k, -n, d) for k, n, d in key[1]])
+        else:
+            negated = key[:2] + (tuple([(-n, d) for n, d in key[2]]),)
+        yield key, r, negated, -r
+
+
+def _ratios(numerators: list[ExactScalar], denominators: list[ExactScalar],
+            h: int) -> dict:
+    """The ratios of ``_ratio_pairs``, both signs, keyed by sort_key."""
+    found = {}
+    for key, r, negated, neg in _ratio_pairs(numerators, denominators, h):
+        found[key], found[negated] = r, neg
     return found
+
+
+def _scalar_classes(g: GroupDescriptor, h: int):
+    """(sign class, True, c, None) for each candidate c of
+    ``candidate_scalars`` on a normal line g, in its order, as
+    ``_matrix_classes`` gives a plane's.  Members are read unsorted, and a
+    class {c, -c} is named by its member of positive lead, of the pair."""
+    members = [s for s in dict.fromkeys(_scalars_1d(g, h)) if s]
+    found = {}
+    for key, r, negated, neg in _ratio_pairs(members, members, h):
+        c = r if _lead(r) > 0 else neg
+        found[key], found[negated] = (r, c), (neg, c)
+    for s in (one(), rational(-1)):
+        found.setdefault(s.sort_key(), (s, one()))
+    return [(c, True, s, None) for s, c in map(found.get, sorted(found))]
 
 
 def candidate_scalars(g: GroupDescriptor, height: int) -> list[ExactScalar]:
     """Nonzero ratios x / y of small members over units y of the tower
-    (``_ratios``), and +-1: not every invariant scaling.  No member of
-    (1+t)*ring(Z[t,1/t]) is a monomial, so +-t^k is never a candidate."""
+    (``_ratio_pairs``, on ints), and +-1: not every invariant scaling.  No
+    member of (1+t)*ring(Z[t,1/t]) is a monomial, so +-t^k is never a
+    candidate."""
     g = normalize(g)
     h = _check_height(height)
     if dimension(g) != 1:
         raise DomainError("scalar candidates are a one-dimensional notion")
-    members = [v[0] for v in enumerate_members(g, h) if not v[0].is_zero()]
-    found = _ratios(members, members, h)
-    for s in (one(), rational(-1)):
-        found.setdefault(s.sort_key(), s)
-    return [found[k] for k in sorted(found)]
+    return [c for _, _, c, _ in _scalar_classes(g, h)]
 
 
 _MATRIX_HEIGHT_CAP = 3
@@ -326,18 +374,17 @@ class OracleReport:
 def _referee(g: GroupDescriptor, height: int) -> tuple[OracleReport, list]:
     """The report of ``brute_force_aut``, and for each (sign class, is
     scalar) pair its first candidate and their verdict, in candidate order.
-    A scalar's class is {c, -c}, keyed by c up to sign.  A class's record
-    holds its certificate, the evidence ``found`` its members replay from
-    (``_member_image``), None where A^-1 leaves the tower and each replays
-    in full, and the is-scalar flags it has given a first candidate.  The
-    report is of ``normalize(g)``."""
+    A scalar's class {c, -c} comes named from ``_scalar_classes``.  A
+    class's record holds its certificate, the evidence ``found`` its
+    members replay from (``_member_image``), None where A^-1 leaves the
+    tower and each replays in full, and the is-scalar flags it has given a
+    first candidate.  The report is of ``normalize(g)``."""
     g = normalize(g)
     h = _check_height(height)
     n = dimension(g)
     checks: dict = {}       # the run's generator checks, each asked once
     if n == 1:
-        classes = ((_sign_canonical(c), True, c, None)
-                   for c in candidate_scalars(g, h))
+        classes = _scalar_classes(g, h)
     elif n == 2:
         classes = _matrix_classes(g, h, checks)
     else:

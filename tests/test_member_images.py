@@ -22,7 +22,7 @@ import pytest
 
 from groupaut import oracle
 from groupaut.autgroup import Certificate, acts_invariantly
-from groupaut.descriptors import Product, _lead, member
+from groupaut.descriptors import Product, _lead, _sign_canonical, member
 from groupaut.dsl import parse_descriptor, parse_matrix
 from groupaut.errors import ContextError, DomainError, GroupAutError
 from groupaut.matrices import ExactMatrix, matrix, scalar_matrix, vec_mat_mul
@@ -61,7 +61,7 @@ def _instrument(monkeypatch):
     counts = {"derived": 0, "partners": 0, "adjugate": 0, "full": 0}
     current, certs = {}, {}
     classes, scalars, acts, derive, replayed = (
-        oracle._matrix_classes, oracle.candidate_scalars,
+        oracle._matrix_classes, oracle._scalar_classes,
         oracle.acts_invariantly, oracle._member_image, oracle.replayed)
 
     def tracked(g, h, checks):
@@ -71,9 +71,11 @@ def _instrument(monkeypatch):
             yield item
 
     def tracked_scalars(g, h):
-        for c in scalars(g, h):
-            current.update(key=oracle._sign_canonical(c), a=c)
-            yield c
+        for item in scalars(g, h):
+            # the class generation names is c's member of positive lead
+            assert item[0] == _sign_canonical(item[2]) and item[3] is None
+            current.update(key=item[0], a=item[2])
+            yield item
 
     def certified(g, a, checks):
         # the certificate of the class of the current candidate
@@ -104,7 +106,7 @@ def _instrument(monkeypatch):
         return replayed(g, w, a, direction)
 
     monkeypatch.setattr(oracle, "_matrix_classes", tracked)
-    monkeypatch.setattr(oracle, "candidate_scalars", tracked_scalars)
+    monkeypatch.setattr(oracle, "_scalar_classes", tracked_scalars)
     monkeypatch.setattr(oracle, "acts_invariantly", certified)
     monkeypatch.setattr(oracle, "_member_image", member_image)
     monkeypatch.setattr(oracle, "replayed", counted)

@@ -1,5 +1,8 @@
-"""A smoke run of ``tools/slots.py`` at height 1 with one repeat."""
+"""A smoke run of ``tools/slots.py`` at height 1 with one repeat, alone
+and with ``--against`` one run of each tree."""
 
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +37,36 @@ def test_the_report_names_each_slot(workload, count, capsys):
     assert all(len(line.split("%")[0].split()) == 6 for line in out[1:])
     if workload == "oracle_line":
         assert any(line.endswith("%  ring(Z[t,1/t])") for line in out[1:])
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_each_slot_gets_its_runs_on_both_trees():
+    times = slots.compare((ROOT, ROOT), "oracle_line", 7, 1, 1, 1)
+    assert list(times)[-1] is None
+    assert sorted(slot for slot in times if slot is not None) == list(range(9))
+    for text, stages in times.values():
+        assert text and set(stages) == set(slots.STAGES)
+        assert all(len(base) == len(change) == 1 and base[0] > 0 < change[0]
+                   for base, change in stages.values())
+    base, change = times[None][1]["cross_check"]
+    assert base[0] == pytest.approx(sum(
+        stages["cross_check"][0][0] for slot, (_, stages) in times.items()
+        if slot is not None))
+
+
+@pytest.mark.skipif(subprocess.run(
+    ["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+    capture_output=True).returncode != 0, reason="not a git checkout")
+def test_against_prints_a_ratio_and_the_runs_won_per_slot(capsys):
+    slots.main(["--against", "HEAD", "--height", "1", "--repeats", "1",
+                "--runs", "1"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("oracle_line seed 7 height 1 repeats 1 runs 1:")
+    assert len(out) == 1 + 9 + 1 and out[-1].startswith("all ")
+    for line in out[1:]:
+        # generation, _referee and cross_check: a ratio and the runs won
+        cells = re.findall(r" (\d+\.\d{3})x +([01])/1 ", line)
+        assert len(cells) == 3 and all(float(r) > 0 for r, _ in cells), line
+    assert any(line.endswith("  ring(Z[t,1/t])") for line in out[1:])
